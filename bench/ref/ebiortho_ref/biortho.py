@@ -1,0 +1,363 @@
+"""Elliptic biorthogonal rational functions and their two inner products.
+
+rtilde evaluates the terminating very-well-poised theta series; the
+discrete inner product is a finite point-mass sum valid when t0*t1 is a
+negative q-power, the continuous one a unit-circle quadrature of the
+elliptic-gamma integrand.  Both are normalized so that <1,1> = 1.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass, field
+
+from .errors import ContourError, DomainError, NonConvergence, PoleError
+from .qkernel import (
+    DEFAULT_PREC,
+    Precision,
+    elliptic_gamma,
+    theta_qp_finite,
+)
+
+__all__ = [
+    "EllipticParams",
+    "DiscreteSpec",
+    "rtilde",
+    "check_symmetries",
+    "discrete_inner_product",
+    "norm_formula",
+    "continuous_inner_product",
+]
+
+BALANCE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class EllipticParams:
+    """Parameters (t0..t3; u0, u1; q; p) with t0 t1 t2 t3 u0 u1 = p q.
+
+    Pass u1 = None to solve for it from the balancing condition;
+    otherwise the condition is verified to relative 1e-12.
+    """
+
+    t: tuple[complex, complex, complex, complex]
+    u: tuple[complex, complex]
+    q: complex
+    p: complex
+
+    def __init__(self, t, u, q, p):
+        t = tuple(complex(x) for x in t)
+        if len(t) != 4:
+            raise DomainError("need 4 t parameters")
+        u = tuple(u)
+        if len(u) != 2:
+            raise DomainError("need 2 u parameters")
+        if abs(p) >= 1:
+            raise DomainError("|p| < 1 required")
+        u0 = complex(u[0])
+        if u[1] is None:
+            u1 = p * q / (t[0] * t[1] * t[2] * t[3] * u0)
+        else:
+            u1 = complex(u[1])
+        prod = t[0] * t[1] * t[2] * t[3] * u0 * u1
+        if abs(prod - p * q) > BALANCE_TOL * abs(p * q):
+            raise DomainError("balancing t0 t1 t2 t3 u0 u1 = p q violated")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "u", (u0, u1))
+        object.__setattr__(self, "q", complex(q))
+        object.__setattr__(self, "p", complex(p))
+
+    def swapped_u(self) -> "EllipticParams":
+        return EllipticParams(self.t, (self.u[1], self.u[0]), self.q, self.p)
+
+
+@dataclass(frozen=True)
+class DiscreteSpec:
+    """Finite-measure data: t0 t1 = q^{-N}, point masses at t0 q^k."""
+
+    N: int
+
+    def validate(self, params: EllipticParams, tol: float = 1e-9) -> None:
+        if self.N < 0:
+            raise DomainError("N must be nonnegative")
+        t0, t1 = params.t[0], params.t[1]
+        q, p = params.q, params.p
+        if abs(t0 * t1 - q ** (-self.N)) > BALANCE_TOL * abs(q ** (-self.N)):
+            raise DomainError("t0 t1 = q^-N violated")
+        # reject q^k landing on an integer power of p: infinite point mass
+        if abs(p) > 0:
+            lp = math.log(abs(p))
+            for k in range(1, self.N + 1):
+                qk = q**k
+                m = round(math.log(abs(qk)) / lp) if abs(qk) != 1 else 0
+                if abs(qk - p**m) < tol:
+                    raise DomainError(
+                        "q^k coincides with a power of p; point mass diverges"
+                    )
+
+
+def _csum(terms) -> complex:
+    terms = list(terms)
+    return complex(
+        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    )
+
+
+def _theta_prod(args, q, p, k, prec) -> complex:
+    out = 1.0 + 0.0j
+    for a in args:
+        out *= theta_qp_finite(a, q, p, k, prec)
+    return out
+
+
+def rtilde(
+    n: int,
+    z: complex,
+    params: EllipticParams,
+    prec: Precision = DEFAULT_PREC,
+) -> complex:
+    """The degree-n biorthogonal function, normalized to 1 at z = t0."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    terms = []
+    for k in range(n + 1):
+        head = theta_qp_finite(q * t0 / u0, q, p, 2 * k, prec) / theta_qp_finite(
+            t0 / u0, q, p, 2 * k, prec
+        )
+        num = _theta_prod(
+            [
+                t0 / u0,
+                p * q**n / (u0 * u1),
+                q ** (-n),
+                t0 * z,
+                t0 / z,
+                q / (u0 * t1),
+                q / (u0 * t2),
+                q / (u0 * t3),
+            ],
+            q,
+            p,
+            k,
+            prec,
+        )
+        den_args = [
+            q,
+            q ** (1 - n) * t0 * u1 / p,
+            q ** (n + 1) * t0 / u0,
+            q * z / u0,
+            q / (u0 * z),
+            t0 * t1,
+            t0 * t2,
+            t0 * t3,
+        ]
+        den = 1.0 + 0.0j
+        for a in den_args:
+            fac = theta_qp_finite(a, q, p, k, prec)
+            if k > 0 and abs(fac) < 1e-13:
+                raise PoleError("rtilde denominator theta factor vanishes")
+            den *= fac
+        terms.append(head * num / den * q**k)
+    return _csum(terms)
+
+
+def check_symmetries(
+    n: int,
+    z: complex,
+    params: EllipticParams,
+    prec: Precision = DEFAULT_PREC,
+) -> dict[str, float]:
+    """Residuals of the invariances of rtilde; all should be ~0.
+
+    Checked: p-ellipticity in the t's and u's (with a compensating shift
+    preserving balancing), the half-power-of-p shift identity, the
+    q-inversion identity, and z -> pz, z -> 1/z invariance.
+    """
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    base = rtilde(n, z, params, prec)
+    out: dict[str, float] = {}
+
+    def resid(val):
+        return abs(val - base) / max(abs(base), 1.0)
+
+    shifted = EllipticParams((t0, t1 * p, t2 / p, t3), (u0, u1), q, p)
+    out["t_ellipticity"] = resid(rtilde(n, z, shifted, prec))
+    shifted = EllipticParams((t0, t1, t2, t3), (u0 * p, u1 / p), q, p)
+    out["u_ellipticity"] = resid(rtilde(n, z, shifted, prec))
+
+    rp = cmath.sqrt(p)
+    shifted = EllipticParams(
+        (t0 * rp, t1 / rp, t2 / rp, t3 / rp), (u0 * rp, u1 * rp), q, p
+    )
+    out["half_shift"] = resid(rtilde(n, z * rp, shifted, prec))
+
+    inverted = EllipticParams(
+        (1 / t0, 1 / t1, 1 / t2, 1 / t3), (p / u0, p / u1), 1 / q, p
+    )
+    out["q_inversion"] = resid(rtilde(n, z, inverted, prec))
+
+    out["z_p_shift"] = resid(rtilde(n, p * z, params, prec))
+    out["z_inversion"] = resid(rtilde(n, 1 / z, params, prec))
+    return out
+
+
+def discrete_inner_product(
+    f,
+    g,
+    params: EllipticParams,
+    spec: DiscreteSpec,
+    prec: Precision = DEFAULT_PREC,
+) -> complex:
+    """Finite sum over the point masses at t0 q^k, 0 <= k <= N."""
+    spec.validate(params)
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    N = spec.N
+    closing_num = _theta_prod(
+        [q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p], q, p, N, prec
+    )
+    closing_den = _theta_prod(
+        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)],
+        q,
+        p,
+        N,
+        prec,
+    )
+    if abs(closing_den) < 1e-250:
+        raise PoleError("discrete measure closing factor hits a pole")
+    closing = closing_num / closing_den
+    terms = []
+    for k in range(N + 1):
+        zk = t0 * q**k
+        head = theta_qp_finite(q * t0 * t0, q, p, 2 * k, prec) / theta_qp_finite(
+            t0 * t0, q, p, 2 * k, prec
+        )
+        num = _theta_prod(
+            [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p],
+            q,
+            p,
+            k,
+            prec,
+        )
+        den = _theta_prod(
+            [
+                q,
+                q * t0 / t1,
+                q * t0 / t2,
+                q * t0 / t3,
+                q * t0 / u0,
+                p * q * t0 / u1,
+            ],
+            q,
+            p,
+            k,
+            prec,
+        )
+        if abs(den) < 1e-250:
+            raise PoleError("discrete weight hits a pole")
+        terms.append(f(zk) * g(zk) * head * num / den * q**k)
+    return _csum(terms) * closing
+
+
+def norm_formula(
+    n: int, params: EllipticParams, prec: Precision = DEFAULT_PREC
+) -> complex:
+    """Closed-form squared norm of the degree-n pair."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    head = theta_qp_finite(
+        p / (u0 * u1), q, p, 2 * n, prec
+    ) / theta_qp_finite(p * q / (u0 * u1), q, p, 2 * n, prec)
+    num = _theta_prod(
+        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1],
+        q,
+        p,
+        n,
+        prec,
+    )
+    den = _theta_prod(
+        [p / (u0 * u1), t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)],
+        q,
+        p,
+        n,
+        prec,
+    )
+    if abs(den) < 1e-250:
+        raise PoleError("norm denominator hits a pole")
+    return head * num / den * q ** (-n)
+
+
+def continuous_inner_product(
+    f,
+    g,
+    params: EllipticParams,
+    m_f: int = 0,
+    m_g: int = 0,
+    quad: int = 512,
+    prec: Precision = DEFAULT_PREC,
+    conv_tol: float | None = None,
+) -> complex:
+    """Unit-circle quadrature of the elliptic-gamma bilinear form.
+
+    The unit circle must contain all pole ladders p^i q^j ttilde_r with
+    ttilde_4 = u0 q^{-m_f} and ttilde_5 = u1 q^{-m_g}; with conv_tol set,
+    the half-node result is compared against the full one.
+    """
+    if abs(params.q) >= 1:
+        raise DomainError("continuous measure requires |q| < 1")
+    if quad < 8 or quad % 2:
+        raise DomainError("quad must be even and at least 8")
+    q, p = params.q, params.p
+    ts = list(params.t) + list(params.u)
+    tshift = list(params.t) + [
+        params.u[0] * q ** (-m_f),
+        params.u[1] * q ** (-m_g),
+    ]
+    for tr in tshift:
+        if abs(tr) >= 1:
+            raise ContourError(
+                "a shifted parameter has modulus >= 1; unit circle inadmissible"
+            )
+    pref = 1.0 + 0.0j
+    pref *= _qp_inf(q, q, prec) * _qp_inf(p, p, prec) / 2.0
+    for r in range(6):
+        for s in range(r + 1, 6):
+            pref /= elliptic_gamma(ts[r] * ts[s], p, q, prec)
+
+    def integrand(zv):
+        val = f(zv) * g(zv)
+        for tr in ts:
+            val *= elliptic_gamma(tr * zv, p, q, prec)
+            val *= elliptic_gamma(tr / zv, p, q, prec)
+        val /= elliptic_gamma(zv * zv, p, q, prec)
+        val /= elliptic_gamma(1.0 / (zv * zv), p, q, prec)
+        return val
+
+    # midpoint grid: avoids the weight's double zeros at z = +-1, +-i
+    vals = [
+        integrand(cmath.exp(2j * cmath.pi * (j + 0.5) / quad))
+        for j in range(quad)
+    ]
+    full = _csum(vals) / quad * pref
+    if conv_tol is not None:
+        half = _csum(vals[::2]) / (quad // 2) * pref
+        if abs(full - half) > conv_tol * max(abs(full), 1.0):
+            raise NonConvergence(
+                "quadrature not converged at the requested node count"
+            )
+    return full
+
+
+def _qp_inf(x, q, prec):
+    from .qkernel import qpoch_infinite
+
+    return qpoch_infinite(x, q, prec)

@@ -1,0 +1,557 @@
+"""Command-line front door.
+
+Three subcommands: `classify` reduces an exact exponent vector into the
+fundamental polytope and reports its face data, `verify` runs one of the
+numeric verification suites and exits nonzero on tolerance failure, and
+`scheme` emits or checks the degeneration scheme.
+
+Exit codes: 0 pass, 1 numeric failure, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import json
+import math
+import os
+import random
+import re
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import scheme as scheme_mod
+from .biortho import (
+    DiscreteSpec,
+    EllipticParams,
+    continuous_inner_product,
+    discrete_inner_product,
+    norm_formula,
+    rtilde,
+)
+from .errors import EbiorthoError, NonConvergence
+from .exponents import ExponentVector, norm_valuation, rtilde_valuation
+from .limits import (
+    aw_phi43,
+    nr_measure,
+    pastro_P,
+    pastro_inner_product,
+    pastro_p,
+    pastro_q,
+    sb_measure,
+    sigma2_measure,
+    sigma2_series,
+    sigma_measure,
+)
+from .polytope import (
+    face_name,
+    face_of,
+    is_system,
+    is_z_dependent,
+    reduce_to_P,
+)
+from .qkernel import qpoch_finite
+
+__all__ = ["Config", "main", "parse_rational", "random_discrete_params"]
+
+EXIT_PASS = 0
+EXIT_NUMERIC = 1
+EXIT_USAGE = 2
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+_CONFIG_ENV = "EBIORTHO_CONFIG"
+
+
+@dataclass(frozen=True)
+class Config:
+    """Shared run settings; tol must lie in (0, 1e-2]."""
+
+    tol: float | None = None
+    quad: int = 512
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.tol is not None and not 0.0 < self.tol <= 1e-2:
+            raise ValueError("tol must lie in (0, 1e-2]")
+        if self.quad < 8 or self.quad % 2:
+            raise ValueError("quad must be even and at least 8")
+
+    def tol_or(self, default: float) -> float:
+        return default if self.tol is None else self.tol
+
+
+def _env_defaults() -> dict:
+    path = os.environ.get(_CONFIG_ENV)
+    if not path:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    return {k: data[k] for k in ("tol", "quad", "seed") if k in data}
+
+
+def parse_rational(token: str) -> Fraction:
+    """Exact rational from 'a' or 'a/b'; decimal notation is rejected."""
+    if not _RATIONAL_RE.match(token):
+        raise ValueError(f"not an exact rational: {token!r}")
+    return Fraction(token)
+
+
+# ---------------------------------------------------------------------------
+# classify
+
+
+def _fmt7(v: ExponentVector) -> str:
+    a = ", ".join(str(x) for x in v.a6)
+    return f"({a}; {v.zeta})"
+
+
+def cmd_classify(args, cfg: Config) -> int:
+    try:
+        vals = [parse_rational(t) for t in args.vector]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        v = ExponentVector(vals[:4], vals[4:6], vals[6])
+        v.require_balanced()
+        word, red = reduce_to_P(v)
+    except EbiorthoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"input:   {_fmt7(v)}")
+    if word:
+        steps = []
+        for step in word:
+            if step[0] == "flip":
+                steps.append("flip")
+            else:
+                steps.append("translate(" + ", ".join(str(s) for s in step[1]) + ")")
+        print("word:    " + " ; ".join(steps))
+    else:
+        print("word:    (identity)")
+    print(f"reduced: {_fmt7(red)}")
+    sig = face_of(red.a6)[0]
+    tight = (
+        ", ".join("-".join(str(p) for p in lab) for lab in sig.tight)
+        if sig.tight
+        else "none"
+    )
+    print(f"tile:    {sig.tile} (dim {sig.dim}; tight: {tight})")
+    print(f"zeta:    {red.zeta}")
+    print(f"z-dependent: {is_z_dependent(red)}")
+    sysq = is_system(red.a6)
+    print(f"system:  {sysq}")
+    if sysq:
+        print(f"face:    {face_name(red.a6)}")
+    print(f"valuation rtilde n=1: {rtilde_valuation(red, 1)}")
+    print(f"valuation norm   n=1: {norm_valuation(red, 1)}")
+    return EXIT_PASS
+
+
+# ---------------------------------------------------------------------------
+# verify: shared helpers
+
+
+def random_discrete_params(
+    rng: random.Random,
+    N: int = 5,
+    p: float = 0.05,
+    qmod: float = 0.4,
+    max_cond: float = 1e4,
+    max_tries: int = 50,
+) -> EllipticParams:
+    """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
+
+    Draws whose point-mass sum is ill conditioned (mass cancellation
+    beyond max_cond) are rejected and redrawn.
+    """
+
+    def unit(r):
+        return cmath.exp(2j * math.pi * r.random())
+
+    for _ in range(max_tries):
+        q = qmod * unit(rng)
+        t0 = rng.uniform(0.75, 0.95) * unit(rng)
+        t2 = rng.uniform(0.2, 0.45) * unit(rng)
+        t3 = rng.uniform(0.2, 0.45) * unit(rng)
+        u0 = rng.uniform(0.3, 0.6) * unit(rng)
+        try:
+            par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
+            if _mass_condition(par, N) <= max_cond:
+                return par
+        except EbiorthoError:
+            continue
+    raise NonConvergence("no well-conditioned parameter draw found")
+
+
+def _mass_condition(par: EllipticParams, N: int) -> float:
+    spec = DiscreteSpec(N)
+    one = lambda z: 1.0
+    total = discrete_inner_product(one, one, par, spec)
+    gross = 0.0
+    for k in range(N + 1):
+        zk = par.t[0] * par.q**k
+        ind = lambda z, zk=zk: 1.0 if abs(z - zk) < 1e-9 else 0.0
+        gross += abs(discrete_inner_product(ind, one, par, spec))
+    return gross / max(abs(total), 1e-300)
+
+
+def _richardson(vals, ps, gap: float) -> complex:
+    tab = list(vals)
+    n = len(tab)
+    for j in range(1, n):
+        nxt = []
+        for i in range(n - j):
+            r1 = ps[i] ** (j * gap)
+            r2 = ps[i + j] ** (j * gap)
+            nxt.append((tab[i + 1] * r1 - tab[i] * r2) / (r1 - r2))
+        tab = nxt
+    return tab[0]
+
+
+def _report(rows, tol: float) -> int:
+    worst = 0.0
+    for label, resid in rows:
+        print(f"  {label:<42s} {resid:.3e}")
+        worst = max(worst, resid)
+    ok = worst < tol
+    print(f"max residual {worst:.3e}  tol {tol:.1e}  ->  {'PASS' if ok else 'FAIL'}")
+    return EXIT_PASS if ok else EXIT_NUMERIC
+
+
+# ---------------------------------------------------------------------------
+# verify suites
+
+
+def verify_elliptic_discrete(cfg: Config, N: int, draws: int) -> int:
+    tol = cfg.tol_or(1e-9)
+    spec = DiscreteSpec(N)
+    one = lambda z: 1.0
+    rng = random.Random(cfg.seed)
+    rows = []
+    worst = 0.0
+    for _ in range(draws):
+        par = random_discrete_params(rng, N=N)
+        worst = max(worst, abs(discrete_inner_product(one, one, par, spec) - 1))
+    rows.append((f"<1,1> = 1 over {draws} draws", worst))
+    for trial in range(2):
+        par = random_discrete_params(rng, N=N)
+        sw = par.swapped_u()
+        off = diag = 0.0
+        nm = min(N, 4) + 1
+        M = [
+            [
+                discrete_inner_product(
+                    lambda z, n=n: rtilde(n, z, par),
+                    lambda z, m=m: rtilde(m, z, sw),
+                    par,
+                    spec,
+                )
+                for m in range(nm)
+            ]
+            for n in range(nm)
+        ]
+        for n in range(nm):
+            for m in range(nm):
+                if n == m:
+                    h = norm_formula(n, par)
+                    diag = max(diag, abs(M[n][n] - h) / abs(h))
+                else:
+                    off = max(off, abs(M[n][m]) / max(abs(M[n][n]), abs(M[m][m])))
+        rows.append((f"biorthogonality off-diagonal (draw {trial})", off))
+        rows.append((f"diagonal vs norm formula (draw {trial})", diag))
+    return _report(rows, tol)
+
+
+def verify_elliptic_continuous(cfg: Config) -> int:
+    tol = cfg.tol_or(1e-6)
+    one = lambda z: 1.0
+    par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
+    full = continuous_inner_product(one, one, par, quad=cfg.quad)
+    double = continuous_inner_product(one, one, par, quad=2 * cfg.quad)
+    rows = [
+        (f"<1,1> = 1 at {cfg.quad} nodes", abs(full - 1)),
+        ("node-doubling stability", abs(double - full)),
+    ]
+    return _report(rows, tol)
+
+
+def verify_pastro(cfg: Config, nmax: int) -> int:
+    tol = cfg.tol_or(1e-8)
+    A, B, q = 0.55, 0.4, 0.45
+    off = diag = 0.0
+    for n in range(nmax + 1):
+        for m in range(nmax + 1):
+            v = pastro_inner_product(
+                lambda w, n=n: pastro_p(n, w, A, B, q),
+                lambda w, m=m: pastro_q(m, w, A, B, q),
+                A,
+                B,
+                q,
+                quad=cfg.quad,
+            )
+            if n == m:
+                h = (A * B / q) ** n * qpoch_finite(q, q, n) / qpoch_finite(
+                    A * B / q, q, n
+                )
+                diag = max(diag, abs(v - h))
+            else:
+                off = max(off, abs(v))
+    mono = 0.0
+    w = cmath.exp(0.7j)
+    for n in range(7):
+        mono = max(mono, abs(pastro_p(n, w, A, q, q) - w**n * A**n * q ** (-n / 2)))
+    rows = [
+        (f"biorthogonality off-diagonal, n,m <= {nmax}", off),
+        ("diagonal vs closed-form norm", diag),
+        ("B = q monomial collapse, n <= 6", mono),
+    ]
+    return _report(rows, tol)
+
+
+_LIMIT_BASE = {"q": 0.65, "T": (2.0, 1.3, 3.1, 1.0), "Z": 1.3}
+
+
+def _limit_value(face: str, n: int, p: float) -> complex:
+    q = _LIMIT_BASE["q"]
+    T = _LIMIT_BASE["T"]
+    Z = _LIMIT_BASE["Z"]
+    prod = T[0] * T[1] * T[2] * T[3]
+    if face == "1111pp":
+        U0 = 0.369
+        U1 = q / (prod * U0)
+        t = (T[0] * p**-0.25, T[1], T[2] * p**0.25, T[3] * p**0.5)
+        par = EllipticParams(t, (U0, U1 * p**0.5), q, p)
+        return rtilde(n, Z * p**-0.25, par)
+    U0 = 0.4
+    U1 = q / (prod * U0)
+    par = EllipticParams(T, (U0 * p**0.5, U1 * p**0.5), q, p)
+    return rtilde(n, Z, par)
+
+
+def _limit_target(face: str, n: int) -> complex:
+    q = _LIMIT_BASE["q"]
+    T = _LIMIT_BASE["T"]
+    Z = _LIMIT_BASE["Z"]
+    prod = T[0] * T[1] * T[2] * T[3]
+    if face == "1111pp":
+        U0 = 0.369
+        return pastro_P(n, Z, T, (U0, q / (prod * U0)), q)
+    U0 = 0.4
+    return aw_phi43(n, Z, T, (U0, q / (prod * U0)), q)
+
+
+def verify_limit(cfg: Config, face: str) -> int:
+    gap = 0.25 if face == "1111pp" else 0.5
+    tol = cfg.tol_or(1e-2 if face == "1111pp" else 1e-4)
+    table_ps = [1e-2, 1e-3, 1e-4]
+    ladder = [10 ** (-2 - 0.5 * i) for i in range(7)]
+    print(f"face {face}: relative error vs closed-form limit")
+    header = "  n " + "".join(f"  p={p:<8.0e}" for p in table_ps) + "  extrapolated"
+    print(header)
+    rows = []
+    for n in range(1, 5):
+        tgt = _limit_target(face, n)
+        errs = [abs(_limit_value(face, n, p) - tgt) / abs(tgt) for p in table_ps]
+        vals = [_limit_value(face, n, p) for p in ladder]
+        ex = abs(_richardson(vals, ladder, gap) - tgt) / abs(tgt)
+        print(f"  {n} " + "".join(f"  {e:<10.3e}" for e in errs) + f"  {ex:.3e}")
+        rows.append((f"extrapolated limit error, n = {n}", ex))
+    return _report(rows, tol)
+
+
+def verify_measures(cfg: Config) -> int:
+    tol = cfg.tol_or(1e-12)
+    q = 0.35
+    one = lambda z: 1.0
+
+    def solved(ts):
+        prod = 1.0
+        for x in ts:
+            prod *= x
+        return q / prod
+
+    rows = []
+    a = (0, 0, Fraction(1, 2), Fraction(1, 2), 0, 0)
+    t = [0.4, 0.5, 0.7, None, 0.45, 0.55]
+    t[3] = solved([x for x in t if x is not None])
+    rows.append(("NR normalization", abs(nr_measure(a, t, q).apply(one, one) - 1)))
+
+    a = tuple(Fraction(x, 12) for x in (-1, -1, 5, 5, -1, 5))
+    t = [0.8, 0.7, 0.5, 0.6, 0.75]
+    t = t + [solved(t)]
+    rows.append(("SB normalization", abs(sb_measure(a, t, q).apply(one, one) - 1)))
+
+    a = (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    t = [0.8, 0.5, 0.6, 0.7, 0.45]
+    t = t + [solved(t)]
+    rows.append(("Sigma normalization", abs(sigma_measure(a, t, q).apply(one, one) - 1)))
+
+    a = (Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(3, 4))
+    t = [0.75, 0.65, 0.5, 0.6, 0.55]
+    t = t + [solved(t)]
+    rows.append(
+        ("Sigma2 series normalization", abs(sigma2_series(a, t, q).apply(one, one) - 1))
+    )
+    m = sigma2_measure(a, t, q, 0.9)
+    rows.append(
+        ("Sigma2 integral normalization", abs(m.apply(one, one, quad=cfg.quad) - 1))
+    )
+    return _report(rows, tol)
+
+
+def cmd_verify(args, cfg: Config) -> int:
+    kind = args.kind
+    if kind == "elliptic-discrete":
+        return verify_elliptic_discrete(cfg, args.N, args.draws)
+    if kind == "elliptic-continuous":
+        return verify_elliptic_continuous(cfg)
+    if kind == "pastro":
+        return verify_pastro(cfg, args.nmax)
+    if kind == "limit":
+        if args.face not in ("1111pp", "40as"):
+            print("error: --face must be 1111pp or 40as", file=sys.stderr)
+            return EXIT_USAGE
+        return verify_limit(cfg, args.face)
+    return verify_measures(cfg)
+
+
+# ---------------------------------------------------------------------------
+# scheme
+
+
+def cmd_scheme(args, cfg: Config) -> int:
+    if args.check_appendix:
+        issues = scheme_mod.check_appendix() + scheme_mod.check_askey()
+        if issues:
+            for msg in issues:
+                print(f"MISMATCH: {msg}")
+            return EXIT_NUMERIC
+        sch = scheme_mod.build_scheme()
+        print(f"appendix check: {len(sch.systems)}/38 systems match")
+        return EXIT_PASS
+    if args.askey:
+        rows, edges = scheme_mod.askey_subscheme()
+        for label, mid, system, family, discrete in rows:
+            disc = discrete if discrete else "-"
+            print(f"{label:<9s} {system:<8s} {family:<22s} {disc}")
+        print(f"{len(rows)} rows, {len(edges)} edges")
+        return EXIT_PASS
+    if args.format == "json":
+        text = scheme_mod.emit_json()
+    elif args.format == "dot":
+        text = scheme_mod.emit_dot(include_as=args.all)
+    else:
+        text = scheme_mod.emit_tsv()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+    return EXIT_PASS
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--tol",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="tolerance in (0, 1e-2]",
+    )
+    shared.add_argument(
+        "--quad", type=int, default=argparse.SUPPRESS, help="quadrature node count"
+    )
+    shared.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="seed for random draws"
+    )
+    ap = argparse.ArgumentParser(
+        prog="ebiortho",
+        description="Elliptic biorthogonal functions: classify, verify, scheme.",
+        parents=[shared],
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    cl = sub.add_parser(
+        "classify", parents=[shared], help="reduce an exponent vector and report"
+    )
+    cl.add_argument(
+        "vector",
+        nargs=7,
+        metavar="RAT",
+        help="7 exact rationals: alpha0..alpha3 gamma0 gamma1 zeta",
+    )
+
+    vf = sub.add_parser(
+        "verify", parents=[shared], help="run a numeric verification suite"
+    )
+    vf.add_argument(
+        "kind",
+        choices=[
+            "elliptic-discrete",
+            "elliptic-continuous",
+            "pastro",
+            "limit",
+            "measures",
+        ],
+    )
+    vf.add_argument("--N", type=int, default=5, help="discrete measure size")
+    vf.add_argument("--draws", type=int, default=20, help="random draws")
+    vf.add_argument("--nmax", type=int, default=5, help="max degree")
+    vf.add_argument("--face", default="1111pp", help="limit face: 1111pp or 40as")
+
+    sc = sub.add_parser(
+        "scheme", parents=[shared], help="emit or check the degeneration scheme"
+    )
+    sc.add_argument("--format", choices=["json", "dot", "tsv"], default="json")
+    sc.add_argument("--out", default=None, help="output path (default stdout)")
+    sc.add_argument("--check-appendix", action="store_true")
+    sc.add_argument("--askey", action="store_true")
+    sc.add_argument("--all", action="store_true", help="include -as nodes in DOT")
+    return ap
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
+    defaults = {"tol": None, "quad": 512, "seed": 0}
+    try:
+        defaults.update(_env_defaults())
+    except (OSError, ValueError) as exc:
+        print(f"error: bad config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for key in ("tol", "quad", "seed"):
+        val = getattr(args, key, None)
+        if val is not None:
+            defaults[key] = val
+    try:
+        cfg = Config(**defaults)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if args.command == "classify":
+            return cmd_classify(args, cfg)
+        if args.command == "verify":
+            return cmd_verify(args, cfg)
+        return cmd_scheme(args, cfg)
+    except EbiorthoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,162 @@
+"""Numeric kernel: q-symbols, theta functions, elliptic gamma.
+
+All infinite products are truncated under a relative tolerance with a
+geometric tail bound; hitting the term cap raises instead of returning a
+silently inaccurate value.  Multiplicative +/- argument conventions
+(f(t z^{+-1}) meaning a product over both signs) are handled by
+expand_pm_args.
+"""
+
+from __future__ import annotations
+
+import cmath
+from dataclasses import dataclass
+
+from .errors import DomainError, PoleError, SeriesDivergence
+
+__all__ = [
+    "Precision",
+    "qpoch_finite",
+    "qpoch_infinite",
+    "theta",
+    "theta_qp_finite",
+    "elliptic_gamma",
+    "expand_pm_args",
+]
+
+
+@dataclass(frozen=True)
+class Precision:
+    """Relative truncation tolerance and term cap for infinite products."""
+
+    tol: float = 1e-15
+    max_terms: int = 4000
+
+    def __post_init__(self) -> None:
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
+
+
+DEFAULT_PREC = Precision()
+
+
+def qpoch_finite(x: complex, q: complex, n: int) -> complex:
+    """(x;q)_n = prod_{r=0}^{n-1} (1 - x q^r).  Any q; n >= 0."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    out = 1.0 + 0.0j
+    xq = complex(x)
+    for _ in range(n):
+        out *= 1.0 - xq
+        xq *= q
+    return out
+
+
+def qpoch_infinite(x: complex, q: complex, prec: Precision = DEFAULT_PREC) -> complex:
+    """(x;q)_infty, truncated when the geometric tail is below prec.tol."""
+    if abs(q) >= 1:
+        raise DomainError("qpoch_infinite requires |q| < 1")
+    out = 1.0 + 0.0j
+    xq = complex(x)
+    aq = abs(q)
+    for _ in range(prec.max_terms):
+        # tail bound: remaining log-factors are bounded by |xq|/(1-|q|)
+        if abs(xq) / (1.0 - aq) < prec.tol:
+            return out
+        out *= 1.0 - xq
+        xq *= q
+    raise SeriesDivergence("qpoch_infinite hit max_terms before converging")
+
+
+def theta(x: complex, p: complex, prec: Precision = DEFAULT_PREC) -> complex:
+    """theta(x;p) = (x;p)_infty (p/x;p)_infty."""
+    if x == 0:
+        raise DomainError("theta requires x != 0")
+    if abs(p) >= 1:
+        raise DomainError("theta requires |p| < 1")
+    return qpoch_infinite(x, p, prec) * qpoch_infinite(p / x, p, prec)
+
+
+def theta_qp_finite(
+    x: complex, q: complex, p: complex, n: int, prec: Precision = DEFAULT_PREC
+) -> complex:
+    """theta(x;q;p)_n = prod_{r=0}^{n-1} theta(x q^r; p).  |q| >= 1 allowed."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    out = 1.0 + 0.0j
+    xq = complex(x)
+    for _ in range(n):
+        out *= theta(xq, p, prec)
+        xq *= q
+    return out
+
+
+def elliptic_gamma(
+    x: complex, p: complex, q: complex, prec: Precision = DEFAULT_PREC
+) -> complex:
+    """Gamma(x;p,q) = prod_{i,j>=0} (1 - p^{i+1} q^{j+1}/x) / (1 - p^i q^j x)."""
+    if abs(p) >= 1 or abs(q) >= 1:
+        raise DomainError("elliptic_gamma requires |p|, |q| < 1")
+    if x == 0:
+        raise DomainError("elliptic_gamma requires x != 0")
+    out = 1.0 + 0.0j
+    pi = 1.0 + 0.0j
+    amax = max(abs(p), abs(q))
+    for i in range(prec.max_terms):
+        if abs(pi) * (abs(x) + 1.0 / abs(x)) / (1.0 - amax) < prec.tol:
+            return out
+        # inner products in q at fixed power of p
+        num = qpoch_infinite(pi * p * q / x, q, prec)
+        den = qpoch_infinite(pi * x, q, prec)
+        if abs(den) < prec.tol * 1e-3:
+            raise PoleError("elliptic_gamma argument within tolerance of a pole")
+        out *= num / den
+        pi *= p
+    raise SeriesDivergence("elliptic_gamma hit max_terms before converging")
+
+
+def expand_pm_args(*factors: tuple[complex, int]) -> list[complex]:
+    """Expand a multiplicative argument pattern into its scalar arguments.
+
+    Each factor is a pair (base, e): e = 0 means a plain scalar factor,
+    e != 0 means base^{+-e}.  The expansion multiplies one choice of sign
+    per +-factor, e.g. (t,0),(z,1) -> [t*z, t/z] and (x,1),(y,1) ->
+    [xy, x/y, y/x, 1/(xy)].
+    """
+    args = [1.0 + 0.0j]
+    for base, e in factors:
+        if e == 0:
+            args = [a * base for a in args]
+        else:
+            be = base**e
+            args = [a * s for a in args for s in (be, 1.0 / be)]
+    return args
+
+
+def theta_pm(
+    base: complex,
+    var: complex,
+    e: int,
+    q: complex,
+    p: complex,
+    n: int,
+    prec: Precision = DEFAULT_PREC,
+) -> complex:
+    """theta(base * var^{+-e}; q; p)_n over both signs of the exponent."""
+    out = 1.0 + 0.0j
+    for arg in expand_pm_args((base, 0), (var, e)):
+        out *= theta_qp_finite(arg, q, p, n, prec)
+    return out
+
+
+def power(p: float, alpha) -> float:
+    """Real principal power p^alpha for real p in (0,1)."""
+    if not (0 < p < 1):
+        raise DomainError("power requires real p in (0,1)")
+    return float(p) ** float(alpha)
+
+
+def phase(z: complex) -> float:
+    return cmath.phase(z)
