@@ -60,6 +60,9 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# Tokens argparse must read as values, not options: negative integers,
+# decimals (so they reach parse_rational and its error) and fractions.
+_NEGATIVE_NUMBER_RE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 _CONFIG_ENV = "EBIORTHO_CONFIG"
 
@@ -95,7 +98,10 @@ def parse_rational(token: str) -> Fraction:
     """Exact rational from 'a' or 'a/b'; decimal notation is rejected."""
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"not an exact rational: {token!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {token!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +463,18 @@ def cmd_scheme(args, cfg: Config) -> int:
 # entry point
 
 
+def _count(least: int):
+    """argparse type: an integer of at least `least`."""
+
+    def count(token: str) -> int:
+        n = int(token)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return n
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -487,6 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="RAT",
         help="7 exact rationals: alpha0..alpha3 gamma0 gamma1 zeta",
     )
+    # argparse (before Python 3.13) takes a token such as -1/2 for an
+    # option; read it as a value, as it reads -1.
+    cl._negative_number_matcher = _NEGATIVE_NUMBER_RE
 
     vf = sub.add_parser(
         "verify", parents=[shared], help="run a numeric verification suite"
@@ -501,9 +522,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "measures",
         ],
     )
-    vf.add_argument("--N", type=int, default=5, help="discrete measure size")
-    vf.add_argument("--draws", type=int, default=20, help="random draws")
-    vf.add_argument("--nmax", type=int, default=5, help="max degree")
+    vf.add_argument("--N", type=_count(1), default=5, help="discrete measure size")
+    vf.add_argument("--draws", type=_count(1), default=20, help="random draws")
+    vf.add_argument("--nmax", type=_count(1), default=5, help="max degree")
     vf.add_argument("--face", default="1111pp", help="limit face: 1111pp or 40as")
 
     sc = sub.add_parser(

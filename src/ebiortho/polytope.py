@@ -6,8 +6,15 @@ flip, the zeta value attached to a six-vector, z-dependence of the limit,
 system classification, and the tiling of the projected polytope into
 P_I, P_II,t and P_III,(r,s,t) with exact face signatures.
 
-All arithmetic is Fraction arithmetic; interior tests are exact
-strict-inequality tests.
+Every membership, tightness and interior test reads one integer facet
+table.  A row (label, normal, bound2) means dot(normal, x) <= bound2 / 2:
+the normals are integer and the bounds are doubled, so that they are
+integer too.  The table holds P in the coordinates (alpha_0..alpha_5, A)
+with the fold A = |zeta + 1/2|, P^(0) as its section A = 0, and each of
+the 27 tiles.  A rational point enters as integer numerators over a
+common even denominator 2h, so that each test is the exact integer
+comparison dot(normal, nums) <= bound2 * h (strict for interiors).  The
+reduction into P works on Fractions.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, lcm
+from operator import mul
 
 from .errors import DomainError, NonTermination
 from .exponents import ExponentVector
@@ -43,39 +51,116 @@ Q = Fraction
 HALF = Q(1, 2)
 
 
-def _a7(v: ExponentVector) -> list[Fraction]:
-    return list(v.as7())
-
-
 def _fold(zeta: Fraction) -> Fraction:
     """|zeta + 1/2|, the distance from the fold point."""
     return abs(zeta + HALF)
 
 
 # ---------------------------------------------------------------------------
+# Integer points and rows
+
+
+def _scaled(xs) -> tuple[tuple[int, ...], int]:
+    """Numerators of the rationals xs over their least common even
+    denominator 2h, and h."""
+    xs = [x if isinstance(x, Fraction) else Q(x) for x in xs]
+    d = lcm(2, *(x.denominator for x in xs))
+    return tuple(x.numerator * (d // x.denominator) for x in xs), d // 2
+
+
+def _point6(alpha) -> tuple[tuple[int, ...], int]:
+    a, h = _scaled(alpha)
+    if len(a) != 6:
+        raise DomainError("need 6 entries")
+    return a, h
+
+
+def _p_point(v: ExponentVector) -> tuple[tuple[int, ...], int]:
+    """(alpha, A) of v over the denominator 2h."""
+    x, h = _scaled(v.as7())
+    return x[:6] + (abs(x[6] + h),), h
+
+
+def _row(label, coeffs: dict, bound2: int, n: int = 6):
+    normal = [0] * n
+    for i, c in coeffs.items():
+        normal[i] = c
+    return (label, tuple(normal), bound2)
+
+
+def _holds(rows, x, h) -> bool:
+    return all(sum(map(mul, n, x)) <= b * h for _, n, b in rows)
+
+
+def _strict(rows, x, h) -> bool:
+    return all(sum(map(mul, n, x)) < b * h for _, n, b in rows)
+
+
+def _slacks(rows, x, h) -> list[int]:
+    """2h times the slack of each row at x; 0 means tight."""
+    return [b * h - sum(map(mul, n, x)) for _, n, b in rows]
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][c]
+            if f:
+                mat[r] = [top[c] * x - f * y for x, y in zip(mat[r], top)]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # The polytope P
+
+
+def _p_rows():
+    """P in (alpha, A): A >= 0 (the fold, always true), A <= 1/2,
+    A - alpha_i <= 1/2, alpha_i - alpha_j <= 1, alpha_i + alpha_j <= 1 and
+    alpha_i + alpha_j + alpha_k + A <= 3/2."""
+    rows = [_row(("fold",), {6: -1}, 0, 7), _row(("zeta",), {6: 1}, 1, 7)]
+    rows += [_row(("low", i), {i: -1, 6: 1}, 1, 7) for i in range(6)]
+    rows += [
+        _row(("diff", i, j), {i: 1, j: -1}, 2, 7)
+        for i in range(6)
+        for j in range(6)
+        if i != j
+    ]
+    rows += [
+        _row(("pair", i, j), {i: 1, j: 1}, 2, 7)
+        for i, j in combinations(range(6), 2)
+    ]
+    rows += [
+        _row(("triple",) + t, {**dict.fromkeys(t, 1), 6: 1}, 3, 7)
+        for t in combinations(range(6), 3)
+    ]
+    return tuple(rows)
+
+
+_P_ROWS = _p_rows()
+# P^(0) within sum = 1: the low, diff and pair rows of P at A = 0.
+_P0_ROWS = tuple(
+    (label, n[:6], b) for label, n, b in _P_ROWS
+    if label[0] in ("low", "diff", "pair")
+)
+# The rows that bound A from above; at a point of P^(0) the least of
+# their slacks is zeta_for + 1/2.
+_ZETA_ROWS = tuple((label, n[:6], b) for label, n, b in _P_ROWS if n[6] == 1)
 
 
 def in_P(v: ExponentVector) -> bool:
     """Exact membership in the bounding-inequality polytope P."""
     v.require_balanced()
-    a = v.a6
-    A = _fold(v.zeta)
-    if A > HALF:
-        return False
-    if any(A - HALF > ai for ai in a):
-        return False
-    for i in range(6):
-        for j in range(6):
-            if i != j and a[i] > 1 + a[j]:
-                return False
-    for i, j in combinations(range(6), 2):
-        if a[i] + a[j] > 1:
-            return False
-    for i, j, k in combinations(range(6), 3):
-        if a[i] + a[j] + a[k] + A > Q(3, 2):
-            return False
-    return True
+    return _holds(_P_ROWS, *_p_point(v))
 
 
 def flip(v: ExponentVector) -> ExponentVector:
@@ -225,36 +310,28 @@ def _as6(alpha) -> tuple[Fraction, ...]:
     return a
 
 
+def _in_P0(a, h) -> bool:
+    return sum(a) == 2 * h and _holds(_P0_ROWS, a, h)
+
+
 def in_P0(alpha) -> bool:
     """alpha_r >= -1/2, alpha_r - alpha_s <= 1, alpha_r + alpha_s <= 1,
     sum = 1."""
-    a = _as6(alpha)
-    if sum(a) != 1:
-        return False
-    if any(x < -HALF for x in a):
-        return False
-    for i in range(6):
-        for j in range(6):
-            if i != j and a[i] - a[j] > 1:
-                return False
-    for i, j in combinations(range(6), 2):
-        if a[i] + a[j] > 1:
-            return False
-    return True
+    return _in_P0(*_point6(alpha))
+
+
+def _zeta_num(a, h) -> int:
+    """zeta_for(alpha) times 2h, for alpha = a / 2h in P^(0)."""
+    return min(_slacks(_ZETA_ROWS, a, h)) - h
 
 
 def zeta_for(alpha) -> Fraction:
     """zeta in [-1/2, 0] with zeta + 1/2 the minimum of 1/2, 1/2 + alpha_r
     and 1/2 + alpha_r + alpha_s + alpha_t."""
-    a = _as6(alpha)
-    if not in_P0(a):
+    a, h = _point6(alpha)
+    if not _in_P0(a, h):
         raise DomainError("alpha is not in P^(0)")
-    m = min(
-        [HALF]
-        + [HALF + x for x in a]
-        + [HALF + sum(t) for t in combinations(a, 3)]
-    )
-    return m - HALF
+    return Q(_zeta_num(a, h), 2 * h)
 
 
 def attach_zeta(alpha) -> ExponentVector:
@@ -266,67 +343,24 @@ def attach_zeta(alpha) -> ExponentVector:
 # z-dependence inside P
 
 
-def _p_facets(a, A):
-    """All facet inequalities of P at (alpha, A=|zeta+1/2|) as slack values.
-
-    Returns a dict keyed by a descriptive tuple; slack 0 means tight.
-    The fold distance A >= 0 is included as a pseudo-facet.
-    """
-    slacks = {("fold",): A}
-    slacks[("zeta",)] = HALF - A
-    for i in range(6):
-        slacks[("low", i)] = a[i] - (A - HALF)
-    for i in range(6):
-        for j in range(6):
-            if i != j:
-                slacks[("diff", i, j)] = 1 + a[j] - a[i]
-    for i, j in combinations(range(6), 2):
-        slacks[("pair", i, j)] = 1 - a[i] - a[j]
-    for t in combinations(range(6), 3):
-        slacks[("triple",) + t] = Q(3, 2) - sum(a[i] for i in t) - A
-    return slacks
-
-
 def is_z_dependent(v: ExponentVector) -> bool:
     """Whether the p -> 0 limit of the biorthogonal function keeps its
     z dependence, per the facet classification inside P."""
-    if not in_P(v):
+    v.require_balanced()
+    x, h = _p_point(v)
+    slacks = _slacks(_P_ROWS, x, h)
+    if min(slacks) < 0:
         raise DomainError("exponent vector is not in the polytope P")
-    a = v.a6
-    A = _fold(v.zeta)
-    slacks = _p_facets(a, A)
-
+    tight = {label for (label, _, _), s in zip(_P_ROWS, slacks) if s == 0}
     # Half space alpha_4 + A >= 1/2.
-    if a[4] + A >= HALF:
+    if x[4] + x[6] >= h:
         return True
     # Facets from triples avoiding index 4 (A = 1/2 + a4 + ar + as).
-    for t in combinations((0, 1, 2, 3, 5), 3):
-        if slacks[("triple",) + tuple(sorted(t))] == 0:
-            return True
-    # Facet a_r + 1/2 = A (r != 4), inside alpha_4 + A <= 1/2, boundary only.
-    for r in (0, 1, 2, 3, 5):
-        if slacks[("low", r)] == 0:
-            interior = a[4] + A < HALF
-            for key, s in slacks.items():
-                if key == ("low", r):
-                    continue
-                if s == 0:
-                    interior = False
-                    break
-            if not interior:
-                return True
-    # Facet alpha_4 + 1/2 = A, boundary only.
-    if slacks[("low", 4)] == 0:
-        interior = True
-        for key, s in slacks.items():
-            if key == ("low", 4):
-                continue
-            if s == 0:
-                interior = False
-                break
-        if not interior:
-            return True
-    return False
+    if any(("triple",) + t in tight for t in combinations((0, 1, 2, 3, 5), 3)):
+        return True
+    # Facets a_r + 1/2 = A, inside alpha_4 + A < 1/2: z-dependent on their
+    # boundary only.
+    return len(tight) > 1 and any(("low", r) in tight for r in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -363,81 +397,46 @@ def tiles() -> list[TileId]:
     return out
 
 
+def _tile_rows(tile: TileId):
+    if tile.kind == "I":
+        return tuple(_row(("nonneg", r), {r: -1}, 0) for r in range(6))
+    if tile.kind == "II":
+        (t,) = tile.indices
+        others = [i for i in range(6) if i != t]
+        rows = [_row(("lo", t), {t: -1}, 1), _row(("hi", t), {t: 1}, 0)]
+        for r in others:
+            rows.append(_row(("above", r), {t: 1, r: -1}, 0))
+            rows.append(_row(("below", r), {r: 1, t: -1}, 2))
+        for r, s in combinations(others, 2):
+            rows.append(_row(("pair_lo", r, s), {r: -1, s: -1}, 0))
+            rows.append(_row(("pair_hi", r, s), {r: 1, s: 1}, 2))
+        return tuple(rows)
+    r, s, t = tile.indices
+    rows = [_row(("pair", a, b), {a: 1, b: 1}, 0)
+            for a, b in combinations((r, s, t), 2)]
+    for a in range(6):
+        if a not in (r, s, t):
+            rows.append(_row(("lo", a), {a: -1, r: -1, s: -1, t: -1}, 0))
+            rows.append(_row(("hi", a), {a: 1, r: -1, s: -1, t: -1}, 2))
+    return tuple(rows)
+
+
+_TILE_ROWS = {tile: _tile_rows(tile) for tile in tiles()}
+_PII_ROWS = tuple(_TILE_ROWS[TileId("II", (t,))] for t in range(6))
+
+
 def tile_constraints(tile: TileId):
     """Facet inequalities of a tile as (label, normal, bound) triples
     meaning dot(normal, alpha) <= bound, within the sum = 1 hyperplane."""
-
-    def row(coeffs: dict, bound, label):
-        normal = [Q(0)] * 6
-        for i, c in coeffs.items():
-            normal[i] = Q(c)
-        return (label, tuple(normal), Q(bound))
-
-    cons = []
-    if tile.kind == "I":
-        for r in range(6):
-            cons.append(row({r: -1}, 0, ("nonneg", r)))
-    elif tile.kind == "II":
-        (t,) = tile.indices
-        cons.append(row({t: -1}, HALF, ("lo", t)))
-        cons.append(row({t: 1}, 0, ("hi", t)))
-        for r in range(6):
-            if r == t:
-                continue
-            cons.append(row({t: 1, r: -1}, 0, ("above", r)))
-            cons.append(row({r: 1, t: -1}, 1, ("below", r)))
-        for r, s in combinations([i for i in range(6) if i != t], 2):
-            cons.append(row({r: -1, s: -1}, 0, ("pair_lo", r, s)))
-            cons.append(row({r: 1, s: 1}, 1, ("pair_hi", r, s)))
-    else:
-        r, s, t = tile.indices
-        inside = (r, s, t)
-        for a, b in combinations(inside, 2):
-            cons.append(row({a: 1, b: 1}, 0, ("pair", a, b)))
-        for a in range(6):
-            if a in inside:
-                continue
-            cons.append(
-                row({a: -1, r: -1, s: -1, t: -1}, 0, ("lo", a))
-            )
-            cons.append(row({a: 1, r: -1, s: -1, t: -1}, 1, ("hi", a)))
-    return cons
+    return [
+        (label, tuple(Q(c) for c in normal), Q(b, 2))
+        for label, normal, b in _TILE_ROWS[tile]
+    ]
 
 
 def point_in_tile(alpha, tile: TileId) -> bool:
-    a = _as6(alpha)
-    if sum(a) != 1:
-        return False
-    return all(
-        sum(n * x for n, x in zip(normal, a)) <= bound
-        for _, normal, bound in tile_constraints(tile)
-    )
-
-
-def _rank(rows) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    pr = 0
-    for c in range(cols):
-        piv = None
-        for r in range(pr, len(mat)):
-            if mat[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        inv = mat[pr][c]
-        for r in range(len(mat)):
-            if r != pr and mat[r][c] != 0:
-                f = mat[r][c] / inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[pr])]
-        pr += 1
-        rank += 1
-        if pr == len(mat):
-            break
-    return rank
+    a, h = _point6(alpha)
+    return sum(a) == 2 * h and _holds(_TILE_ROWS[tile], a, h)
 
 
 @dataclass(frozen=True)
@@ -447,85 +446,66 @@ class FaceSignature:
     dim: int
 
 
-def _signature(alpha, tile: TileId) -> FaceSignature:
-    a = _as6(alpha)
-    tight = []
-    normals = [[Q(1)] * 6]
-    for label, normal, bound in tile_constraints(tile):
-        if sum(n * x for n, x in zip(normal, a)) == bound:
-            tight.append(label)
-            normals.append(list(normal))
-    dim = 6 - _rank(normals)
-    return FaceSignature(tile, tuple(tight), dim)
-
-
 def face_of(alpha) -> list[FaceSignature]:
     """All tiles containing alpha, each with its exact tight facet set.
 
     The first entry is the canonical one (tile-kind order I < II < III,
     then lexicographic indices)."""
-    a = _as6(alpha)
-    if not in_P0(a):
+    a, h = _point6(alpha)
+    if not _in_P0(a, h):
         raise DomainError("alpha is not in P^(0)")
-    found = [
-        _signature(a, tile) for tile in tiles() if point_in_tile(a, tile)
-    ]
+    found = []
+    for tile, rows in _TILE_ROWS.items():
+        slacks = _slacks(rows, a, h)
+        if min(slacks) < 0:
+            continue
+        tight = [row for row, s in zip(rows, slacks) if s == 0]
+        dim = 6 - _rank([(1,) * 6] + [n for _, n, _ in tight])
+        found.append(FaceSignature(tile, tuple(lab for lab, _, _ in tight), dim))
     if not found:
         raise DomainError("tiling does not cover the point; internal error")
     return found
 
 
 def _in_relint_PII(alpha, t: int) -> bool:
-    a = _as6(alpha)
-    if sum(a) != 1:
-        return False
-    return all(
-        sum(n * x for n, x in zip(normal, a)) < bound
-        for _, normal, bound in tile_constraints(TileId("II", (t,)))
-    )
+    a, h = _point6(alpha)
+    return sum(a) == 2 * h and _strict(_PII_ROWS[t], a, h)
+
+
+def _is_system(a, h) -> bool:
+    return _in_P0(a, h) and not any(_strict(rows, a, h) for rows in _PII_ROWS)
 
 
 def is_system(alpha) -> bool:
     """In P^(0) and outside the interiors of all P_II,t."""
-    a = _as6(alpha)
-    if not in_P0(a):
-        return False
-    return not any(_in_relint_PII(a, t) for t in range(6))
+    return _is_system(*_point6(alpha))
 
 
 # ---------------------------------------------------------------------------
 # Naming
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _klass(x: Fraction, eta: Fraction) -> str:
-    """Position of x mod 1 relative to the points +-eta: 'p' (plus eta),
-    'm' (minus eta), 'inner' ((-eta, eta)), 'outer' ((eta, 1 - eta))."""
-    r = _mod1(x)  # in [0, 1)
-    if r == _mod1(eta):
+def _klass(x: int, e: int, d: int) -> str:
+    """Position of x/d mod 1 relative to the points +-eta, eta = e/d in
+    [0, 1/2]: 'p' (plus eta), 'm' (minus eta), 'inner' ((-eta, eta)),
+    'outer' ((eta, 1 - eta))."""
+    r = x % d
+    if r == e % d:
         return "p"
-    if r == _mod1(-eta):
+    if r == -e % d:
         return "m"
     # shift into the window [-eta, 1 - eta)
-    if r >= 1 - eta:
-        r -= 1
-    if -eta < r < eta:
-        return "inner"
-    return "outer"
+    if r >= d - e:
+        r -= d
+    return "inner" if -e < r < e else "outer"
 
 
-def face_name(alpha) -> str:
-    """Appendix-style name of a system point: digit counts of the alpha_r
-    relative to +-zeta, plus a two-letter gamma suffix."""
-    a = _as6(alpha)
-    if not is_system(a):
+def _face_name(a, h) -> str:
+    if not _is_system(a, h):
         raise DomainError("alpha is not a system point")
-    eta = -zeta_for(a)  # the table's positive zeta, in [0, 1/2]
-    kl = [_klass(x, eta) for x in a]
-    if eta == 0 or eta == HALF:
+    e = -_zeta_num(a, h)  # the table's positive zeta, in [0, 1/2], over 2h
+    kl = [_klass(x, e, 2 * h) for x in a]
+    if e == 0 or e == h:
         on = sum(1 for k in kl[:4] if k in ("p", "m"))
         digits = f"{on}{4 - on}"
     else:
@@ -538,7 +518,7 @@ def face_name(alpha) -> str:
     on4 = k4 in ("p", "m")
     on5 = k5 in ("p", "m")
     if on4 and on5:
-        suffix = "v2" if (eta in (0, HALF) or k4 == k5) else "vv"
+        suffix = "v2" if (e in (0, h) or k4 == k5) else "vv"
     elif on4 or on5:
         suffix = "vp"
     elif k4 == k5:
@@ -546,3 +526,9 @@ def face_name(alpha) -> str:
     else:
         suffix = "pp"
     return digits + suffix
+
+
+def face_name(alpha) -> str:
+    """Appendix-style name of a system point: digit counts of the alpha_r
+    relative to +-zeta, plus a two-letter gamma suffix."""
+    return _face_name(*_point6(alpha))

@@ -15,18 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 
 from .errors import DomainError, InternalError
 from .exponents import ExponentVector
 from .polytope import (
+    _TILE_ROWS,
+    _face_name,
+    _is_system,
     _rank,
+    _slacks,
     attach_zeta,
     face_name,
-    in_P0,
-    is_system,
-    point_in_tile,
-    tile_constraints,
-    tiles,
     zeta_for,
 )
 
@@ -36,7 +36,6 @@ __all__ = [
     "SystemRecord",
     "DegenerationGraph",
     "enumerate_vertices",
-    "enumerate_systems",
     "build_graph",
     "build_scheme",
     "measure_tag",
@@ -89,8 +88,10 @@ def _build_vertex_coords() -> dict[str, tuple[Fraction, ...]]:
 
 
 VERTEX_COORDS = _build_vertex_coords()
-_VERT_BY_VEC = {vec: name for name, vec in VERTEX_COORDS.items()}
-_VERT_VECS = frozenset(VERTEX_COORDS.values())
+# The vertices on the doubled scale: integer points over the denominator 2.
+_VERT2 = {name: tuple(int(2 * x) for x in vec)
+          for name, vec in VERTEX_COORDS.items()}
+_VERT2_NAME = {vec: name for name, vec in _VERT2.items()}
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def enumerate_vertices() -> list[VertexLabel]:
 
 
 # ---------------------------------------------------------------------------
-# Symmetries, lattice shifts, flip
+# Symmetries
 
 def _symmetries() -> list[tuple[int, ...]]:
     out = []
@@ -126,64 +127,44 @@ def _apply(perm, vec):
     return tuple(vec[perm[i]] for i in range(6))
 
 
-def _lattice6(diff) -> bool:
-    """Sum-zero translations, entries all integer or all half-odd."""
-    if sum(diff) != 0:
-        return False
-    if all(x.denominator == 1 for x in diff):
-        return True
-    return all(x.denominator == 2 for x in diff)
-
-
-def _flip6(vec):
-    a = vec
-    return (-a[0], -a[1], 1 - a[2], 1 - a[3], -a[4], -a[5])
-
-
 # ---------------------------------------------------------------------------
 # Face enumeration
 
 def _face_vecs(names):
-    return [VERTEX_COORDS[n] for n in names]
+    return [_VERT2[n] for n in names]
 
 
-def _midpoint6(names) -> tuple[Fraction, ...]:
-    vs = _face_vecs(names)
-    k = len(vs)
-    return tuple(sum(col) / k for col in zip(*vs))
+def _midpoint2(names) -> tuple[tuple[int, ...], int]:
+    """The face midpoint as integer numerators over 2k, and k."""
+    return tuple(map(sum, zip(*_face_vecs(names)))), len(names)
 
 
 @lru_cache(maxsize=1)
 def _all_faces() -> tuple[tuple[str, ...], ...]:
     """All system faces of the tiling as sorted vertex-name tuples."""
     faces: set[frozenset[str]] = set()
-    for tile in tiles():
-        cand = [
-            name
-            for name, vec in VERTEX_COORDS.items()
-            if point_in_tile(vec, tile)
-        ]
-        cons = tile_constraints(tile)
+    for rows in _TILE_ROWS.values():
+        # the tight rows of each vertex of the tile
         tight = {}
-        for name in cand:
-            vec = VERTEX_COORDS[name]
-            tight[name] = frozenset(
-                label
-                for label, normal, bound in cons
-                if sum(n * x for n, x in zip(normal, vec)) == bound
-            )
-        for r in range(1, len(cand) + 1):
-            for sub in combinations(cand, r):
-                common = frozenset.intersection(*(tight[n] for n in sub))
-                closure = frozenset(
-                    n for n in cand if tight[n] >= common
+        for name, vec in _VERT2.items():
+            slacks = _slacks(rows, vec, 1)
+            if min(slacks) >= 0:
+                tight[name] = frozenset(
+                    i for i, s in enumerate(slacks) if s == 0
                 )
-                faces.add(closure)
+        # every intersection of tight sets spans a face: its vertices are
+        # those tight on all of it
+        commons: set[frozenset[int]] = set()
+        new = set(tight.values())
+        while new:
+            commons |= new
+            new = {c & t for c in new for t in tight.values()} - commons
+        for common in commons:
+            faces.add(frozenset(n for n, t in tight.items() if t >= common))
     out = []
     for fs in faces:
         names = tuple(sorted(fs))
-        mid = _midpoint6(names)
-        if not is_system(mid):
+        if not _is_system(*_midpoint2(names)):
             continue
         vecs = _face_vecs(names)
         rows = [
@@ -197,31 +178,38 @@ def _all_faces() -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
+@lru_cache(maxsize=1)
+def _vertex_images() -> tuple[dict[str, tuple[int, ...]], ...]:
+    """For each symmetry, the image of every vertex on the doubled scale."""
+    return tuple({n: _apply(s, v) for n, v in _VERT2.items()} for s in _SYMS)
+
+
 def _canon_orbit_key(names) -> tuple:
-    vecs = _face_vecs(names)
     return min(
-        tuple(sorted(_apply(s, v) for v in vecs)) for s in _SYMS
+        tuple(sorted(img[n] for n in names)) for img in _vertex_images()
     )
 
 
 def _flip_image_faces(names) -> set[tuple[str, ...]]:
-    """All faces obtained from this face by the flip plus a lattice shift."""
-    w = [_flip6(v) for v in _face_vecs(names)]
+    """All faces obtained from this face by the flip plus a lattice shift.
+
+    On the doubled scale the flip is b -> (-b0, -b1, 2-b2, 2-b3, -b4, -b5),
+    and a lattice shift is a sum-zero vector with entries all even (integer
+    shifts) or all odd (half-odd shifts)."""
+    w = [(-b[0], -b[1], 2 - b[2], 2 - b[3], -b[4], -b[5])
+         for b in _face_vecs(names)]
     out = set()
-    for target in _VERT_VECS:
+    for target in _VERT2_NAME:
         t = tuple(x - y for x, y in zip(target, w[0]))
-        if not _lattice6(t):
+        if sum(t) != 0 or len({x % 2 for x in t}) != 1:
             continue
         imgs = []
-        ok = True
         for v in w:
-            sv = tuple(x + d for x, d in zip(v, t))
-            nm = _VERT_BY_VEC.get(sv)
-            if nm is None:
-                ok = False
+            img = _VERT2_NAME.get(tuple(map(add, v, t)))
+            if img is None:
                 break
-            imgs.append(nm)
-        if ok:
+            imgs.append(img)
+        else:
             out.add(tuple(sorted(imgs)))
     return out
 
@@ -284,7 +272,8 @@ class DegenerationGraph:
 
 
 def _midpoint7(names) -> tuple[Fraction, ...]:
-    mid = _midpoint6(names)
+    num, k = _midpoint2(names)
+    mid = tuple(Q(x, 2 * k) for x in num)
     return mid + (-zeta_for(mid),)
 
 
@@ -298,7 +287,7 @@ class Scheme:
     def __init__(self):
         faces = _all_faces()
         self.faces = faces
-        self.face_system = {f: face_name(_midpoint6(f)) for f in faces}
+        self.face_system = {f: _face_name(*_midpoint2(f)) for f in faces}
 
         orbit_keys: dict[tuple, list] = {}
         for f in faces:
@@ -398,11 +387,7 @@ def build_scheme() -> Scheme:
     return Scheme()
 
 
-def enumerate_systems() -> list[SystemRecord]:
-    return list(build_scheme().systems)
-
-
-def build_graph(systems=None) -> DegenerationGraph:
+def build_graph() -> DegenerationGraph:
     return build_scheme().graph
 
 

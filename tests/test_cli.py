@@ -53,6 +53,36 @@ def test_classify_rejects_unbalanced():
     assert main(["classify", "1", "1", "0", "0", "0", "0", "0"]) == 2
 
 
+def test_classify_rejects_zero_denominator(capsys):
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+    assert main(["classify", "1/0", "0", "0", "0", "0", "0", "0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_classify_accepts_negative_fractions(capsys):
+    assert main(["classify", "0", "0", "0", "0", "1/2", "1/2", "-1/2"]) == 0
+    out = capsys.readouterr().out
+    assert "input:   (0, 0, 0, 0, 1/2, 1/2; -1/2)" in out
+    assert main(["classify", "-1/2", "1/2", "0", "0", "1", "0", "-1/4"]) == 0
+    assert "input:   (-1/2, 1/2, 0, 0, 1, 0; -1/4)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "elliptic-discrete", "--N", "-1"],
+        ["verify", "elliptic-discrete", "--N", "3", "--draws", "0"],
+        ["verify", "pastro", "--nmax", "-1"],
+    ],
+)
+def test_verify_rejects_empty_or_negative_counts(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_usage_errors():
     assert main(["no-such-command"]) == 2
     assert main(["verify", "no-such-kind"]) == 2

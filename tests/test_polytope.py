@@ -11,6 +11,7 @@ from ebiortho.errors import DomainError
 from ebiortho.exponents import ExponentVector
 from ebiortho.polytope import (
     TileId,
+    _in_relint_PII,
     apply_word,
     attach_zeta,
     face_name,
@@ -175,3 +176,127 @@ def test_in_P0_rejects_outside():
 def test_face_of_outside_raises():
     with pytest.raises(DomainError):
         face_of((2, 0, 0, 0, 0, -1))
+
+
+# ---------------------------------------------------------------------------
+# The integer facet table against a Fraction transcription
+
+
+def _ref_in_P0(a):
+    return (
+        sum(a) == 1
+        and all(x >= -H for x in a)
+        and all(x - y <= 1 for x in a for y in a)
+        and all(x + y <= 1 for x, y in itertools.combinations(a, 2))
+    )
+
+
+def _ref_in_P(a, zeta):
+    A = abs(zeta + H)
+    return (
+        A <= H
+        and all(x >= A - H for x in a)
+        and all(x - y <= 1 for x in a for y in a)
+        and all(x + y <= 1 for x, y in itertools.combinations(a, 2))
+        and all(x + y + z <= 3 * H - A for x, y, z in itertools.combinations(a, 3))
+    )
+
+
+def _ref_zeta(a):
+    return min([Fraction(0), *a, *(sum(t) for t in itertools.combinations(a, 3))])
+
+
+def _ref_rank(rows):
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(6):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][c] != 0:
+                f = m[r][c] / m[rank][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_tiles(a, constraints, dims):
+    """(tile, tight labels, dim, relative interior) for each tile holding a,
+    with its tile_constraints evaluated in Fractions.  constraints holds
+    each row with its nonzero (index, coefficient) terms; dims caches the
+    dimension of each tight set."""
+    out = []
+    for tile, cons in constraints.items():
+        tight = []
+        for label, normal, bound, terms in cons:
+            v = sum([n * a[i] for i, n in terms], Fraction(0))
+            if v > bound:
+                break
+            if v == bound:
+                tight.append((label, normal))
+        else:
+            labels = tuple(label for label, _ in tight)
+            if (tile, labels) not in dims:
+                rows = [[Fraction(1)] * 6] + [list(n) for _, n in tight]
+                dims[tile, labels] = 6 - _ref_rank(rows)
+            out.append((tile, labels, dims[tile, labels], not tight))
+    return out
+
+
+def _table_points():
+    """The vertices, every enumerated face midpoint and 500 seeded random
+    points of P^(0); then the rejected draws, which lie outside it."""
+    from ebiortho.scheme import VERTEX_COORDS, build_scheme
+
+    inside = list(VERTEX_COORDS.values())
+    for names in build_scheme().faces:
+        vecs = [VERTEX_COORDS[n] for n in names]
+        inside.append(tuple(sum(col) / len(vecs) for col in zip(*vecs)))
+    rng = random.Random(11)
+    outside = []
+    drawn = 0
+    while drawn < 500:
+        den = rng.choice([1, 2, 3, 4, 5, 6, 8, 12])
+        a = [Fraction(rng.randint(-den // 2, den), den) for _ in range(5)]
+        a.append(1 - sum(a))
+        if _ref_in_P0(a):
+            inside.append(tuple(a))
+            drawn += 1
+        else:
+            outside.append(tuple(a))
+    return inside, outside, rng
+
+
+def test_integer_table_matches_fraction_reference():
+    inside, outside, rng = _table_points()
+    constraints = {
+        tile: [
+            (label, normal, bound, [(i, n) for i, n in enumerate(normal) if n])
+            for label, normal, bound in tile_constraints(tile)
+        ]
+        for tile in tiles()
+    }
+    dims = {}
+    pii = [TileId("II", (t,)) for t in range(6)]
+    for a in inside:
+        ref = _ref_tiles(a, constraints, dims)
+        assert in_P0(a) and _ref_in_P0(a)
+        for tile in tiles():
+            assert point_in_tile(a, tile) == any(r[0] == tile for r in ref)
+        for t in range(6):
+            assert _in_relint_PII(a, t) == any(r[0] == pii[t] and r[3] for r in ref)
+        assert [(s.tile, s.tight, s.dim) for s in face_of(a)] == [r[:3] for r in ref]
+        zeta = zeta_for(a)
+        assert type(zeta) is Fraction and zeta == _ref_zeta(a)
+        for z in (zeta, Fraction(rng.randint(-8, 2), 8)):
+            assert in_P(ExponentVector(a[:4], a[4:], z)) == _ref_in_P(a, z)
+    for a in outside[:1000]:
+        assert not in_P0(a)
+        z = Fraction(rng.randint(-8, 2), 8)
+        assert in_P(ExponentVector(a[:4], a[4:], z)) == _ref_in_P(a, z)
+    with pytest.raises(DomainError):
+        zeta_for(outside[0])
+    with pytest.raises(DomainError):
+        face_of(outside[0])

@@ -3,9 +3,10 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ebiortho.errors import DomainError, PoleError, SeriesDivergence
@@ -37,6 +38,11 @@ complex_annulus = st.builds(
     st.floats(0.3, 2.0),
     st.floats(0.0, 2 * math.pi),
 )
+# x = 1 is a pole of Gamma(x;p,q) and of 1/(x;q)_inf.  The strategies keep
+# |x - 1| above the double-precision epsilon: Hypothesis also draws points
+# such as 1 + 1e-300j, where the kernel raises PoleError (test_gamma_pole).
+EPS = sys.float_info.epsilon
+annulus_off_pole = complex_annulus.filter(lambda x: abs(x - 1) > EPS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,18 +78,28 @@ def test_qpoch_splitting_law(x, q, n, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=complex_annulus, p=st.floats(0.05, 0.4), q=st.floats(0.05, 0.4))
+@given(x=annulus_off_pole, p=st.floats(0.05, 0.4), q=st.floats(0.05, 0.4))
 def test_gamma_reflection(x, p, q):
     prod = elliptic_gamma(x, p, q) * elliptic_gamma(p * q / x, p, q)
     assert abs(prod - 1.0) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
-@given(x=complex_annulus, q=st.floats(0.05, 0.6))
+@given(x=annulus_off_pole, q=st.floats(0.05, 0.6))
 def test_gamma_degeneration_p_zero(x, q):
+    assume(abs(x * q - 1) > EPS)  # the pole x = 1/q, in reach for q >= 1/2
     lhs = elliptic_gamma(x, 0.0, q)
     rhs = 1.0 / qpoch_infinite(x, q)
     assert abs(lhs - rhs) / max(abs(rhs), 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(0.25, 0.25), (0.05, 0.4), (0.0, 0.3)])
+def test_gamma_pole(p, q):
+    for x in (1, 1 + 1e-300j):
+        with pytest.raises(PoleError):
+            elliptic_gamma(x, p, q)
+    with pytest.raises(PoleError):
+        elliptic_gamma(1 / q, 0.0, q)
 
 
 def test_theta_qp_finite_matches_product():

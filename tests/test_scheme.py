@@ -1,5 +1,6 @@
 """Degeneration scheme regeneration and golden-table checks."""
 
+import hashlib
 import json
 
 from ebiortho.polytope import attach_zeta, face_name, is_system
@@ -108,3 +109,27 @@ def test_flip_partner_consistency():
             assert s.flip_partner is None
         else:
             assert s.flip_partner == s.name
+
+
+# sha256 of the four emitter outputs as the all-Fraction implementation
+# produced them.
+GOLDEN_SHA256 = {
+    "emit_json": "3203e88099fb6461e2bcf0e46eb599e51a8596a2d0454e22823a0f5ad6c7a417",
+    "emit_dot": "8807ec5cca3e056033c859b5c1bfac57164867c5eec275cfd578bee7f19d9a4c",
+    "emit_dot_all": "26d8302e3a4dd63023e5a13e13539a39690ad9d205094d2b0d0e3ff4f33d58de",
+    "emit_tsv": "901fa222ff8a9c30fe73e58c7e82494e1b36fe40a1153b56ec6530d4a8eed25f",
+}
+
+
+def test_emitters_are_byte_identical_to_golden():
+    outputs = {
+        "emit_json": emit_json(),
+        "emit_dot": emit_dot(),
+        "emit_dot_all": emit_dot(include_as=True),
+        "emit_tsv": emit_tsv(),
+    }
+    got = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in outputs.items()
+    }
+    assert got == GOLDEN_SHA256
