@@ -3,20 +3,32 @@
 rtilde evaluates the terminating very-well-poised theta series; the
 discrete inner product is a finite point-mass sum valid when t0*t1 is a
 negative q-power, the continuous one a unit-circle quadrature of the
-elliptic-gamma integrand.  Both are normalized so that <1,1> = 1.
+elliptic-gamma integrand (qkernel.circle_mean).  Both are normalized so
+that <1,1> = 1.  random_discrete_params draws well-conditioned discrete
+parameters for the verification suites and tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
-from .errors import ContourError, DomainError, NonConvergence, PoleError
+from .errors import (
+    ContourError,
+    DomainError,
+    EbiorthoError,
+    NonConvergence,
+    PoleError,
+)
 from .qkernel import (
     DEFAULT_PREC,
     Precision,
+    circle_mean,
+    csum,
     elliptic_gamma,
+    qpoch_infinite,
     theta_qp_finite,
 )
 
@@ -28,6 +40,7 @@ __all__ = [
     "discrete_inner_product",
     "norm_formula",
     "continuous_inner_product",
+    "random_discrete_params",
 ]
 
 BALANCE_TOL = 1e-12
@@ -97,13 +110,6 @@ class DiscreteSpec:
                     )
 
 
-def _csum(terms) -> complex:
-    terms = list(terms)
-    return complex(
-        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-    )
-
-
 def _theta_prod(args, q, p, k, prec) -> complex:
     out = 1.0 + 0.0j
     for a in args:
@@ -161,7 +167,7 @@ def rtilde(
                 raise PoleError("rtilde denominator theta factor vanishes")
             den *= fac
         terms.append(head * num / den * q**k)
-    return _csum(terms)
+    return csum(terms)
 
 
 def check_symmetries(
@@ -262,7 +268,7 @@ def discrete_inner_product(
         if abs(den) < 1e-250:
             raise PoleError("discrete weight hits a pole")
         terms.append(f(zk) * g(zk) * head * num / den * q**k)
-    return _csum(terms) * closing
+    return csum(terms) * closing
 
 
 def norm_formula(
@@ -304,18 +310,14 @@ def continuous_inner_product(
     m_g: int = 0,
     quad: int = 512,
     prec: Precision = DEFAULT_PREC,
-    conv_tol: float | None = None,
 ) -> complex:
     """Unit-circle quadrature of the elliptic-gamma bilinear form.
 
     The unit circle must contain all pole ladders p^i q^j ttilde_r with
-    ttilde_4 = u0 q^{-m_f} and ttilde_5 = u1 q^{-m_g}; with conv_tol set,
-    the half-node result is compared against the full one.
+    ttilde_4 = u0 q^{-m_f} and ttilde_5 = u1 q^{-m_g}.
     """
     if abs(params.q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
-    if quad < 8 or quad % 2:
-        raise DomainError("quad must be even and at least 8")
     q, p = params.q, params.p
     ts = list(params.t) + list(params.u)
     tshift = list(params.t) + [
@@ -328,7 +330,7 @@ def continuous_inner_product(
                 "a shifted parameter has modulus >= 1; unit circle inadmissible"
             )
     pref = 1.0 + 0.0j
-    pref *= _qp_inf(q, q, prec) * _qp_inf(p, p, prec) / 2.0
+    pref *= qpoch_infinite(q, q, prec) * qpoch_infinite(p, p, prec) / 2.0
     for r in range(6):
         for s in range(r + 1, 6):
             pref /= elliptic_gamma(ts[r] * ts[s], p, q, prec)
@@ -342,22 +344,48 @@ def continuous_inner_product(
         val /= elliptic_gamma(1.0 / (zv * zv), p, q, prec)
         return val
 
-    # midpoint grid: avoids the weight's double zeros at z = +-1, +-i
-    vals = [
-        integrand(cmath.exp(2j * cmath.pi * (j + 0.5) / quad))
-        for j in range(quad)
-    ]
-    full = _csum(vals) / quad * pref
-    if conv_tol is not None:
-        half = _csum(vals[::2]) / (quad // 2) * pref
-        if abs(full - half) > conv_tol * max(abs(full), 1.0):
-            raise NonConvergence(
-                "quadrature not converged at the requested node count"
-            )
-    return full
+    return circle_mean(integrand, quad) * pref
 
 
-def _qp_inf(x, q, prec):
-    from .qkernel import qpoch_infinite
+def random_discrete_params(
+    rng: random.Random,
+    N: int = 5,
+    p: float = 0.05,
+    qmod: float = 0.4,
+    max_cond: float = 1e4,
+    max_tries: int = 50,
+) -> EllipticParams:
+    """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
 
-    return qpoch_infinite(x, q, prec)
+    Draws whose point-mass sum is ill conditioned (mass cancellation
+    beyond max_cond) are rejected and redrawn.
+    """
+
+    def unit(r):
+        return cmath.exp(2j * math.pi * r.random())
+
+    for _ in range(max_tries):
+        q = qmod * unit(rng)
+        t0 = rng.uniform(0.75, 0.95) * unit(rng)
+        t2 = rng.uniform(0.2, 0.45) * unit(rng)
+        t3 = rng.uniform(0.2, 0.45) * unit(rng)
+        u0 = rng.uniform(0.3, 0.6) * unit(rng)
+        try:
+            par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
+            if _mass_condition(par, N) <= max_cond:
+                return par
+        except EbiorthoError:
+            continue
+    raise NonConvergence("no well-conditioned parameter draw found")
+
+
+def _mass_condition(par: EllipticParams, N: int) -> float:
+    spec = DiscreteSpec(N)
+    one = lambda z: 1.0
+    total = discrete_inner_product(one, one, par, spec)
+    gross = 0.0
+    for k in range(N + 1):
+        zk = par.t[0] * par.q**k
+        ind = lambda z, zk=zk: 1.0 if abs(z - zk) < 1e-9 else 0.0
+        gross += abs(discrete_inner_product(ind, one, par, spec))
+    return gross / max(abs(total), 1e-300)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import os
 import random
 import re
@@ -28,17 +27,20 @@ from .biortho import (
     continuous_inner_product,
     discrete_inner_product,
     norm_formula,
+    random_discrete_params,
     rtilde,
 )
-from .errors import EbiorthoError, NonConvergence
+from .errors import EbiorthoError
 from .exponents import ExponentVector, norm_valuation, rtilde_valuation
 from .limits import (
-    aw_phi43,
+    LIMIT_FACES,
+    limit_target,
+    limit_value,
     nr_measure,
-    pastro_P,
     pastro_inner_product,
     pastro_p,
     pastro_q,
+    richardson,
     sb_measure,
     sigma2_measure,
     sigma2_series,
@@ -53,7 +55,7 @@ from .polytope import (
 )
 from .qkernel import qpoch_finite
 
-__all__ = ["Config", "main", "parse_rational", "random_discrete_params"]
+__all__ = ["Config", "main", "parse_rational"]
 
 EXIT_PASS = 0
 EXIT_NUMERIC = 1
@@ -160,63 +162,6 @@ def cmd_classify(args, cfg: Config) -> int:
 # verify: shared helpers
 
 
-def random_discrete_params(
-    rng: random.Random,
-    N: int = 5,
-    p: float = 0.05,
-    qmod: float = 0.4,
-    max_cond: float = 1e4,
-    max_tries: int = 50,
-) -> EllipticParams:
-    """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
-
-    Draws whose point-mass sum is ill conditioned (mass cancellation
-    beyond max_cond) are rejected and redrawn.
-    """
-
-    def unit(r):
-        return cmath.exp(2j * math.pi * r.random())
-
-    for _ in range(max_tries):
-        q = qmod * unit(rng)
-        t0 = rng.uniform(0.75, 0.95) * unit(rng)
-        t2 = rng.uniform(0.2, 0.45) * unit(rng)
-        t3 = rng.uniform(0.2, 0.45) * unit(rng)
-        u0 = rng.uniform(0.3, 0.6) * unit(rng)
-        try:
-            par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
-            if _mass_condition(par, N) <= max_cond:
-                return par
-        except EbiorthoError:
-            continue
-    raise NonConvergence("no well-conditioned parameter draw found")
-
-
-def _mass_condition(par: EllipticParams, N: int) -> float:
-    spec = DiscreteSpec(N)
-    one = lambda z: 1.0
-    total = discrete_inner_product(one, one, par, spec)
-    gross = 0.0
-    for k in range(N + 1):
-        zk = par.t[0] * par.q**k
-        ind = lambda z, zk=zk: 1.0 if abs(z - zk) < 1e-9 else 0.0
-        gross += abs(discrete_inner_product(ind, one, par, spec))
-    return gross / max(abs(total), 1e-300)
-
-
-def _richardson(vals, ps, gap: float) -> complex:
-    tab = list(vals)
-    n = len(tab)
-    for j in range(1, n):
-        nxt = []
-        for i in range(n - j):
-            r1 = ps[i] ** (j * gap)
-            r2 = ps[i + j] ** (j * gap)
-            nxt.append((tab[i + 1] * r1 - tab[i] * r2) / (r1 - r2))
-        tab = nxt
-    return tab[0]
-
-
 def _report(rows, tol: float) -> int:
     worst = 0.0
     for label, resid in rows:
@@ -317,38 +262,6 @@ def verify_pastro(cfg: Config, nmax: int) -> int:
     return _report(rows, tol)
 
 
-_LIMIT_BASE = {"q": 0.65, "T": (2.0, 1.3, 3.1, 1.0), "Z": 1.3}
-
-
-def _limit_value(face: str, n: int, p: float) -> complex:
-    q = _LIMIT_BASE["q"]
-    T = _LIMIT_BASE["T"]
-    Z = _LIMIT_BASE["Z"]
-    prod = T[0] * T[1] * T[2] * T[3]
-    if face == "1111pp":
-        U0 = 0.369
-        U1 = q / (prod * U0)
-        t = (T[0] * p**-0.25, T[1], T[2] * p**0.25, T[3] * p**0.5)
-        par = EllipticParams(t, (U0, U1 * p**0.5), q, p)
-        return rtilde(n, Z * p**-0.25, par)
-    U0 = 0.4
-    U1 = q / (prod * U0)
-    par = EllipticParams(T, (U0 * p**0.5, U1 * p**0.5), q, p)
-    return rtilde(n, Z, par)
-
-
-def _limit_target(face: str, n: int) -> complex:
-    q = _LIMIT_BASE["q"]
-    T = _LIMIT_BASE["T"]
-    Z = _LIMIT_BASE["Z"]
-    prod = T[0] * T[1] * T[2] * T[3]
-    if face == "1111pp":
-        U0 = 0.369
-        return pastro_P(n, Z, T, (U0, q / (prod * U0)), q)
-    U0 = 0.4
-    return aw_phi43(n, Z, T, (U0, q / (prod * U0)), q)
-
-
 def verify_limit(cfg: Config, face: str) -> int:
     gap = 0.25 if face == "1111pp" else 0.5
     tol = cfg.tol_or(1e-2 if face == "1111pp" else 1e-4)
@@ -359,10 +272,10 @@ def verify_limit(cfg: Config, face: str) -> int:
     print(header)
     rows = []
     for n in range(1, 5):
-        tgt = _limit_target(face, n)
-        errs = [abs(_limit_value(face, n, p) - tgt) / abs(tgt) for p in table_ps]
-        vals = [_limit_value(face, n, p) for p in ladder]
-        ex = abs(_richardson(vals, ladder, gap) - tgt) / abs(tgt)
+        tgt = limit_target(face, n)
+        errs = [abs(limit_value(face, n, p) - tgt) / abs(tgt) for p in table_ps]
+        vals = [limit_value(face, n, p) for p in ladder]
+        ex = abs(richardson(vals, ladder, gap) - tgt) / abs(tgt)
         print(f"  {n} " + "".join(f"  {e:<10.3e}" for e in errs) + f"  {ex:.3e}")
         rows.append((f"extrapolated limit error, n = {n}", ex))
     return _report(rows, tol)
@@ -417,7 +330,7 @@ def cmd_verify(args, cfg: Config) -> int:
     if kind == "pastro":
         return verify_pastro(cfg, args.nmax)
     if kind == "limit":
-        if args.face not in ("1111pp", "40as"):
+        if args.face not in LIMIT_FACES:
             print("error: --face must be 1111pp or 40as", file=sys.stderr)
             return EXIT_USAGE
         return verify_limit(cfg, args.face)

@@ -3,12 +3,14 @@
 Pastro polynomials with their circle measure, the finite-support limit
 weights, the four infinite-support limit bilinear forms (beta-integral
 type, symmetry-broken integral, double series, single series), and
-numeric limit extraction with log-slope valuation estimates.
+numeric limit extraction: log-slope valuation estimates and the one
+Richardson routine in p -> 0.  The `verify limit` family also lives
+here: limit_value evaluates rtilde along the p-dependent parameters of
+face 1111pp or 40as, limit_target the closed-form limit it tends to.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,15 @@ from .errors import (
     PoleError,
     SeriesDivergence,
 )
-from .qkernel import DEFAULT_PREC, Precision, qpoch_finite, qpoch_infinite, theta
+from .biortho import EllipticParams, rtilde
+from .qkernel import (
+    DEFAULT_PREC,
+    Precision,
+    circle_mean,
+    qpoch_finite,
+    qpoch_infinite,
+    theta,
+)
 
 __all__ = [
     "pastro_P",
@@ -39,6 +49,10 @@ __all__ = [
     "finite_measure",
     "aw_phi43",
     "numeric_limit",
+    "richardson",
+    "LIMIT_FACES",
+    "limit_value",
+    "limit_target",
 ]
 
 Q = Fraction
@@ -55,7 +69,7 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _phi(numer, denom, q, x, nterms, prec) -> complex:
+def _phi(numer, denom, q, x, nterms) -> complex:
     """Terminating basic hypergeometric sum with nterms terms."""
     out = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -89,9 +103,7 @@ def pastro_P(n, z, t, u, q, prec: Precision = DEFAULT_PREC) -> complex:
     u0, u1 = (complex(x) for x in u)
     q = complex(q)
     # 3phi2(q^-n, t0/z, q/(u0 t1); t0 t2, 0; q, q)
-    v1 = _phi(
-        [q ** (-n), t0 / z, q / (u0 * t1)], [q, t0 * t2], q, q, n + 1, prec
-    )
+    v1 = _phi([q ** (-n), t0 / z, q / (u0 * t1)], [q, t0 * t2], q, q, n + 1)
     # (1/(t3 u1);q)_n / (t0 t2;q)_n (q/(t1 u0))^n
     #   * 2phi1(q/(t1 u0), q^-n; q^(1-n) t3 u1; q, q/(t2 z))
     den = qpoch_finite(t0 * t2, q, n)
@@ -104,7 +116,6 @@ def pastro_P(n, z, t, u, q, prec: Precision = DEFAULT_PREC) -> complex:
         q,
         q / (t2 * z),
         n + 1,
-        prec,
     )
     if abs(v1 - v2) > 1e-9 * max(abs(v1), 1.0):
         raise NonConvergence("pastro_P series representations disagree")
@@ -125,7 +136,7 @@ def pastro_p(n, w, A, B, q) -> complex:
     coeff = qpoch_finite(B / q, q, n) / den * A**n
     rq = q**0.5
     return coeff * _phi(
-        [A, q ** (-n)], [q, q ** (2 - n) / B], q, w * q * rq / B, n + 1, None
+        [A, q ** (-n)], [q, q ** (2 - n) / B], q, w * q * rq / B, n + 1
     )
 
 
@@ -149,14 +160,14 @@ def pastro_inner_product(
         * qpoch_infinite(A * B / q, q, prec)
         / (qpoch_infinite(A, q, prec) * qpoch_infinite(B, q, prec))
     )
-    total = 0.0 + 0.0j
-    for j in range(quad):
-        w = cmath.exp(2j * cmath.pi * (j + 0.5) / quad)
+
+    def integrand(w):
         val = f(w) * g(w) * theta(rq * w, q, prec)
         val /= qpoch_infinite(A * w / rq, q, prec)
         val /= qpoch_infinite(B / (w * rq), q, prec)
-        total += val
-    return pref * total / quad
+        return val
+
+    return pref * circle_mean(integrand, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +284,38 @@ def finite_weights(k, alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> complex
 # Limit measures
 
 
-@dataclass
+_INTEGRAL_KINDS = ("NR_INTEGRAL", "SB_INTEGRAL")
+_SERIES_KINDS = ("SIGMA_SERIES", "SIGMA2_SERIES", "FINITE_DISCRETE")
+
+
+@dataclass(frozen=True)
 class LimitMeasure:
-    """A limit bilinear form: integral over the unit circle or a series.
+    """A limit bilinear form at base q: a circle integral or a series.
 
     kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
     FINITE_DISCRETE.  For integral kinds weight is a function of z on the
-    circle; for series kinds weight(k) multiplies f(base q^k) g(base q^k)
-    and bases lists the series base points (one per series).
+    circle; for series kinds weight(i, k) multiplies f(b q^k) g(b q^k)
+    for the i-th base point b of bases.  prefactors holds one factor per
+    base point (a single one for the integral kinds).  n_masses is the
+    length of the finite series; triple, pair and base_index record the
+    exponent indices the SB, Sigma2 and Sigma measures were built on.
     """
 
     kind: str
-    prefactor: complex
+    prefactors: tuple
     weight: object
+    q: complex
     bases: tuple = ()
     n_masses: int | None = None
-    aux: complex | None = None
-    prefactors: tuple = ()
+    triple: tuple | None = None
+    pair: tuple | None = None
+    base_index: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _INTEGRAL_KINDS + _SERIES_KINDS:
+            raise DomainError(f"unknown limit-measure kind {self.kind!r}")
+        if len(self.prefactors) != max(len(self.bases), 1):
+            raise DomainError("need one prefactor per series base point")
 
     def apply(
         self,
@@ -299,22 +325,19 @@ class LimitMeasure:
         max_terms: int = 400,
         tol: float = 1e-14,
     ) -> complex:
-        q = self.aux_q
-        if self.kind in ("NR_INTEGRAL", "SB_INTEGRAL"):
-            total = 0.0 + 0.0j
-            for j in range(quad):
-                z = cmath.exp(2j * cmath.pi * (j + 0.5) / quad)
-                total += self.weight(z) * f(z) * g(z)
-            return self.prefactor * total / quad
+        q = self.q
+        if self.kind in _INTEGRAL_KINDS:
+            return self.prefactors[0] * circle_mean(
+                lambda z: self.weight(z) * f(z) * g(z), quad
+            )
         if self.kind == "FINITE_DISCRETE":
             total = 0.0 + 0.0j
             for k in range(self.n_masses):
                 zk = self.bases[0] * q**k
                 total += self.weight(0, k) * f(zk) * g(zk)
-            return self.prefactor * total
+            return self.prefactors[0] * total
         # one or two infinite series
         out = 0.0 + 0.0j
-        prefs = self.prefactors if self.prefactors else (self.prefactor,)
         for i, base in enumerate(self.bases):
             run_max = 0.0
             small = 0
@@ -331,7 +354,7 @@ class LimitMeasure:
                     small = 0
             else:
                 raise SeriesDivergence("limit-measure series did not converge")
-            out += prefs[i] * tot
+            out += self.prefactors[i] * tot
         return out
 
 
@@ -381,9 +404,7 @@ def nr_measure(alpha, t, q, prec: Precision = DEFAULT_PREC) -> LimitMeasure:
                 val /= qpoch_infinite(t[r] / z, q, prec)
         return val
 
-    m = LimitMeasure("NR_INTEGRAL", pref, weight)
-    m.aux_q = q
-    return m
+    return LimitMeasure("NR_INTEGRAL", (pref,), weight, q)
 
 
 def _find_sb_triple(a, zeta):
@@ -481,10 +502,7 @@ def sb_measure(
                     val /= qpoch_infinite(t[r] * z, q, prec)
         return val
 
-    m = LimitMeasure("SB_INTEGRAL", pref, weight)
-    m.aux_q = q
-    m.triple = trip
-    return m
+    return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, triple=trip)
 
 
 def _find_pair(a, zeta, limit4=False):
@@ -559,10 +577,7 @@ def sigma2_measure(
         val /= theta(ta * w, q, prec) * theta(tb * w, q, prec)
         return val
 
-    m = LimitMeasure("SB_INTEGRAL", pref, weight, aux=w)
-    m.aux_q = q
-    m.pair = pair
-    return m
+    return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, pair=pair)
 
 
 def sigma2_series(
@@ -633,16 +648,14 @@ def sigma2_series(
                 den *= qpoch_finite(q * tx / t[r], q, k)
         return val / den
 
-    m = LimitMeasure(
+    return LimitMeasure(
         "SIGMA2_SERIES",
-        0.0,
+        (make_pref(ia, ib), make_pref(ib, ia)),
         weight,
+        q,
         bases=(t[ia], t[ib]),
-        prefactors=(make_pref(ia, ib), make_pref(ib, ia)),
+        pair=pair,
     )
-    m.aux_q = q
-    m.pair = pair
-    return m
 
 
 def sigma_measure(
@@ -720,10 +733,9 @@ def sigma_measure(
         val *= small_prod**k
         return val / den
 
-    m = LimitMeasure("SIGMA_SERIES", pref, weight, bases=(ta,))
-    m.aux_q = q
-    m.base_index = ia
-    return m
+    return LimitMeasure(
+        "SIGMA_SERIES", (pref,), weight, q, bases=(ta,), base_index=ia
+    )
 
 
 def finite_measure(alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> LimitMeasure:
@@ -734,11 +746,14 @@ def finite_measure(alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> LimitMeasu
     def weight(i, k):
         return finite_weights(k, a, tt, N, q, prec)
 
-    m = LimitMeasure(
-        "FINITE_DISCRETE", 1.0, weight, bases=(tt[0],), n_masses=N + 1
+    return LimitMeasure(
+        "FINITE_DISCRETE",
+        (1.0,),
+        weight,
+        complex(q),
+        bases=(tt[0],),
+        n_masses=N + 1,
     )
-    m.aux_q = complex(q)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +773,6 @@ def aw_phi43(n, z, t, u, q, prec: Precision = DEFAULT_PREC) -> complex:
             q,
             q,
             n + 1,
-            prec,
         )
 
     return phi(z) / phi(t0)
@@ -792,14 +806,57 @@ def numeric_limit(fn, v, p_seq) -> tuple[complex, float]:
     for x in v.as7():
         den = den * x.denominator // math.gcd(den, x.denominator)
     val_exact = Q(round(slopes[-1] * den), den)
-    gap = 1.0 / den
-    # iterated Richardson elimination of the p^(j*gap) correction orders
-    tab = [val * p ** (-float(val_exact)) for p, val in zip(ps, vals)]
-    for j in range(1, len(ps)):
+    scaled = [val * p ** (-float(val_exact)) for p, val in zip(ps, vals)]
+    return richardson(scaled, ps, 1.0 / den), float(val_exact)
+
+
+def richardson(vals, ps, gap: float) -> complex:
+    """Limit p -> 0 of samples vals at ps whose corrections are a series
+    in p^gap: iterated Richardson elimination of the p^(j*gap) orders."""
+    tab = list(vals)
+    n = len(tab)
+    for j in range(1, n):
         nxt = []
-        for i in range(len(tab) - 1):
+        for i in range(n - j):
             r1 = ps[i] ** (j * gap)
             r2 = ps[i + j] ** (j * gap)
             nxt.append((tab[i + 1] * r1 - tab[i] * r2) / (r1 - r2))
         tab = nxt
-    return tab[0], float(val_exact)
+    return tab[0]
+
+
+# ---------------------------------------------------------------------------
+# The `verify limit` family: rtilde along a p-dependent parameter path that
+# tends to face 1111pp (Pastro polynomials) or 40as (Askey-Wilson 4phi3).
+
+LIMIT_FACES = ("1111pp", "40as")
+_LIMIT_Q = 0.65
+_LIMIT_T = (2.0, 1.3, 3.1, 1.0)
+_LIMIT_Z = 1.3
+_LIMIT_U0 = {"1111pp": 0.369, "40as": 0.4}
+
+
+def _limit_u(face: str) -> tuple[float, float]:
+    if face not in LIMIT_FACES:
+        raise DomainError(f"limit face must be one of {LIMIT_FACES}")
+    T = _LIMIT_T
+    u0 = _LIMIT_U0[face]
+    return u0, _LIMIT_Q / (T[0] * T[1] * T[2] * T[3] * u0)
+
+
+def limit_value(face: str, n: int, p: float) -> complex:
+    """rtilde of degree n on the `verify limit` path of face at p."""
+    q, T, Z = _LIMIT_Q, _LIMIT_T, _LIMIT_Z
+    u0, u1 = _limit_u(face)
+    if face == "1111pp":
+        t = (T[0] * p**-0.25, T[1], T[2] * p**0.25, T[3] * p**0.5)
+        par = EllipticParams(t, (u0, u1 * p**0.5), q, p)
+        return rtilde(n, Z * p**-0.25, par)
+    par = EllipticParams(T, (u0 * p**0.5, u1 * p**0.5), q, p)
+    return rtilde(n, Z, par)
+
+
+def limit_target(face: str, n: int) -> complex:
+    """Closed-form p -> 0 limit of limit_value(face, n, p)."""
+    closed = pastro_P if face == "1111pp" else aw_phi43
+    return closed(n, _LIMIT_Z, _LIMIT_T, _limit_u(face), _LIMIT_Q)

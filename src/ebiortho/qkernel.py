@@ -1,15 +1,18 @@
-"""Numeric kernel: q-symbols, theta functions, elliptic gamma.
+"""Numeric kernel: q-symbols, theta functions, elliptic gamma, and the
+shared circle quadrature.
 
 All infinite products are truncated under a relative tolerance with a
 geometric tail bound; hitting the term cap raises instead of returning a
-silently inaccurate value.  Multiplicative +/- argument conventions
-(f(t z^{+-1}) meaning a product over both signs) are handled by
-expand_pm_args.
+silently inaccurate value.  circle_mean is the one unit-circle quadrature
+of the package: the continuous elliptic inner product, the Pastro inner
+product and the integral limit measures all average their integrands
+with it.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError, SeriesDivergence
@@ -21,7 +24,8 @@ __all__ = [
     "theta",
     "theta_qp_finite",
     "elliptic_gamma",
-    "expand_pm_args",
+    "csum",
+    "circle_mean",
 ]
 
 
@@ -117,46 +121,23 @@ def elliptic_gamma(
     raise SeriesDivergence("elliptic_gamma hit max_terms before converging")
 
 
-def expand_pm_args(*factors: tuple[complex, int]) -> list[complex]:
-    """Expand a multiplicative argument pattern into its scalar arguments.
+def csum(terms) -> complex:
+    """Compensated (math.fsum) sum of complex terms."""
+    terms = list(terms)
+    return complex(
+        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    )
 
-    Each factor is a pair (base, e): e = 0 means a plain scalar factor,
-    e != 0 means base^{+-e}.  The expansion multiplies one choice of sign
-    per +-factor, e.g. (t,0),(z,1) -> [t*z, t/z] and (x,1),(y,1) ->
-    [xy, x/y, y/x, 1/(xy)].
+
+def circle_mean(fn, quad: int) -> complex:
+    """Mean of fn over the quad midpoint nodes exp(2 pi i (j + 1/2) / quad).
+
+    The midpoint grid avoids the double zeros at z = +-1, +-i of the
+    elliptic weights; for integrands analytic on an annulus around the
+    circle the rule converges geometrically in quad.
     """
-    args = [1.0 + 0.0j]
-    for base, e in factors:
-        if e == 0:
-            args = [a * base for a in args]
-        else:
-            be = base**e
-            args = [a * s for a in args for s in (be, 1.0 / be)]
-    return args
-
-
-def theta_pm(
-    base: complex,
-    var: complex,
-    e: int,
-    q: complex,
-    p: complex,
-    n: int,
-    prec: Precision = DEFAULT_PREC,
-) -> complex:
-    """theta(base * var^{+-e}; q; p)_n over both signs of the exponent."""
-    out = 1.0 + 0.0j
-    for arg in expand_pm_args((base, 0), (var, e)):
-        out *= theta_qp_finite(arg, q, p, n, prec)
-    return out
-
-
-def power(p: float, alpha) -> float:
-    """Real principal power p^alpha for real p in (0,1)."""
-    if not (0 < p < 1):
-        raise DomainError("power requires real p in (0,1)")
-    return float(p) ** float(alpha)
-
-
-def phase(z: complex) -> float:
-    return cmath.phase(z)
+    if quad < 8 or quad % 2:
+        raise DomainError("quad must be even and at least 8")
+    return csum(
+        fn(cmath.exp(2j * cmath.pi * (j + 0.5) / quad)) for j in range(quad)
+    ) / quad

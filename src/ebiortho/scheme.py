@@ -787,14 +787,8 @@ def check_appendix() -> list[str]:
     sch = build_scheme()
     errors: list[str] = []
     systems = {s.name: s for s in sch.systems}
-
-    if len(sch.systems) != EXPECTED_TOTAL:
-        errors.append(f"expected 38 systems, got {len(sch.systems)}")
-    counts: dict[int, int] = {}
-    for s in sch.systems:
-        counts[s.level] = counts.get(s.level, 0) + 1
-    if counts != EXPECTED_LEVEL_COUNTS:
-        errors.append(f"level counts {counts} != {EXPECTED_LEVEL_COUNTS}")
+    # build_scheme has already enforced the census (38 systems and the
+    # per-level counts); the checks below are the appendix rows.
 
     # Level 1: one system realized by the five listed vertices.
     top = systems.get(APPENDIX_LEVEL1_SYSTEM)

@@ -6,9 +6,15 @@ from ebiortho.polytope import attach_zeta, in_P, in_P0
 
 
 def random_P0_point(rng, den=4, max_tries=100000):
-    """Uniform-ish rational point of P^(0) with denominator dividing den."""
+    """Uniform-ish rational point of P^(0) with denominator dividing den.
+
+    Every point of P^(0) has all coordinates in [-1/2, 1] (alpha_r >= -1/2,
+    and summing alpha_r - alpha_s <= 1 over s with sum(alpha) = 1 gives
+    alpha_r <= 1), so drawing numerators from that box rejects no point
+    that a wider box could return.
+    """
     for _ in range(max_tries):
-        a = [Fraction(rng.randint(-den, 2 * den), den) for _ in range(5)]
+        a = [Fraction(rng.randint(-(den // 2), den), den) for _ in range(5)]
         a.append(1 - sum(a))
         if in_P0(a):
             return tuple(a)

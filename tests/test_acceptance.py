@@ -21,17 +21,20 @@ from ebiortho.biortho import (
     continuous_inner_product,
     discrete_inner_product,
     norm_formula,
+    random_discrete_params,
     rtilde,
 )
-from ebiortho.cli import _limit_target, _limit_value, _richardson, random_discrete_params
 from ebiortho.exponents import norm_valuation, rtilde_valuation, valuation_deficit
 from ebiortho.limits import (
     aw_phi43,
     finite_weights,
+    limit_target,
+    limit_value,
     numeric_limit,
     pastro_inner_product,
     pastro_p,
     pastro_q,
+    richardson,
 )
 from ebiortho.polytope import (
     TileId,
@@ -266,9 +269,9 @@ def test_gamma_tile_interiors_lose_z_dependence():
 )
 def test_circle_limit_error_decade_rate():
     for n in range(1, 5):
-        tgt = _limit_target("1111pp", n)
-        e2 = abs(_limit_value("1111pp", n, 1e-2) - tgt) / abs(tgt)
-        e3 = abs(_limit_value("1111pp", n, 1e-3) - tgt) / abs(tgt)
+        tgt = limit_target("1111pp", n)
+        e2 = abs(limit_value("1111pp", n, 1e-2) - tgt) / abs(tgt)
+        e3 = abs(limit_value("1111pp", n, 1e-3) - tgt) / abs(tgt)
         assert e2 >= 10 * e3
 
 
@@ -276,9 +279,9 @@ def test_circle_limit_extrapolated():
     # sharp version: the fourth-root error ladder extrapolates cleanly
     ladder = [10 ** (-2 - 0.5 * i) for i in range(7)]
     for n in range(1, 5):
-        tgt = _limit_target("1111pp", n)
-        vals = [_limit_value("1111pp", n, p) for p in ladder]
-        ex = abs(_richardson(vals, ladder, 0.25) - tgt) / abs(tgt)
+        tgt = limit_target("1111pp", n)
+        vals = [limit_value("1111pp", n, p) for p in ladder]
+        ex = abs(richardson(vals, ladder, 0.25) - tgt) / abs(tgt)
         assert ex < 1e-2
 
 
@@ -292,7 +295,7 @@ def test_aw_limit_matches_phi43():
     v = ExponentVector((0, 0, 0, 0), (H, H), 0)
     ps = [10 ** (-2.5 - 0.5 * i) for i in range(6)]
     for n in (1, 2):
-        lim, _ = numeric_limit(lambda p, n=n: _limit_value("40as", n, p), v, ps)
+        lim, _ = numeric_limit(lambda p, n=n: limit_value("40as", n, p), v, ps)
         assert abs(lim - target[n]) < 1e-4 * abs(target[n])
 
 
@@ -354,7 +357,7 @@ def test_finite_weights_half_integer_branch_extrapolated():
     ps = [10 ** (-2 - 0.5 * i) for i in range(5)]
     cols = [_ell_weights(alpha, t6, N, q, p) for p in ps]
     for k in range(N + 1):
-        lim = _richardson([c[k] for c in cols], ps, 0.5)
+        lim = richardson([c[k] for c in cols], ps, 0.5)
         assert abs(lim - finite_weights(k, alpha, t6, N, q)) < 1e-5
 
 
@@ -377,7 +380,7 @@ def test_finite_weights_interior_branch_extrapolated():
     ps = [10 ** (-9 - i) for i in range(5)]
     cols = [_ell_weights(alpha, t6, N, q, p) for p in ps]
     for k in range(N + 1):
-        lim = _richardson([c[k] for c in cols], ps, 1 / 3)
+        lim = richardson([c[k] for c in cols], ps, 1 / 3)
         assert abs(lim - finite_weights(k, alpha, t6, N, q)) < 1e-5
 
 
@@ -396,7 +399,7 @@ def test_finite_weight_biorthogonality_matrix():
             u = (t5, None) if swap else (t4, None)
             par = EllipticParams((t0, t1, t2 * p, t3), u, q, p)
             vals.append(rtilde(n, t0 * q**k, par))
-        return _richardson(vals, ps, 1.0)
+        return richardson(vals, ps, 1.0)
 
     w = [finite_weights(k, alpha, t6, N, q) for k in range(N + 1)]
     R = [[lim_R(n, k, False) for k in range(N + 1)] for n in range(4)]

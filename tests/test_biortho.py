@@ -13,9 +13,9 @@ from ebiortho.biortho import (
     continuous_inner_product,
     discrete_inner_product,
     norm_formula,
+    random_discrete_params,
     rtilde,
 )
-from ebiortho.cli import random_discrete_params
 from ebiortho.errors import ContourError, DomainError
 
 ONE = lambda z: 1.0
@@ -124,9 +124,6 @@ def test_continuous_unity_and_node_doubling():
     assert abs(full - 1.0) < 1e-6
     double = continuous_inner_product(ONE, ONE, par, quad=1024)
     assert abs(double - full) < 1e-8
-    # conv_tol path agrees with the plain call
-    guarded = continuous_inner_product(ONE, ONE, par, quad=512, conv_tol=1e-6)
-    assert guarded == full
 
 
 def test_continuous_contour_guard():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ebiortho.biortho import EllipticParams, rtilde
+from ebiortho.biortho import EllipticParams, continuous_inner_product, rtilde
 from ebiortho.errors import (
     BranchError,
     DomainError,
@@ -14,6 +14,7 @@ from ebiortho.errors import (
     NonConvergence,
 )
 from ebiortho.limits import (
+    LimitMeasure,
     aw_phi43,
     finite_measure,
     finite_weights,
@@ -167,6 +168,63 @@ def test_sigma2_series_and_integral_agree():
     assert abs(v1 - 1.0) < 1e-12
     # the deformation parameter w must not matter
     assert abs(v1 - v2) < 1e-12
+
+
+def test_directly_built_measures_apply():
+    q = 0.3
+    cases = [
+        (LimitMeasure("NR_INTEGRAL", (2.0,), lambda z: 1.0, q), ONE, 2.0),
+        (LimitMeasure("SB_INTEGRAL", (1.0,), lambda z: 1.0 + z, q), ONE, 1.0),
+        (
+            LimitMeasure(
+                "SIGMA_SERIES", (1 - q,), lambda i, k: q**k, q, bases=(0.5,)
+            ),
+            lambda z: z,
+            0.5 / (1 + q),
+        ),
+        (
+            LimitMeasure(
+                "SIGMA2_SERIES",
+                (0.25 * (1 - q), 0.75 * (1 - q)),
+                lambda i, k: q**k,
+                q,
+                bases=(0.5, 0.7),
+            ),
+            ONE,
+            1.0,
+        ),
+        (
+            LimitMeasure(
+                "FINITE_DISCRETE",
+                (0.5,),
+                lambda i, k: 1.0,
+                q,
+                bases=(1.0,),
+                n_masses=2,
+            ),
+            lambda z: z,
+            0.5 * (1 + q),
+        ),
+    ]
+    for m, f, expected in cases:
+        assert abs(m.apply(f, ONE, quad=16) - expected) < 1e-14, m.kind
+    with pytest.raises(DomainError):
+        LimitMeasure("SIGMA2_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5, 0.7))
+    with pytest.raises(DomainError):
+        LimitMeasure("NO_SUCH_KIND", (1.0,), lambda z: 1.0, q)
+
+
+def test_bad_node_count_is_a_domain_error():
+    t = [0.4, 0.5, 0.7, 0.45, 0.55]
+    nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
+    par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
+    for quad in (0, 7):
+        with pytest.raises(DomainError):
+            pastro_inner_product(ONE, ONE, 0.55, 0.4, 0.45, quad=quad)
+        with pytest.raises(DomainError):
+            nr.apply(ONE, ONE, quad=quad)
+        with pytest.raises(DomainError):
+            continuous_inner_product(ONE, ONE, par, quad=quad)
 
 
 FW_ALPHA = (0, 0, 1, 0, 0, 0)

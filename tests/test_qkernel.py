@@ -13,7 +13,6 @@ from ebiortho.errors import DomainError, PoleError, SeriesDivergence
 from ebiortho.qkernel import (
     Precision,
     elliptic_gamma,
-    expand_pm_args,
     qpoch_finite,
     qpoch_infinite,
     theta,
@@ -121,12 +120,6 @@ def test_theta_qp_finite_allows_big_q():
     val = theta_qp_finite(0.5, 2.5, 0.1, 3)
     direct = theta(0.5, 0.1) * theta(1.25, 0.1) * theta(3.125, 0.1)
     assert abs(val - direct) < 1e-12 * abs(direct)
-
-
-def test_expand_pm_args():
-    args = expand_pm_args((2.0, 0), (3.0, 1))
-    assert sorted(abs(a) for a in args) == [pytest.approx(2.0 / 3.0), pytest.approx(6.0)]
-    assert expand_pm_args((2.0, 0)) == [2.0]
 
 
 def test_domain_errors():
