@@ -23,8 +23,6 @@ from .errors import (
     PoleError,
 )
 from .qkernel import (
-    DEFAULT_PREC,
-    Precision,
     circle_mean,
     csum,
     elliptic_gamma,
@@ -44,6 +42,8 @@ __all__ = [
 ]
 
 BALANCE_TOL = 1e-12
+_MAX_COND = 1e4
+_MAX_DRAWS = 50
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class DiscreteSpec:
 
     N: int
 
-    def validate(self, params: EllipticParams, tol: float = 1e-9) -> None:
+    def validate(self, params: EllipticParams) -> None:
         if self.N < 0:
             raise DomainError("N must be nonnegative")
         t0, t1 = params.t[0], params.t[1]
@@ -104,25 +104,20 @@ class DiscreteSpec:
             for k in range(1, self.N + 1):
                 qk = q**k
                 m = round(math.log(abs(qk)) / lp) if abs(qk) != 1 else 0
-                if abs(qk - p**m) < tol:
+                if abs(qk - p**m) < 1e-9:
                     raise DomainError(
                         "q^k coincides with a power of p; point mass diverges"
                     )
 
 
-def _theta_prod(args, q, p, k, prec) -> complex:
+def _theta_prod(args, q, p, k) -> complex:
     out = 1.0 + 0.0j
     for a in args:
-        out *= theta_qp_finite(a, q, p, k, prec)
+        out *= theta_qp_finite(a, q, p, k)
     return out
 
 
-def rtilde(
-    n: int,
-    z: complex,
-    params: EllipticParams,
-    prec: Precision = DEFAULT_PREC,
-) -> complex:
+def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """The degree-n biorthogonal function, normalized to 1 at z = t0."""
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -131,8 +126,8 @@ def rtilde(
     q, p = params.q, params.p
     terms = []
     for k in range(n + 1):
-        head = theta_qp_finite(q * t0 / u0, q, p, 2 * k, prec) / theta_qp_finite(
-            t0 / u0, q, p, 2 * k, prec
+        head = theta_qp_finite(q * t0 / u0, q, p, 2 * k) / theta_qp_finite(
+            t0 / u0, q, p, 2 * k
         )
         num = _theta_prod(
             [
@@ -148,7 +143,6 @@ def rtilde(
             q,
             p,
             k,
-            prec,
         )
         den_args = [
             q,
@@ -162,7 +156,7 @@ def rtilde(
         ]
         den = 1.0 + 0.0j
         for a in den_args:
-            fac = theta_qp_finite(a, q, p, k, prec)
+            fac = theta_qp_finite(a, q, p, k)
             if k > 0 and abs(fac) < 1e-13:
                 raise PoleError("rtilde denominator theta factor vanishes")
             den *= fac
@@ -170,12 +164,7 @@ def rtilde(
     return csum(terms)
 
 
-def check_symmetries(
-    n: int,
-    z: complex,
-    params: EllipticParams,
-    prec: Precision = DEFAULT_PREC,
-) -> dict[str, float]:
+def check_symmetries(n: int, z: complex, params: EllipticParams) -> dict[str, float]:
     """Residuals of the invariances of rtilde; all should be ~0.
 
     Checked: p-ellipticity in the t's and u's (with a compensating shift
@@ -185,55 +174,43 @@ def check_symmetries(
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    base = rtilde(n, z, params, prec)
+    base = rtilde(n, z, params)
     out: dict[str, float] = {}
 
     def resid(val):
         return abs(val - base) / max(abs(base), 1.0)
 
     shifted = EllipticParams((t0, t1 * p, t2 / p, t3), (u0, u1), q, p)
-    out["t_ellipticity"] = resid(rtilde(n, z, shifted, prec))
+    out["t_ellipticity"] = resid(rtilde(n, z, shifted))
     shifted = EllipticParams((t0, t1, t2, t3), (u0 * p, u1 / p), q, p)
-    out["u_ellipticity"] = resid(rtilde(n, z, shifted, prec))
+    out["u_ellipticity"] = resid(rtilde(n, z, shifted))
 
     rp = cmath.sqrt(p)
     shifted = EllipticParams(
         (t0 * rp, t1 / rp, t2 / rp, t3 / rp), (u0 * rp, u1 * rp), q, p
     )
-    out["half_shift"] = resid(rtilde(n, z * rp, shifted, prec))
+    out["half_shift"] = resid(rtilde(n, z * rp, shifted))
 
     inverted = EllipticParams(
         (1 / t0, 1 / t1, 1 / t2, 1 / t3), (p / u0, p / u1), 1 / q, p
     )
-    out["q_inversion"] = resid(rtilde(n, z, inverted, prec))
+    out["q_inversion"] = resid(rtilde(n, z, inverted))
 
-    out["z_p_shift"] = resid(rtilde(n, p * z, params, prec))
-    out["z_inversion"] = resid(rtilde(n, 1 / z, params, prec))
+    out["z_p_shift"] = resid(rtilde(n, p * z, params))
+    out["z_inversion"] = resid(rtilde(n, 1 / z, params))
     return out
 
 
-def discrete_inner_product(
-    f,
-    g,
-    params: EllipticParams,
-    spec: DiscreteSpec,
-    prec: Precision = DEFAULT_PREC,
-) -> complex:
+def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> complex:
     """Finite sum over the point masses at t0 q^k, 0 <= k <= N."""
     spec.validate(params)
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
     N = spec.N
-    closing_num = _theta_prod(
-        [q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p], q, p, N, prec
-    )
+    closing_num = _theta_prod([q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p], q, p, N)
     closing_den = _theta_prod(
-        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)],
-        q,
-        p,
-        N,
-        prec,
+        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)], q, p, N
     )
     if abs(closing_den) < 1e-250:
         raise PoleError("discrete measure closing factor hits a pole")
@@ -241,15 +218,11 @@ def discrete_inner_product(
     terms = []
     for k in range(N + 1):
         zk = t0 * q**k
-        head = theta_qp_finite(q * t0 * t0, q, p, 2 * k, prec) / theta_qp_finite(
-            t0 * t0, q, p, 2 * k, prec
+        head = theta_qp_finite(q * t0 * t0, q, p, 2 * k) / theta_qp_finite(
+            t0 * t0, q, p, 2 * k
         )
         num = _theta_prod(
-            [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p],
-            q,
-            p,
-            k,
-            prec,
+            [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p], q, p, k
         )
         den = _theta_prod(
             [
@@ -263,7 +236,6 @@ def discrete_inner_product(
             q,
             p,
             k,
-            prec,
         )
         if abs(den) < 1e-250:
             raise PoleError("discrete weight hits a pole")
@@ -271,77 +243,58 @@ def discrete_inner_product(
     return csum(terms) * closing
 
 
-def norm_formula(
-    n: int, params: EllipticParams, prec: Precision = DEFAULT_PREC
-) -> complex:
+def norm_formula(n: int, params: EllipticParams) -> complex:
     """Closed-form squared norm of the degree-n pair."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    head = theta_qp_finite(
-        p / (u0 * u1), q, p, 2 * n, prec
-    ) / theta_qp_finite(p * q / (u0 * u1), q, p, 2 * n, prec)
+    head = theta_qp_finite(p / (u0 * u1), q, p, 2 * n) / theta_qp_finite(
+        p * q / (u0 * u1), q, p, 2 * n
+    )
     num = _theta_prod(
-        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1],
-        q,
-        p,
-        n,
-        prec,
+        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1], q, p, n
     )
     den = _theta_prod(
         [p / (u0 * u1), t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)],
         q,
         p,
         n,
-        prec,
     )
     if abs(den) < 1e-250:
         raise PoleError("norm denominator hits a pole")
     return head * num / den * q ** (-n)
 
 
-def continuous_inner_product(
-    f,
-    g,
-    params: EllipticParams,
-    m_f: int = 0,
-    m_g: int = 0,
-    quad: int = 512,
-    prec: Precision = DEFAULT_PREC,
-) -> complex:
+def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
     """Unit-circle quadrature of the elliptic-gamma bilinear form.
 
-    The unit circle must contain all pole ladders p^i q^j ttilde_r with
-    ttilde_4 = u0 q^{-m_f} and ttilde_5 = u1 q^{-m_g}.
+    The unit circle must contain all pole ladders p^i q^j t_r of the six
+    parameters t0..t3, u0, u1.
     """
     if abs(params.q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
     q, p = params.q, params.p
     ts = list(params.t) + list(params.u)
-    tshift = list(params.t) + [
-        params.u[0] * q ** (-m_f),
-        params.u[1] * q ** (-m_g),
-    ]
-    for tr in tshift:
+    for tr in ts:
         if abs(tr) >= 1:
             raise ContourError(
-                "a shifted parameter has modulus >= 1; unit circle inadmissible"
+                "a parameter has modulus >= 1; unit circle inadmissible"
             )
     pref = 1.0 + 0.0j
-    pref *= qpoch_infinite(q, q, prec) * qpoch_infinite(p, p, prec) / 2.0
+    pref *= qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0
     for r in range(6):
         for s in range(r + 1, 6):
-            pref /= elliptic_gamma(ts[r] * ts[s], p, q, prec)
+            pref /= elliptic_gamma(ts[r] * ts[s], p, q)
 
     def integrand(zv):
         val = f(zv) * g(zv)
         for tr in ts:
-            val *= elliptic_gamma(tr * zv, p, q, prec)
-            val *= elliptic_gamma(tr / zv, p, q, prec)
-        val /= elliptic_gamma(zv * zv, p, q, prec)
-        val /= elliptic_gamma(1.0 / (zv * zv), p, q, prec)
+            val *= elliptic_gamma(tr * zv, p, q)
+            val *= elliptic_gamma(tr / zv, p, q)
+        val /= elliptic_gamma(zv * zv, p, q)
+        val /= elliptic_gamma(1.0 / (zv * zv), p, q)
         return val
 
     return circle_mean(integrand, quad) * pref
@@ -352,19 +305,17 @@ def random_discrete_params(
     N: int = 5,
     p: float = 0.05,
     qmod: float = 0.4,
-    max_cond: float = 1e4,
-    max_tries: int = 50,
 ) -> EllipticParams:
     """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
 
     Draws whose point-mass sum is ill conditioned (mass cancellation
-    beyond max_cond) are rejected and redrawn.
+    beyond _MAX_COND) are rejected and redrawn, at most _MAX_DRAWS times.
     """
 
     def unit(r):
         return cmath.exp(2j * math.pi * r.random())
 
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         q = qmod * unit(rng)
         t0 = rng.uniform(0.75, 0.95) * unit(rng)
         t2 = rng.uniform(0.2, 0.45) * unit(rng)
@@ -372,7 +323,7 @@ def random_discrete_params(
         u0 = rng.uniform(0.3, 0.6) * unit(rng)
         try:
             par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
-            if _mass_condition(par, N) <= max_cond:
+            if _mass_condition(par, N) <= _MAX_COND:
                 return par
         except EbiorthoError:
             continue

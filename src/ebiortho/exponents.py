@@ -126,19 +126,18 @@ def _pos_part(x: Fraction) -> Fraction:
 
 
 def _require_in_P(v: ExponentVector) -> None:
-    from .polytope import in_P
+    from .polytope import in_P  # deferred: polytope imports this module
 
     if not in_P(v):
         raise DomainError("exponent vector is not in the polytope P")
 
 
-def rtilde_valuation(v: ExponentVector, n: int, check: bool = True) -> Fraction:
+def rtilde_valuation(v: ExponentVector, n: int) -> Fraction:
     """Valuation of the rescaled biorthogonal function of degree n.
 
     Linear in n; only defined inside the polytope P.
     """
-    if check:
-        _require_in_P(v)
+    _require_in_P(v)
     a0, a1, a2, a3 = v.alpha
     g0, g1 = v.gamma
     z = v.zeta
@@ -152,10 +151,9 @@ def rtilde_valuation(v: ExponentVector, n: int, check: bool = True) -> Fraction:
     return n * total
 
 
-def norm_valuation(v: ExponentVector, n: int, check: bool = True) -> Fraction:
+def norm_valuation(v: ExponentVector, n: int) -> Fraction:
     """Valuation of the closed-form squared norm, inside P only."""
-    if check:
-        _require_in_P(v)
+    _require_in_P(v)
     a0, a1, a2, a3 = v.alpha
     g0, g1 = v.gamma
     gs = g0 + g1
@@ -174,14 +172,13 @@ def norm_valuation(v: ExponentVector, n: int, check: bool = True) -> Fraction:
     return n * total
 
 
-def valuation_deficit(v: ExponentVector, check: bool = True) -> Fraction:
+def valuation_deficit(v: ExponentVector) -> Fraction:
     """Norm valuation minus the valuations of the two series arguments.
 
     Zero exactly at candidate biorthogonal-system directions; positive when
     the inner product degenerates; never negative inside P.
     """
-    if check:
-        _require_in_P(v)
+    _require_in_P(v)
     a = v.alpha
     g0, g1 = v.gamma
     z = v.zeta

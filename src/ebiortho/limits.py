@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     BranchError,
@@ -25,14 +26,8 @@ from .errors import (
     SeriesDivergence,
 )
 from .biortho import EllipticParams, rtilde
-from .qkernel import (
-    DEFAULT_PREC,
-    Precision,
-    circle_mean,
-    qpoch_finite,
-    qpoch_infinite,
-    theta,
-)
+from .polytope import _as6, zeta_for
+from .qkernel import circle_mean, qpoch_finite, qpoch_infinite, theta
 
 __all__ = [
     "pastro_P",
@@ -57,12 +52,10 @@ __all__ = [
 
 Q = Fraction
 
-
-def _frac6(alpha):
-    a = tuple(Q(x) for x in alpha)
-    if len(a) != 6:
-        raise DomainError("need 6 rational exponents")
-    return a
+# LimitMeasure.apply sums a series until ten successive terms fall below
+# _SERIES_TOL relative to the running sum, within _SERIES_MAX_TERMS terms.
+_SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 400
 
 
 def _binom2(k: int) -> int:
@@ -91,7 +84,7 @@ def _phi(numer, denom, q, x, nterms) -> complex:
 # Pastro polynomials
 
 
-def pastro_P(n, z, t, u, q, prec: Precision = DEFAULT_PREC) -> complex:
+def pastro_P(n, z, t, u, q) -> complex:
     """Polynomial limit family at the top biorthogonal-polynomial point.
 
     Evaluated as a terminating 3phi2 with one zero lower parameter; a
@@ -145,9 +138,7 @@ def pastro_q(n, w, A, B, q) -> complex:
     return pastro_p(n, 1.0 / complex(w), B, A, q)
 
 
-def pastro_inner_product(
-    f, g, A, B, q, quad: int = 512, prec: Precision = DEFAULT_PREC
-) -> complex:
+def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
     """Unit-circle bilinear form making p_n and q_m biorthogonal."""
     A, B, q = complex(A), complex(B), complex(q)
     if abs(q) >= 1:
@@ -156,15 +147,15 @@ def pastro_inner_product(
     if abs(A / rq) >= 1 or abs(B / rq) >= 1:
         raise ContourError("pole families cross the unit circle")
     pref = (
-        qpoch_infinite(q, q, prec)
-        * qpoch_infinite(A * B / q, q, prec)
-        / (qpoch_infinite(A, q, prec) * qpoch_infinite(B, q, prec))
+        qpoch_infinite(q, q)
+        * qpoch_infinite(A * B / q, q)
+        / (qpoch_infinite(A, q) * qpoch_infinite(B, q))
     )
 
     def integrand(w):
-        val = f(w) * g(w) * theta(rq * w, q, prec)
-        val /= qpoch_infinite(A * w / rq, q, prec)
-        val /= qpoch_infinite(B / (w * rq), q, prec)
+        val = f(w) * g(w) * theta(rq * w, q)
+        val /= qpoch_infinite(A * w / rq, q)
+        val /= qpoch_infinite(B / (w * rq), q)
         return val
 
     return pref * circle_mean(integrand, quad)
@@ -174,12 +165,12 @@ def pastro_inner_product(
 # Finite-support limit weights
 
 
-def finite_weights(k, alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> complex:
+def finite_weights(k, alpha, t, N, q) -> complex:
     """Weight of the k-th mass point t0 q^k of the finite limit measure.
 
     Three branches depending on alpha_0 = 0, in (-1/2, 0), or = -1/2.
     """
-    a = _frac6(alpha)
+    a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     if len(t) != 6:
@@ -317,14 +308,7 @@ class LimitMeasure:
         if len(self.prefactors) != max(len(self.bases), 1):
             raise DomainError("need one prefactor per series base point")
 
-    def apply(
-        self,
-        f,
-        g,
-        quad: int = 512,
-        max_terms: int = 400,
-        tol: float = 1e-14,
-    ) -> complex:
+    def apply(self, f, g, quad: int = 512) -> complex:
         q = self.q
         if self.kind in _INTEGRAL_KINDS:
             return self.prefactors[0] * circle_mean(
@@ -342,11 +326,11 @@ class LimitMeasure:
             run_max = 0.0
             small = 0
             tot = 0.0 + 0.0j
-            for k in range(max_terms):
+            for k in range(_SERIES_MAX_TERMS):
                 term = self.weight(i, k) * f(base * q**k) * g(base * q**k)
                 tot += term
                 run_max = max(run_max, abs(tot))
-                if abs(term) < tol * max(run_max, 1.0):
+                if abs(term) < _SERIES_TOL * max(run_max, 1.0):
                     small += 1
                     if small >= 10:
                         break
@@ -371,45 +355,41 @@ def _check_balance(t, q, prod_target):
         raise DomainError("parameter balancing violated")
 
 
-def nr_measure(alpha, t, q, prec: Precision = DEFAULT_PREC) -> LimitMeasure:
+def nr_measure(alpha, t, q) -> LimitMeasure:
     """Beta-integral-type limit measure (all alpha_r >= 0)."""
-    a = _frac6(alpha)
+    a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
     if any(x < 0 for x in a):
         raise HypothesisError("all alpha_r must be >= 0")
     _check_balance(t, q, q)
-    pref = qpoch_infinite(q, q, prec) / 2.0
+    pref = qpoch_infinite(q, q) / 2.0
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q, prec)
+                pref *= qpoch_infinite(t[r] * t[s], q)
             elif a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
     for r in range(6):
         if a[r] == 0 and abs(t[r]) >= 1:
             raise ContourError("|t_r| >= 1 for a weight-denominator parameter")
 
     def weight(z):
-        val = qpoch_infinite(z * z, q, prec) * qpoch_infinite(
-            1.0 / (z * z), q, prec
-        )
+        val = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
         for r in range(6):
             if a[r] == 1:
-                val *= qpoch_infinite(q * z / t[r], q, prec)
-                val *= qpoch_infinite(q / (t[r] * z), q, prec)
+                val *= qpoch_infinite(q * z / t[r], q)
+                val *= qpoch_infinite(q / (t[r] * z), q)
             elif a[r] == 0:
-                val /= qpoch_infinite(t[r] * z, q, prec)
-                val /= qpoch_infinite(t[r] / z, q, prec)
+                val /= qpoch_infinite(t[r] * z, q)
+                val /= qpoch_infinite(t[r] / z, q)
         return val
 
     return LimitMeasure("NR_INTEGRAL", (pref,), weight, q)
 
 
 def _find_sb_triple(a, zeta):
-    from itertools import combinations
-
     for trip in combinations(range(6), 3):
         if sum(a[i] for i in trip) != zeta:
             continue
@@ -420,23 +400,17 @@ def _find_sb_triple(a, zeta):
     return None
 
 
-def sb_measure(
-    alpha, t, q, triple=None, prec: Precision = DEFAULT_PREC
-) -> LimitMeasure:
+def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
     """Symmetry-broken integral limit measure.
 
     Requires a triple (a,b,c) with alpha_a + alpha_b + alpha_c = zeta and
     the associated band conditions; found automatically when not given.
     """
-    from .polytope import zeta_for
-
-    a = _frac6(alpha)
+    a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
-    zeta = zeta_for(a)
-    if not -Q(1, 2) <= zeta < 0:
-        raise HypothesisError("need -1/2 <= zeta < 0")
+    zeta = _negative_zeta(a)
     if triple is None:
         triple = _find_sb_triple(a, zeta)
     if triple is None:
@@ -450,19 +424,19 @@ def sb_measure(
     _check_balance(t, q, q)
 
     inside = set(trip)
-    pref = qpoch_infinite(q, q, prec)
+    pref = qpoch_infinite(q, q)
     for r in range(6):
         for s in range(r + 1, 6):
             both_in = r in inside and s in inside
             mixed = (r in inside) != (s in inside)
             if both_in and a[r] + a[s] == -1:
-                pref *= qpoch_infinite(t[r] * t[s], q, prec)
+                pref *= qpoch_infinite(t[r] * t[s], q)
             if mixed and a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q, prec)
+                pref *= qpoch_infinite(t[r] * t[s], q)
             if both_in and a[r] + a[s] == 0:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
     tprod = 1.0 + 0.0j
     for i in trip:
         tprod *= t[i]
@@ -479,65 +453,73 @@ def sb_measure(
             )
 
     def weight(z):
-        val = theta(q * z / tprod, q, prec)
+        val = theta(q * z / tprod, q)
         for r in range(6):
             if r in inside:
                 if a[r] == -zeta:
-                    val *= qpoch_infinite(q / (t[r] * z), q, prec)
+                    val *= qpoch_infinite(q / (t[r] * z), q)
                 if a[r] == zeta:
-                    val /= qpoch_infinite(t[r] / z, q, prec)
+                    val /= qpoch_infinite(t[r] / z, q)
             else:
                 if a[r] == 1 + zeta:
-                    val *= qpoch_infinite(q * z / t[r], q, prec)
+                    val *= qpoch_infinite(q * z / t[r], q)
                 if a[r] == -zeta:
-                    val /= qpoch_infinite(t[r] * z, q, prec)
+                    val /= qpoch_infinite(t[r] * z, q)
         if half:
-            val *= qpoch_infinite(z * z, q, prec) / qpoch_infinite(
-                q * z * z, q, prec
-            )
+            val *= qpoch_infinite(z * z, q) / qpoch_infinite(q * z * z, q)
             for r in trip:
                 if a[r] == Q(1, 2):
-                    val *= qpoch_infinite(q * z / t[r], q, prec)
+                    val *= qpoch_infinite(q * z / t[r], q)
                 if a[r] == Q(-1, 2):
-                    val /= qpoch_infinite(t[r] * z, q, prec)
+                    val /= qpoch_infinite(t[r] * z, q)
         return val
 
     return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, triple=trip)
 
 
-def _find_pair(a, zeta, limit4=False):
-    top = 4 if limit4 else 6
-    for r in range(top):
-        for s in range(r + 1, top):
-            if a[r] == a[s] == zeta:
-                return (r, s)
-    return None
-
-
-def sigma2_measure(
-    alpha, t, q, w, pair=None, prec: Precision = DEFAULT_PREC
-) -> LimitMeasure:
-    """Integral form of the double-series limit measure with free w."""
-    from .polytope import zeta_for
-
-    a = _frac6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    w = complex(w)
-    _check_sum1(a)
+def _negative_zeta(a) -> Fraction:
+    """zeta_for(a), which the SB and Sigma2 measures need in [-1/2, 0)."""
     zeta = zeta_for(a)
     if not -Q(1, 2) <= zeta < 0:
         raise HypothesisError("need -1/2 <= zeta < 0")
+    return zeta
+
+
+def _sigma2_pair(a, pair, limit4):
+    """(zeta, pair) of a Sigma2 measure: alpha_a = alpha_b = zeta on the
+    pair (found when None) and alpha_r in [-zeta, 1+zeta] elsewhere.  With
+    limit4 (the series form) the pair must avoid the u-parameter slots."""
+    zeta = _negative_zeta(a)
     if pair is None:
-        pair = _find_pair(a, zeta)
+        top = 4 if limit4 else 6
+        pair = next(
+            ((r, s) for r in range(top) for s in range(r + 1, top)
+             if a[r] == a[s] == zeta),
+            None,
+        )
     if pair is None:
-        raise HypothesisError("no pair with alpha_a = alpha_b = zeta")
+        where = " a,b <= 3" if limit4 else ""
+        raise HypothesisError(f"no pair{where} with alpha_a = alpha_b = zeta")
     ia, ib = pair
+    if limit4 and (ia > 3 or ib > 3):
+        raise HypothesisError("series pair must avoid the u-parameter slots")
     if a[ia] != zeta or a[ib] != zeta:
         raise HypothesisError("pair must carry exponent zeta")
     for r in range(6):
         if r not in (ia, ib) and not -zeta <= a[r] <= 1 + zeta:
             raise HypothesisError("alpha_r outside [-zeta, 1+zeta]")
+    return zeta, pair
+
+
+def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
+    """Integral form of the double-series limit measure with free w."""
+    a = _as6(alpha)
+    t = tuple(complex(x) for x in t)
+    q = complex(q)
+    w = complex(w)
+    _check_sum1(a)
+    zeta, pair = _sigma2_pair(a, pair, limit4=False)
+    ia, ib = pair
     _check_balance(t, q, q)
     ta, tb = t[ia], t[ib]
     half = zeta == Q(-1, 2)
@@ -547,17 +529,17 @@ def sigma2_measure(
                 "|t_r| >= 1 for a weight-denominator parameter"
             )
 
-    pref = qpoch_infinite(q, q, prec)
+    pref = qpoch_infinite(q, q)
     if half:
-        pref *= qpoch_infinite(ta * tb, q, prec)
+        pref *= qpoch_infinite(ta * tb, q)
     for r in range(6):
         if r not in (ia, ib) and a[r] == -zeta:
-            pref *= qpoch_infinite(t[r] * ta, q, prec)
-            pref *= qpoch_infinite(t[r] * tb, q, prec)
+            pref *= qpoch_infinite(t[r] * ta, q)
+            pref *= qpoch_infinite(t[r] * tb, q)
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
 
     def weight(z):
         val = 1.0 + 0.0j
@@ -565,48 +547,27 @@ def sigma2_measure(
             if r in (ia, ib):
                 continue
             if a[r] == 1 + zeta:
-                val *= qpoch_infinite(q * z / t[r], q, prec)
+                val *= qpoch_infinite(q * z / t[r], q)
             if a[r] == -zeta:
-                val /= qpoch_infinite(t[r] * z, q, prec)
-        val /= qpoch_infinite(ta / z, q, prec) * qpoch_infinite(tb / z, q, prec)
+                val /= qpoch_infinite(t[r] * z, q)
+        val /= qpoch_infinite(ta / z, q) * qpoch_infinite(tb / z, q)
         if half:
-            val *= (1 - z * z) / (
-                qpoch_infinite(ta * z, q, prec) * qpoch_infinite(tb * z, q, prec)
-            )
-        val *= theta(w * z, q, prec) * theta(q * z / (ta * tb * w), q, prec)
-        val /= theta(ta * w, q, prec) * theta(tb * w, q, prec)
+            val *= (1 - z * z) / (qpoch_infinite(ta * z, q) * qpoch_infinite(tb * z, q))
+        val *= theta(w * z, q) * theta(q * z / (ta * tb * w), q)
+        val /= theta(ta * w, q) * theta(tb * w, q)
         return val
 
     return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, pair=pair)
 
 
-def sigma2_series(
-    alpha, t, q, pair=None, prec: Precision = DEFAULT_PREC
-) -> LimitMeasure:
+def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
     """Double-series form of the same limit measure; pair indices <= 3."""
-    from .polytope import zeta_for
-
-    a = _frac6(alpha)
+    a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
-    zeta = zeta_for(a)
-    if not -Q(1, 2) <= zeta < 0:
-        raise HypothesisError("need -1/2 <= zeta < 0")
-    if pair is None:
-        pair = _find_pair(a, zeta, limit4=True)
-    if pair is None:
-        raise HypothesisError(
-            "no pair a,b <= 3 with alpha_a = alpha_b = zeta"
-        )
+    zeta, pair = _sigma2_pair(a, pair, limit4=True)
     ia, ib = pair
-    if ia > 3 or ib > 3:
-        raise HypothesisError("series pair must avoid the u-parameter slots")
-    if a[ia] != zeta or a[ib] != zeta:
-        raise HypothesisError("pair must carry exponent zeta")
-    for r in range(6):
-        if r not in (ia, ib) and not -zeta <= a[r] <= 1 + zeta:
-            raise HypothesisError("alpha_r outside [-zeta, 1+zeta]")
     _check_balance(t, q, q)
     half = zeta == Q(-1, 2)
 
@@ -614,19 +575,19 @@ def sigma2_series(
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 1:
-                shared /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                shared /= qpoch_infinite(q / (t[r] * t[s]), q)
 
     def make_pref(x, y):
         # series based at t[x], companion t[y]
         pref = shared
         if half:
-            pref /= qpoch_infinite(q * t[x] ** 2, q, prec)
+            pref /= qpoch_infinite(q * t[x] ** 2, q)
         for r in range(6):
             if r not in (ia, ib) and a[r] == -zeta:
-                pref *= qpoch_infinite(t[r] * t[y], q, prec)
+                pref *= qpoch_infinite(t[r] * t[y], q)
             if r not in (ia, ib) and a[r] == 1 + zeta:
-                pref *= qpoch_infinite(q * t[x] / t[r], q, prec)
-        pref /= qpoch_infinite(t[y] / t[x], q, prec)
+                pref *= qpoch_infinite(q * t[x] / t[r], q)
+        pref /= qpoch_infinite(t[y] / t[x], q)
         return pref
 
     def weight(i, k):
@@ -658,11 +619,9 @@ def sigma2_series(
     )
 
 
-def sigma_measure(
-    alpha, t, q, a_index=None, prec: Precision = DEFAULT_PREC
-) -> LimitMeasure:
+def sigma_measure(alpha, t, q, a_index=None) -> LimitMeasure:
     """Single-series limit measure based at t_a q^k."""
-    a = _frac6(alpha)
+    a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
@@ -699,16 +658,16 @@ def sigma_measure(
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q, prec)
+                pref *= qpoch_infinite(t[r] * t[s], q)
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q, prec)
+                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
     for r in range(6):
         if r != ia and a[r] == 1 + aa:
-            pref *= qpoch_infinite(q * ta / t[r], q, prec)
+            pref *= qpoch_infinite(q * ta / t[r], q)
         if r != ia and a[r] == -aa:
-            pref /= qpoch_infinite(t[r] * ta, q, prec)
+            pref /= qpoch_infinite(t[r] * ta, q)
     if half:
-        pref /= qpoch_infinite(q * ta**2, q, prec)
+        pref /= qpoch_infinite(q * ta**2, q)
 
     small_prod = ta ** (Ncount - 2)
     for r in range(6):
@@ -738,13 +697,13 @@ def sigma_measure(
     )
 
 
-def finite_measure(alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> LimitMeasure:
+def finite_measure(alpha, t, N, q) -> LimitMeasure:
     """Finite limit measure with N+1 masses at t0 q^k."""
-    a = _frac6(alpha)
+    a = _as6(alpha)
     tt = tuple(complex(x) for x in t)
 
     def weight(i, k):
-        return finite_weights(k, a, tt, N, q, prec)
+        return finite_weights(k, a, tt, N, q)
 
     return LimitMeasure(
         "FINITE_DISCRETE",
@@ -760,7 +719,7 @@ def finite_measure(alpha, t, N, q, prec: Precision = DEFAULT_PREC) -> LimitMeasu
 # Askey-Wilson type top limit and numeric limit extraction
 
 
-def aw_phi43(n, z, t, u, q, prec: Precision = DEFAULT_PREC) -> complex:
+def aw_phi43(n, z, t, u, q) -> complex:
     """Terminating 4phi3 limit family at the top orthogonal-polynomial
     point, normalized to 1 at z = t0."""
     t0, t1, t2, t3 = (complex(x) for x in t)

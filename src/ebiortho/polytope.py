@@ -221,7 +221,10 @@ def _reflect(v: ExponentVector, c6, zshift) -> tuple[list, ExponentVector]:
     return word, apply_word(word, v)
 
 
-def reduce_to_P(v: ExponentVector, max_rounds: int = 64):
+_MAX_REDUCE_ROUNDS = 64
+
+
+def reduce_to_P(v: ExponentVector):
     """Map a balanced vector into P by lattice translations and the flip.
 
     Returns (word, reduced) with apply_word(word, v) == reduced and
@@ -230,7 +233,7 @@ def reduce_to_P(v: ExponentVector, max_rounds: int = 64):
     v.require_balanced()
     word: list = []
     cur = v
-    for _ in range(max_rounds):
+    for _ in range(_MAX_REDUCE_ROUNDS):
         if in_P(cur):
             return word, cur
         cur = _reduce_round(word, cur)

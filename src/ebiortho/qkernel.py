@@ -1,24 +1,23 @@
 """Numeric kernel: q-symbols, theta functions, elliptic gamma, and the
 shared circle quadrature.
 
-All infinite products are truncated under a relative tolerance with a
-geometric tail bound; hitting the term cap raises instead of returning a
-silently inaccurate value.  circle_mean is the one unit-circle quadrature
-of the package: the continuous elliptic inner product, the Pastro inner
-product and the integral limit measures all average their integrands
-with it.
+All infinite products are truncated once their geometric tail bound
+drops below the fixed tolerance _TOL = 1e-15; a product still above it
+after _MAX_TERMS = 4000 factors raises SeriesDivergence instead of
+returning a silently inaccurate value.  circle_mean is the one
+unit-circle quadrature of the package: the continuous elliptic inner
+product, the Pastro inner product and the integral limit measures all
+average their integrands with it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PoleError, SeriesDivergence
 
 __all__ = [
-    "Precision",
     "qpoch_finite",
     "qpoch_infinite",
     "theta",
@@ -29,21 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Relative truncation tolerance and term cap for infinite products."""
-
-    tol: float = 1e-15
-    max_terms: int = 4000
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_PREC = Precision()
+_TOL = 1e-15
+_MAX_TERMS = 4000
 
 
 def qpoch_finite(x: complex, q: complex, n: int) -> complex:
@@ -58,48 +44,44 @@ def qpoch_finite(x: complex, q: complex, n: int) -> complex:
     return out
 
 
-def qpoch_infinite(x: complex, q: complex, prec: Precision = DEFAULT_PREC) -> complex:
-    """(x;q)_infty, truncated when the geometric tail is below prec.tol."""
+def qpoch_infinite(x: complex, q: complex) -> complex:
+    """(x;q)_infty, truncated when the geometric tail is below _TOL."""
     if abs(q) >= 1:
         raise DomainError("qpoch_infinite requires |q| < 1")
     out = 1.0 + 0.0j
     xq = complex(x)
     aq = abs(q)
-    for _ in range(prec.max_terms):
+    for _ in range(_MAX_TERMS):
         # tail bound: remaining log-factors are bounded by |xq|/(1-|q|)
-        if abs(xq) / (1.0 - aq) < prec.tol:
+        if abs(xq) / (1.0 - aq) < _TOL:
             return out
         out *= 1.0 - xq
         xq *= q
     raise SeriesDivergence("qpoch_infinite hit max_terms before converging")
 
 
-def theta(x: complex, p: complex, prec: Precision = DEFAULT_PREC) -> complex:
+def theta(x: complex, p: complex) -> complex:
     """theta(x;p) = (x;p)_infty (p/x;p)_infty."""
     if x == 0:
         raise DomainError("theta requires x != 0")
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
-    return qpoch_infinite(x, p, prec) * qpoch_infinite(p / x, p, prec)
+    return qpoch_infinite(x, p) * qpoch_infinite(p / x, p)
 
 
-def theta_qp_finite(
-    x: complex, q: complex, p: complex, n: int, prec: Precision = DEFAULT_PREC
-) -> complex:
+def theta_qp_finite(x: complex, q: complex, p: complex, n: int) -> complex:
     """theta(x;q;p)_n = prod_{r=0}^{n-1} theta(x q^r; p).  |q| >= 1 allowed."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     out = 1.0 + 0.0j
     xq = complex(x)
     for _ in range(n):
-        out *= theta(xq, p, prec)
+        out *= theta(xq, p)
         xq *= q
     return out
 
 
-def elliptic_gamma(
-    x: complex, p: complex, q: complex, prec: Precision = DEFAULT_PREC
-) -> complex:
+def elliptic_gamma(x: complex, p: complex, q: complex) -> complex:
     """Gamma(x;p,q) = prod_{i,j>=0} (1 - p^{i+1} q^{j+1}/x) / (1 - p^i q^j x)."""
     if abs(p) >= 1 or abs(q) >= 1:
         raise DomainError("elliptic_gamma requires |p|, |q| < 1")
@@ -108,13 +90,13 @@ def elliptic_gamma(
     out = 1.0 + 0.0j
     pi = 1.0 + 0.0j
     amax = max(abs(p), abs(q))
-    for i in range(prec.max_terms):
-        if abs(pi) * (abs(x) + 1.0 / abs(x)) / (1.0 - amax) < prec.tol:
+    for i in range(_MAX_TERMS):
+        if abs(pi) * (abs(x) + 1.0 / abs(x)) / (1.0 - amax) < _TOL:
             return out
         # inner products in q at fixed power of p
-        num = qpoch_infinite(pi * p * q / x, q, prec)
-        den = qpoch_infinite(pi * x, q, prec)
-        if abs(den) < prec.tol * 1e-3:
+        num = qpoch_infinite(pi * p * q / x, q)
+        den = qpoch_infinite(pi * x, q)
+        if abs(den) < _TOL * 1e-3:
             raise PoleError("elliptic_gamma argument within tolerance of a pole")
         out *= num / den
         pi *= p

@@ -27,6 +27,7 @@ from .polytope import (
     _slacks,
     attach_zeta,
     face_name,
+    reduce_to_P,
     zeta_for,
 )
 
@@ -903,8 +904,6 @@ def askey_subscheme():
 
 
 def check_askey() -> list[str]:
-    from .polytope import reduce_to_P
-
     sch = build_scheme()
     systems = {s.name: s for s in sch.systems}
     errors: list[str] = []
@@ -950,7 +949,7 @@ def _frac_str(x: Fraction) -> str:
     return str(x)
 
 
-def emit_json(indent: int | None = 2) -> str:
+def emit_json() -> str:
     sch = build_scheme()
     systems = []
     for s in sch.systems:
@@ -973,7 +972,7 @@ def emit_json(indent: int | None = 2) -> str:
         "systems": systems,
         "version": "1",
     }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def emit_dot(include_as: bool = False) -> str:

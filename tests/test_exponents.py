@@ -94,8 +94,6 @@ def test_outside_P_rejected():
         norm_valuation(v, 1)
     with pytest.raises(DomainError):
         valuation_deficit(v)
-    # check=False skips the membership guard
-    rtilde_valuation(v, 1, check=False)
 
 
 def test_known_valuations_at_midpoints():

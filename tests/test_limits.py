@@ -12,6 +12,7 @@ from ebiortho.errors import (
     DomainError,
     HypothesisError,
     NonConvergence,
+    SeriesDivergence,
 )
 from ebiortho.limits import (
     LimitMeasure,
@@ -212,6 +213,10 @@ def test_directly_built_measures_apply():
         LimitMeasure("SIGMA2_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5, 0.7))
     with pytest.raises(DomainError):
         LimitMeasure("NO_SUCH_KIND", (1.0,), lambda z: 1.0, q)
+    # a series whose terms never shrink hits the fixed 400-term cap
+    flat = LimitMeasure("SIGMA_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5,))
+    with pytest.raises(SeriesDivergence):
+        flat.apply(ONE, ONE)
 
 
 def test_bad_node_count_is_a_domain_error():
