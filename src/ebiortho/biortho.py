@@ -282,11 +282,6 @@ def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> c
             raise ContourError(
                 "a parameter has modulus >= 1; unit circle inadmissible"
             )
-    pref = 1.0 + 0.0j
-    pref *= qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0
-    for r in range(6):
-        for s in range(r + 1, 6):
-            pref /= elliptic_gamma(ts[r] * ts[s], p, q)
 
     def integrand(zv):
         val = f(zv) * g(zv)
@@ -297,7 +292,14 @@ def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> c
         val /= elliptic_gamma(1.0 / (zv * zv), p, q)
         return val
 
-    return circle_mean(integrand, quad) * pref
+    # circle_mean checks quad before the prefactor's 15 gamma terms are paid
+    mean = circle_mean(integrand, quad)
+    pref = 1.0 + 0.0j
+    pref *= qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0
+    for r in range(6):
+        for s in range(r + 1, 6):
+            pref /= elliptic_gamma(ts[r] * ts[s], p, q)
+    return mean * pref
 
 
 def random_discrete_params(

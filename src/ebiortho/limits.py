@@ -347,7 +347,7 @@ def _check_sum1(a):
         raise HypothesisError("exponents must sum to 1")
 
 
-def _check_balance(t, q, prod_target):
+def _check_balance(t, prod_target):
     prod = 1.0 + 0.0j
     for x in t:
         prod *= x
@@ -363,7 +363,7 @@ def nr_measure(alpha, t, q) -> LimitMeasure:
     _check_sum1(a)
     if any(x < 0 for x in a):
         raise HypothesisError("all alpha_r must be >= 0")
-    _check_balance(t, q, q)
+    _check_balance(t, q)
     pref = qpoch_infinite(q, q) / 2.0
     for r in range(6):
         for s in range(r + 1, 6):
@@ -421,7 +421,7 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
         and all(-zeta <= a[i] <= 1 + zeta for i in range(6) if i not in trip)
     ):
         raise HypothesisError("triple violates the band conditions")
-    _check_balance(t, q, q)
+    _check_balance(t, q)
 
     inside = set(trip)
     pref = qpoch_infinite(q, q)
@@ -520,7 +520,7 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
     _check_sum1(a)
     zeta, pair = _sigma2_pair(a, pair, limit4=False)
     ia, ib = pair
-    _check_balance(t, q, q)
+    _check_balance(t, q)
     ta, tb = t[ia], t[ib]
     half = zeta == Q(-1, 2)
     for r in range(6):
@@ -568,7 +568,7 @@ def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
     _check_sum1(a)
     zeta, pair = _sigma2_pair(a, pair, limit4=True)
     ia, ib = pair
-    _check_balance(t, q, q)
+    _check_balance(t, q)
     half = zeta == Q(-1, 2)
 
     shared = 1.0 + 0.0j
@@ -649,7 +649,7 @@ def sigma_measure(alpha, t, q, a_index=None) -> LimitMeasure:
                 raise HypothesisError("pair sums must lie in (0, 1]")
     if sum(aa + a[r] for r in range(6) if r != ia and a[r] + aa < 0) != 2 * aa:
         raise HypothesisError("mass-count constraint on alpha violated")
-    _check_balance(t, q, q)
+    _check_balance(t, q)
     ta = t[ia]
     half = aa == Q(-1, 2)
     Ncount = sum(1 for r in range(6) if r != ia and a[r] < -aa)

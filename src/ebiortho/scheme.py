@@ -945,10 +945,6 @@ def check_askey() -> list[str]:
 # ---------------------------------------------------------------------------
 # Emitters
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def emit_json() -> str:
     sch = build_scheme()
     systems = []
@@ -957,7 +953,7 @@ def emit_json() -> str:
         for r in s.realizations:
             realizations.append({
                 "measure": r.measure_tag,
-                "midpoint": [_frac_str(x) for x in r.midpoint],
+                "midpoint": [str(x) for x in r.midpoint],
                 "vertices": list(r.vertices),
             })
         systems.append({

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ebiortho.cli import Config, main, parse_rational
+from ebiortho.cli import main, parse_rational
 
 
 def test_parse_rational_exact():
@@ -18,15 +18,15 @@ def test_parse_rational_exact():
             parse_rational(bad)
 
 
-def test_config_invariants():
-    Config(tol=1e-9)
-    Config(tol=1e-2)
-    with pytest.raises(ValueError):
-        Config(tol=0.5)
-    with pytest.raises(ValueError):
-        Config(tol=0.0)
-    with pytest.raises(ValueError):
-        Config(quad=7)
+def test_run_settings_are_validated(capsys):
+    for bad in (["--tol", "0.5"], ["--tol", "0"], ["--quad", "7"], ["--quad", "6"]):
+        assert main(["verify", "measures", *bad]) == 2
+    assert main(["verify", "measures", "--tol", "1e-2"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    # the run settings belong to verify alone
+    assert main(["--quad", "256", "verify", "measures"]) == 2
+    vector = ["0", "0", "0", "0", "1/2", "1/2", "0"]
+    assert main(["classify", *vector, "--quad", "256"]) == 2
 
 
 def test_classify_known_system(capsys):
@@ -86,7 +86,7 @@ def test_verify_rejects_empty_or_negative_counts(argv, capsys):
 def test_usage_errors():
     assert main(["no-such-command"]) == 2
     assert main(["verify", "no-such-kind"]) == 2
-    assert main(["--tol", "0.5", "verify", "pastro"]) == 2
+    assert main(["verify", "pastro", "--tol", "0.5"]) == 2
     assert main(["verify", "limit", "--face", "bogus"]) == 2
 
 
@@ -112,7 +112,7 @@ def test_verify_discrete_small(capsys):
 
 def test_verify_tol_can_force_failure(capsys):
     # an absurdly tight tolerance flips the exit code, not the report
-    assert main(["--tol", "1e-18", "verify", "elliptic-continuous"]) == 1
+    assert main(["verify", "elliptic-continuous", "--tol", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -140,9 +140,6 @@ def test_scheme_out_file(tmp_path, capsys):
     assert len(path.read_text().strip().split("\n")) == 39
 
 
-def test_env_config(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quad": 256, "seed": 1}))
-    monkeypatch.setenv("EBIORTHO_CONFIG", str(cfg))
-    assert main(["verify", "elliptic-continuous"]) == 0
+def test_quad_reaches_the_suite(capsys):
+    assert main(["verify", "elliptic-continuous", "--quad", "256"]) == 0
     assert "256 nodes" in capsys.readouterr().out

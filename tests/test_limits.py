@@ -103,6 +103,16 @@ def test_pastro_B_eq_q_monomial():
         )
 
 
+def test_pastro_B_to_q_from_both_sides():
+    # pastro_p returns the monomial itself at B = q, so check the series
+    # on both sides of its removable singularity instead
+    A, q = 0.55, 0.45
+    w = cmath.exp(0.7j)
+    for n in range(7):
+        mean = sum(pastro_p(n, w, A, q * (1 + h), q) for h in (1e-5, -1e-5)) / 2
+        assert abs(mean - w**n * A**n * q ** (-n / 2)) < 1e-9
+
+
 def test_pastro_P_normalized_at_t0():
     q = 0.45
     t = (1.7, 1.2, 2.3, 0.9)
@@ -219,7 +229,17 @@ def test_directly_built_measures_apply():
         flat.apply(ONE, ONE)
 
 
-def test_bad_node_count_is_a_domain_error():
+def test_bad_node_count_is_a_domain_error(monkeypatch):
+    import ebiortho.biortho
+
+    gamma_calls = []
+    real_gamma = ebiortho.biortho.elliptic_gamma
+
+    def counted_gamma(*args):
+        gamma_calls.append(args)
+        return real_gamma(*args)
+
+    monkeypatch.setattr(ebiortho.biortho, "elliptic_gamma", counted_gamma)
     t = [0.4, 0.5, 0.7, 0.45, 0.55]
     nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
     par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
@@ -230,6 +250,8 @@ def test_bad_node_count_is_a_domain_error():
             nr.apply(ONE, ONE, quad=quad)
         with pytest.raises(DomainError):
             continuous_inner_product(ONE, ONE, par, quad=quad)
+    # the quad check comes before any elliptic-gamma work
+    assert gamma_calls == []
 
 
 FW_ALPHA = (0, 0, 1, 0, 0, 0)
