@@ -3,9 +3,10 @@
 rtilde evaluates the terminating very-well-poised theta series; the
 discrete inner product is a finite point-mass sum valid when t0*t1 is a
 negative q-power, the continuous one a unit-circle quadrature of the
-elliptic-gamma integrand (qkernel.circle_mean).  Both are normalized so
-that <1,1> = 1.  random_discrete_params draws well-conditioned discrete
-parameters for the verification suites and tests.
+elliptic-gamma weight (continuous_weight, qkernel.circle_mean).  Both
+are normalized so that <1,1> = 1.  random_discrete_params draws
+well-conditioned discrete parameters for the verification suites and
+tests.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ from .errors import (
     DomainError,
     EbiorthoError,
     NonConvergence,
+    NonFiniteValue,
     PoleError,
 )
 from .qkernel import (
+    check_quad,
     circle_mean,
+    cos_series,
     csum,
     elliptic_gamma,
+    gamma_pair_log_series,
     qpoch_infinite,
+    theta,
     theta_qp_finite,
 )
 
@@ -37,6 +43,7 @@ __all__ = [
     "check_symmetries",
     "discrete_inner_product",
     "norm_formula",
+    "continuous_weight",
     "continuous_inner_product",
     "random_discrete_params",
 ]
@@ -161,7 +168,10 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
                 raise PoleError("rtilde denominator theta factor vanishes")
             den *= fac
         terms.append(head * num / den * q**k)
-    return csum(terms)
+    out = csum(terms)
+    if not cmath.isfinite(out):
+        raise NonFiniteValue("rtilde left the floating-point range")
+    return out
 
 
 def check_symmetries(n: int, z: complex, params: EllipticParams) -> dict[str, float]:
@@ -267,11 +277,41 @@ def norm_formula(n: int, params: EllipticParams) -> complex:
     return head * num / den * q ** (-n)
 
 
+def continuous_weight(params: EllipticParams):
+    """The weight w(z) = prod_r Gamma(t_r z^+-1) / Gamma(z^+-2) on |z| = 1.
+
+    Returns a function of z, valid on the unit circle only.  The six
+    parameters t0..t3, u0, u1 with |pq| < |t_r| < 1 enter through one
+    cosine series, exp(2 sum_n c_n cos(n phi)) at z = exp(i phi), whose
+    coefficients qkernel.gamma_pair_log_series computes once here; any
+    other parameter, or one whose series would need more than the
+    4000-term cap, keeps its product factor Gamma(t_r z) Gamma(t_r / z).
+    The Gamma(z^+-2) factors come from
+    1/Gamma(x^+-1) = theta(x;p) theta(1/x;q).  w(1/z) = w(z).
+    """
+    p, q = params.p, params.q
+    coeffs, rest = gamma_pair_log_series(params.t + params.u, p, q)
+
+    def weight(zv):
+        z2 = zv * zv
+        val = cmath.exp(2.0 * cos_series(coeffs, zv))
+        val *= theta(z2, p) * theta(1.0 / z2, q)
+        for tr in rest:
+            val *= elliptic_gamma(tr * zv, p, q) * elliptic_gamma(tr / zv, p, q)
+        return val
+
+    return weight
+
+
 def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
     """Unit-circle quadrature of the elliptic-gamma bilinear form.
 
     The unit circle must contain all pole ladders p^i q^j t_r of the six
-    parameters t0..t3, u0, u1.
+    parameters t0..t3, u0, u1.  The weight is continuous_weight, so
+    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 is inversion-symmetric for any
+    f and g and has the same midpoint-rule mean as w f g; circle_mean
+    averages it over the upper half of the quad-node grid.  quad is
+    checked before any weight work.
     """
     if abs(params.q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
@@ -282,18 +322,14 @@ def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> c
             raise ContourError(
                 "a parameter has modulus >= 1; unit circle inadmissible"
             )
+    check_quad(quad)
+    weight = continuous_weight(params)
 
     def integrand(zv):
-        val = f(zv) * g(zv)
-        for tr in ts:
-            val *= elliptic_gamma(tr * zv, p, q)
-            val *= elliptic_gamma(tr / zv, p, q)
-        val /= elliptic_gamma(zv * zv, p, q)
-        val /= elliptic_gamma(1.0 / (zv * zv), p, q)
-        return val
+        zi = 1.0 / zv
+        return weight(zv) * (f(zv) * g(zv) + f(zi) * g(zi)) / 2
 
-    # circle_mean checks quad before the prefactor's 15 gamma terms are paid
-    mean = circle_mean(integrand, quad)
+    mean = circle_mean(integrand, quad, inversion_symmetric=True)
     pref = 1.0 + 0.0j
     pref *= qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0
     for r in range(6):

@@ -33,6 +33,10 @@ class NonConvergence(EbiorthoError):
     """A numeric limit or extrapolation did not stabilize."""
 
 
+class NonFiniteValue(EbiorthoError):
+    """A result left the floating-point range (inf or NaN)."""
+
+
 class NonTermination(EbiorthoError):
     """An iteration bound was hit; indicates an implementation bug."""
 

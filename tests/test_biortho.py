@@ -11,12 +11,14 @@ from ebiortho.biortho import (
     EllipticParams,
     check_symmetries,
     continuous_inner_product,
+    continuous_weight,
     discrete_inner_product,
     norm_formula,
     random_discrete_params,
     rtilde,
 )
 from ebiortho.errors import ContourError, DomainError
+from ebiortho.qkernel import circle_mean, elliptic_gamma, qpoch_infinite
 
 ONE = lambda z: 1.0
 
@@ -124,6 +126,97 @@ def test_continuous_unity_and_node_doubling():
     assert abs(full - 1.0) < 1e-6
     double = continuous_inner_product(ONE, ONE, par, quad=1024)
     assert abs(double - full) < 1e-8
+
+
+def _product_weight(par):
+    """The weight as 14 elliptic-gamma products, valid off the circle too."""
+    p, q = par.p, par.q
+
+    def weight(z):
+        val = 1.0 / (elliptic_gamma(z * z, p, q) * elliptic_gamma(1 / (z * z), p, q))
+        for t in par.t + par.u:
+            val *= elliptic_gamma(t * z, p, q) * elliptic_gamma(t / z, p, q)
+        return val
+
+    return weight
+
+
+def _product_reference(f, g, par, quad):
+    """continuous_inner_product in product form on the full circle."""
+    p, q = par.p, par.q
+    ts = par.t + par.u
+    weight = _product_weight(par)
+    pref = qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0
+    for r in range(6):
+        for s in range(r + 1, 6):
+            pref /= elliptic_gamma(ts[r] * ts[s], p, q)
+    return pref * circle_mean(lambda z: weight(z) * f(z) * g(z), quad)
+
+
+def _unit(r, phi):
+    return r * cmath.exp(1j * phi)
+
+
+# p, q and |t0| in the ranges of the first benchmark stratum (|t0| = 0.93),
+# and one with |t0| = 0.995, which the log series leaves to the product form
+NEAR_CIRCLE = EllipticParams(
+    (_unit(0.93, 0.4), _unit(0.6, -1.1), _unit(0.5, 2.0), _unit(0.7, 0.3)),
+    (_unit(0.55, -0.7), None),
+    _unit(0.11, -2.2),
+    _unit(0.055, 0.9),
+)
+FALLBACK = EllipticParams((0.995, 0.5, 0.4, 0.3), (0.3, None), 0.1, 0.05)
+
+
+@pytest.mark.parametrize(
+    "par, f",
+    [(NEAR_CIRCLE, lambda z: z**3 + 0.3 / z), (FALLBACK, ONE)],
+    ids=["near-circle-nonsymmetric-f", "t0-0.995-fallback"],
+)
+def test_continuous_matches_product_reference(par, f):
+    for quad in (512, 1024):
+        got = continuous_inner_product(f, ONE, par, quad=quad)
+        ref = _product_reference(f, ONE, par, quad)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_continuous_weight_matches_product_form():
+    # |u1| = 0.0045 <= |pq| and |t0|, |u0| >= 1 keep the product form
+    outside = EllipticParams((1.5, 0.9, 0.8, 0.8), (1.3, None), 0.1, 0.05)
+    assert abs(outside.u[1]) <= abs(outside.p * outside.q)
+    for par in (outside, FALLBACK, NEAR_CIRCLE):
+        weight, ref = continuous_weight(par), _product_weight(par)
+        for phi in (0.01, 0.9, 2.0, math.pi - 0.01):
+            z = cmath.exp(1j * phi)
+            w, r = weight(z), ref(z)
+            assert abs(w - r) <= 1e-13 * abs(r)
+            assert abs(weight(1 / z) - w) <= 1e-13 * abs(w)
+
+
+def test_continuous_rtilde_block():
+    # u0 q^-2 = 0.8: the unit circle stays admissible for degrees n, m <= 2
+    par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
+    sw = par.swapped_u()
+    cache = {}
+
+    def cached(n, params):
+        def fn(z):
+            key = (n, params is sw, z)
+            if key not in cache:
+                cache[key] = rtilde(n, z, params)
+            return cache[key]
+
+        return fn
+
+    for n in range(3):
+        h = norm_formula(n, par)
+        for m in range(3):
+            v = continuous_inner_product(cached(n, par), cached(m, sw), par, quad=512)
+            if n == m:
+                assert abs(v - h) <= 1e-12 * abs(h)
+            else:
+                scale = (abs(h) * abs(norm_formula(m, par))) ** 0.5
+                assert abs(v) <= 1e-12 * scale
 
 
 def test_continuous_contour_guard():

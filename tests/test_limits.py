@@ -12,6 +12,7 @@ from ebiortho.errors import (
     DomainError,
     HypothesisError,
     NonConvergence,
+    NonFiniteValue,
     SeriesDivergence,
 )
 from ebiortho.limits import (
@@ -19,6 +20,7 @@ from ebiortho.limits import (
     aw_phi43,
     finite_measure,
     finite_weights,
+    limit_value,
     nr_measure,
     numeric_limit,
     pastro_P,
@@ -232,14 +234,15 @@ def test_directly_built_measures_apply():
 def test_bad_node_count_is_a_domain_error(monkeypatch):
     import ebiortho.biortho
 
-    gamma_calls = []
-    real_gamma = ebiortho.biortho.elliptic_gamma
+    weight_calls = []
+    for name in ("elliptic_gamma", "gamma_pair_log_series"):
+        real = getattr(ebiortho.biortho, name)
 
-    def counted_gamma(*args):
-        gamma_calls.append(args)
-        return real_gamma(*args)
+        def counted(*args, real=real):
+            weight_calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(ebiortho.biortho, "elliptic_gamma", counted_gamma)
+        monkeypatch.setattr(ebiortho.biortho, name, counted)
     t = [0.4, 0.5, 0.7, 0.45, 0.55]
     nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
     par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
@@ -250,8 +253,10 @@ def test_bad_node_count_is_a_domain_error(monkeypatch):
             nr.apply(ONE, ONE, quad=quad)
         with pytest.raises(DomainError):
             continuous_inner_product(ONE, ONE, par, quad=quad)
-    # the quad check comes before any elliptic-gamma work
-    assert gamma_calls == []
+    # the quad check comes before any elliptic-gamma or series work
+    assert weight_calls == []
+    continuous_inner_product(ONE, ONE, par, quad=8)
+    assert weight_calls, "the counters must see the weight work"
 
 
 FW_ALPHA = (0, 0, 1, 0, 0, 0)
@@ -337,3 +342,13 @@ def test_numeric_limit_guard():
             v,
             [1e-2, 1e-3, 1e-4, 1e-5],
         )
+
+
+@pytest.mark.parametrize(
+    "face, n, p", [("1111pp", 4, 1e-64), ("40as", 4, 1e-48), ("40as", 3, 1e-64)]
+)
+def test_rtilde_out_of_range_raises(face, n, p):
+    # at these depths the theta products of the last series term underflow
+    # to 0 and overflow to inf; their product was returned as nan+nanj
+    with pytest.raises(NonFiniteValue):
+        limit_value(face, n, p)

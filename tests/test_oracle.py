@@ -1,0 +1,68 @@
+"""Checks against an independent 40-digit mpmath evaluation.
+
+mpmath is an optional test dependency (the `test` extra); without it the
+module is skipped.
+"""
+
+import cmath
+
+import pytest
+
+from ebiortho.biortho import EllipticParams, continuous_weight
+
+mp = pytest.importorskip("mpmath")
+
+
+def _mp_weight(par, z):
+    """prod_r Gamma(t_r z^+-1) / Gamma(z^+-2) from the double products
+    Gamma(x) = prod_{i,j>=0} (1 - p^(i+1) q^(j+1) / x) / (1 - p^i q^j x),
+    cut where |p^i q^j| < 1e-22.  The factors left out change the value
+    by about 1e-21 relative, eight digits below the tolerance checked.
+    """
+    p, q, z = mp.mpc(par.p), mp.mpc(par.q), mp.mpc(z)
+    up = [mp.mpc(t) * w for t in par.t + par.u for w in (z, 1 / z)]
+    down = [z**2, z**-2]
+    num_roots = [p * q / x for x in up] + down
+    den_roots = up + [p * q / x for x in down]
+    eps = mp.mpf(10) ** -22
+    num = den = mp.mpf(1)
+    pi = mp.mpf(1)
+    while abs(pi) > eps:
+        pij = pi
+        while abs(pij) > eps:
+            for c in num_roots:
+                num *= 1 - pij * c
+            for c in den_roots:
+                den *= 1 - pij * c
+            pij *= q
+        pi *= p
+    return complex(num / den)
+
+
+def _unit(r, phi):
+    return r * cmath.exp(1j * phi)
+
+
+WEIGHT_CASES = {
+    # the parameters of `verify elliptic-continuous`
+    "cli": EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22),
+    # complex parameters with |t0| = 0.95, close to the unit circle
+    "complex": EllipticParams(
+        (_unit(0.95, 0.7), _unit(0.6, -0.4), _unit(0.5, 2.1), _unit(0.8, -1.9)),
+        (_unit(0.45, 0.3), None),
+        _unit(0.3, 1.2),
+        _unit(0.12, -0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_continuous_weight_against_mpmath(name):
+    par = WEIGHT_CASES[name]
+    weight = continuous_weight(par)
+    with mp.workdps(40):
+        # node 0 sits next to the double zero of the weight at z = 1
+        for j in (0, 100, 255):
+            z = cmath.exp(2j * cmath.pi * (j + 0.5) / 512)
+            ref = _mp_weight(par, z)
+            assert abs(weight(z) - ref) <= 1e-13 * abs(ref)

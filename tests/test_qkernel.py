@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from ebiortho.errors import DomainError, PoleError, SeriesDivergence
 from ebiortho.qkernel import (
+    circle_mean,
+    cos_series,
     elliptic_gamma,
+    gamma_pair_log_series,
     qpoch_finite,
     qpoch_infinite,
     theta,
@@ -136,3 +139,55 @@ def test_series_divergence_guard():
     # |q| this close to 1 needs far more than the fixed 4000-factor cap
     with pytest.raises(SeriesDivergence):
         qpoch_infinite(0.5, 0.999999)
+
+
+def test_gamma_pair_log_series_matches_product():
+    rng = random.Random(1)
+    for _ in range(20):
+        p = _rand_annulus(rng, 0.02, 0.3)
+        q = _rand_annulus(rng, 0.02, 0.3)
+        ts = [_rand_annulus(rng, 0.3, 0.95) for _ in range(3)]
+        coeffs, rest = gamma_pair_log_series(ts, p, q)
+        assert rest == []
+        z = cmath.exp(2j * math.pi * rng.random())
+        prod = 1.0
+        for t in ts:
+            prod *= elliptic_gamma(t * z, p, q) * elliptic_gamma(t / z, p, q)
+        series = cmath.exp(2 * cos_series(coeffs, z))
+        assert abs(series - prod) <= 1e-13 * abs(prod)
+
+
+def test_gamma_pair_log_series_fallback_rule():
+    p, q = 0.05, 0.1
+    # |t| <= |pq|, |t| >= 1, and a modulus whose terms need more than
+    # the 4000-term cap (0.995 needs about 6600) keep the product form
+    for t in (0.004, 1.2, 0.995):
+        assert gamma_pair_log_series([t], p, q) == ([], [t])
+    coeffs, rest = gamma_pair_log_series([0.99, 0.004], p, q)
+    assert rest == [0.004] and 0 < len(coeffs) <= 4000
+
+
+def test_cos_series_long_and_near_the_real_axis():
+    # sum r^n cos(n phi) / n = -log|1 - r e^(i phi)|, where
+    # |1 - r e^(i phi)|^2 = (1 - r)^2 + 4 r sin^2(phi / 2) for r > 0 and
+    # (1 + r)^2 - 4 r cos^2(phi / 2) for r < 0; 3500 terms of |r| = 0.99
+    # leave a tail below 1e-17.  Clenshaw's recurrence in cos(phi) is off
+    # by up to 9e-14 here, Reinsch's form by 9e-16.
+    for r in (0.99, -0.99):
+        coeffs = [r**n / n for n in range(1, 3501)]
+        for phi in (0.001, 0.01, 1.0, math.pi - 0.01, math.pi - 0.001):
+            half = math.sin(phi / 2) if r > 0 else math.cos(phi / 2)
+            exact = -0.5 * math.log((1 - abs(r)) ** 2 + 4 * abs(r) * half**2)
+            got = cos_series(coeffs, cmath.exp(1j * phi))
+            assert abs(got - exact) < 1e-14 * max(1.0, abs(exact))
+
+
+def test_circle_mean_inversion_symmetric_half_grid():
+    fn = lambda z: cmath.exp(z + 1 / z) * (2 + z**3 + z**-3)
+    for quad in (8, 30, 64):
+        full = circle_mean(fn, quad)
+        half = circle_mean(fn, quad, inversion_symmetric=True)
+        assert abs(half - full) < 1e-14 * abs(full)
+    nodes = []
+    circle_mean(lambda z: nodes.append(z) or 1.0, 64, inversion_symmetric=True)
+    assert len(nodes) == 32 and all(z.imag > 0 for z in nodes)
