@@ -69,10 +69,11 @@ def _phi(numer, denom, q, x, nterms) -> complex:
     for k in range(nterms):
         out += term
         fac = x
+        qk = q**k
         for a in numer:
-            fac *= 1.0 - a * q**k
+            fac *= 1.0 - a * qk
         for b in denom:
-            db = 1.0 - b * q**k
+            db = 1.0 - b * qk
             if abs(db) < 1e-14:
                 raise PoleError("basic hypergeometric denominator vanishes")
             fac /= db
@@ -285,7 +286,9 @@ class LimitMeasure:
 
     kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
     FINITE_DISCRETE.  For integral kinds weight is a function of z on the
-    circle; for series kinds weight(i, k) multiplies f(b q^k) g(b q^k)
+    circle; an NR_INTEGRAL weight must satisfy w(1/z) = w(z), because
+    apply averages w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper
+    half circle.  For series kinds weight(i, k) multiplies f(b q^k) g(b q^k)
     for the i-th base point b of bases.  prefactors holds one factor per
     base point (a single one for the integral kinds).  n_masses is the
     length of the finite series; triple, pair and base_index record the
@@ -310,7 +313,17 @@ class LimitMeasure:
 
     def apply(self, f, g, quad: int = 512) -> complex:
         q = self.q
-        if self.kind in _INTEGRAL_KINDS:
+        if self.kind == "NR_INTEGRAL":
+            # the NR weight is inversion-symmetric, so the symmetrized
+            # integrand has the same mean over half the nodes
+            def integrand(z):
+                zi = 1.0 / z
+                return self.weight(z) * (f(z) * g(z) + f(zi) * g(zi)) / 2
+
+            return self.prefactors[0] * circle_mean(
+                integrand, quad, inversion_symmetric=True
+            )
+        if self.kind == "SB_INTEGRAL":
             return self.prefactors[0] * circle_mean(
                 lambda z: self.weight(z) * f(z) * g(z), quad
             )
@@ -375,15 +388,18 @@ def nr_measure(alpha, t, q) -> LimitMeasure:
         if a[r] == 0 and abs(t[r]) >= 1:
             raise ContourError("|t_r| >= 1 for a weight-denominator parameter")
 
+    # (t_r, alpha_r == 1) for the parameters with alpha_r in {0, 1}
+    roles = [(t[r], a[r] == 1) for r in range(6) if a[r] in (0, 1)]
+
     def weight(z):
         val = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
-        for r in range(6):
-            if a[r] == 1:
-                val *= qpoch_infinite(q * z / t[r], q)
-                val *= qpoch_infinite(q / (t[r] * z), q)
-            elif a[r] == 0:
-                val /= qpoch_infinite(t[r] * z, q)
-                val /= qpoch_infinite(t[r] / z, q)
+        for tr, upper in roles:
+            if upper:
+                val *= qpoch_infinite(q * z / tr, q)
+                val *= qpoch_infinite(q / (tr * z), q)
+            else:
+                val /= qpoch_infinite(tr * z, q)
+                val /= qpoch_infinite(tr / z, q)
         return val
 
     return LimitMeasure("NR_INTEGRAL", (pref,), weight, q)
@@ -452,26 +468,35 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
                 "|t_r| >= 1 for a weight-denominator parameter"
             )
 
+    # (t_r, r in the triple, numerator role, denominator role), in r order
+    roles = [
+        (t[r], True, a[r] == -zeta, a[r] == zeta)
+        if r in inside
+        else (t[r], False, a[r] == 1 + zeta, a[r] == -zeta)
+        for r in range(6)
+    ]
+    half_roles = [(t[r], a[r] == Q(1, 2), a[r] == Q(-1, 2)) for r in trip]
+
     def weight(z):
         val = theta(q * z / tprod, q)
-        for r in range(6):
-            if r in inside:
-                if a[r] == -zeta:
-                    val *= qpoch_infinite(q / (t[r] * z), q)
-                if a[r] == zeta:
-                    val /= qpoch_infinite(t[r] / z, q)
+        for tr, inner, up, down in roles:
+            if inner:
+                if up:
+                    val *= qpoch_infinite(q / (tr * z), q)
+                if down:
+                    val /= qpoch_infinite(tr / z, q)
             else:
-                if a[r] == 1 + zeta:
-                    val *= qpoch_infinite(q * z / t[r], q)
-                if a[r] == -zeta:
-                    val /= qpoch_infinite(t[r] * z, q)
+                if up:
+                    val *= qpoch_infinite(q * z / tr, q)
+                if down:
+                    val /= qpoch_infinite(tr * z, q)
         if half:
             val *= qpoch_infinite(z * z, q) / qpoch_infinite(q * z * z, q)
-            for r in trip:
-                if a[r] == Q(1, 2):
-                    val *= qpoch_infinite(q * z / t[r], q)
-                if a[r] == Q(-1, 2):
-                    val /= qpoch_infinite(t[r] * z, q)
+            for tr, up, down in half_roles:
+                if up:
+                    val *= qpoch_infinite(q * z / tr, q)
+                if down:
+                    val /= qpoch_infinite(tr * z, q)
         return val
 
     return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, triple=trip)
@@ -541,20 +566,24 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
             if a[r] + a[s] == 1:
                 pref /= qpoch_infinite(q / (t[r] * t[s]), q)
 
+    # (t_r, alpha_r == 1 + zeta, alpha_r == -zeta) off the pair, in r order
+    roles = [
+        (t[r], a[r] == 1 + zeta, a[r] == -zeta) for r in range(6) if r not in (ia, ib)
+    ]
+    theta_w = theta(ta * w, q) * theta(tb * w, q)
+
     def weight(z):
         val = 1.0 + 0.0j
-        for r in range(6):
-            if r in (ia, ib):
-                continue
-            if a[r] == 1 + zeta:
-                val *= qpoch_infinite(q * z / t[r], q)
-            if a[r] == -zeta:
-                val /= qpoch_infinite(t[r] * z, q)
+        for tr, up, down in roles:
+            if up:
+                val *= qpoch_infinite(q * z / tr, q)
+            if down:
+                val /= qpoch_infinite(tr * z, q)
         val /= qpoch_infinite(ta / z, q) * qpoch_infinite(tb / z, q)
         if half:
             val *= (1 - z * z) / (qpoch_infinite(ta * z, q) * qpoch_infinite(tb * z, q))
         val *= theta(w * z, q) * theta(q * z / (ta * tb * w), q)
-        val /= theta(ta * w, q) * theta(tb * w, q)
+        val /= theta_w
         return val
 
     return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, pair=pair)

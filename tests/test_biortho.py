@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+import ebiortho.qkernel
 from ebiortho.biortho import (
     DiscreteSpec,
     EllipticParams,
+    _mass_condition,
     check_symmetries,
     continuous_inner_product,
     continuous_weight,
@@ -17,8 +19,14 @@ from ebiortho.biortho import (
     random_discrete_params,
     rtilde,
 )
-from ebiortho.errors import ContourError, DomainError
-from ebiortho.qkernel import circle_mean, elliptic_gamma, qpoch_infinite
+from ebiortho.errors import ContourError, DomainError, PoleError
+from ebiortho.qkernel import (
+    circle_mean,
+    csum,
+    elliptic_gamma,
+    qpoch_infinite,
+    theta_qp_finite,
+)
 
 ONE = lambda z: 1.0
 
@@ -243,3 +251,153 @@ def test_rtilde_rejects_negative_degree():
     par = EllipticParams((0.7, 0.6, 0.5, 0.4), (0.3, None), 0.35, 0.05)
     with pytest.raises(DomainError):
         rtilde(-1, 1.0, par)
+
+
+# ---------------------------------------------------------------------------
+# Running theta Pochhammer products: cost and unchanged values
+
+
+def _theta_prod(args, q, p, k):
+    out = 1.0 + 0.0j
+    for a in args:
+        out *= theta_qp_finite(a, q, p, k)
+    return out
+
+
+def _rtilde_reference(n, z, params):
+    """rtilde with every symbol rebuilt per term: 10n(n+1) theta calls."""
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    terms = []
+    for k in range(n + 1):
+        head = theta_qp_finite(q * t0 / u0, q, p, 2 * k) / theta_qp_finite(
+            t0 / u0, q, p, 2 * k
+        )
+        num = _theta_prod(
+            [t0 / u0, p * q**n / (u0 * u1), q ** (-n), t0 * z, t0 / z,
+             q / (u0 * t1), q / (u0 * t2), q / (u0 * t3)],
+            q, p, k,
+        )
+        den = _theta_prod(
+            [q, q ** (1 - n) * t0 * u1 / p, q ** (n + 1) * t0 / u0, q * z / u0,
+             q / (u0 * z), t0 * t1, t0 * t2, t0 * t3],
+            q, p, k,
+        )
+        terms.append(head * num / den * q**k)
+    return csum(terms)
+
+
+def _discrete_reference(f, g, params, spec):
+    """discrete_inner_product with every symbol rebuilt per point mass."""
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    N = spec.N
+    closing = _theta_prod(
+        [q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p], q, p, N
+    ) / _theta_prod([t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)], q, p, N)
+    terms = []
+    for k in range(N + 1):
+        zk = t0 * q**k
+        head = theta_qp_finite(q * t0 * t0, q, p, 2 * k) / theta_qp_finite(
+            t0 * t0, q, p, 2 * k
+        )
+        num = _theta_prod(
+            [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p], q, p, k
+        )
+        den = _theta_prod(
+            [q, q * t0 / t1, q * t0 / t2, q * t0 / t3, q * t0 / u0, p * q * t0 / u1],
+            q, p, k,
+        )
+        terms.append(f(zk) * g(zk) * head * num / den * q**k)
+    return csum(terms) * closing
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    calls = []
+    real = ebiortho.qkernel.theta
+
+    def counted(x, p):
+        calls.append(x)
+        return real(x, p)
+
+    monkeypatch.setattr(ebiortho.qkernel, "theta", counted)
+    return calls
+
+
+def test_rtilde_makes_20n_theta_calls(theta_calls):
+    par = random_discrete_params(random.Random(6))
+    for n in range(7):
+        theta_calls.clear()
+        rtilde(n, 1.1 * cmath.exp(0.4j), par)
+        assert len(theta_calls) == 20 * n
+
+
+def test_discrete_makes_24N_theta_calls(theta_calls):
+    rng = random.Random(7)
+    for N in range(1, 7):
+        par = random_discrete_params(rng, N=N)
+        theta_calls.clear()
+        discrete_inner_product(ONE, ONE, par, DiscreteSpec(N))
+        assert len(theta_calls) == 24 * N
+
+
+def test_running_products_equal_the_per_term_reference():
+    rng = random.Random(8)
+    f = lambda z: z**3 + 0.3 / z
+    g = lambda z: 1 + 0.2 * z * z
+    for N in (2, 5):
+        spec = DiscreteSpec(N)
+        for _ in range(3):
+            par = random_discrete_params(rng, N=N)
+            assert par.q.imag != 0
+            sw = par.swapped_u()
+            points = [par.t[0] * par.q**k for k in range(N + 1)]
+            off = [1.1 * cmath.exp(2j * math.pi * rng.random()), 0.4 - 0.9j]
+            for n in range(N + 1):
+                for z in points[:3] + off:
+                    assert rtilde(n, z, par) == _rtilde_reference(n, z, par)
+                    assert rtilde(n, z, sw) == _rtilde_reference(n, z, sw)
+            assert discrete_inner_product(f, g, par, spec) == _discrete_reference(
+                f, g, par, spec
+            )
+            for n in range(3):
+                fn = lambda z, n=n: rtilde(n, z, par)
+                gm = lambda z, n=n: rtilde(2 - n, z, sw)
+                assert discrete_inner_product(fn, gm, par, spec) == (
+                    _discrete_reference(fn, gm, par, spec)
+                )
+
+
+def test_mass_condition_equals_indicator_sums():
+    # the formula that took N + 2 discrete_inner_product calls
+    rng = random.Random(9)
+    for N in (1, 3, 5):
+        spec = DiscreteSpec(N)
+        for _ in range(3):
+            par = random_discrete_params(rng, N=N)
+            total = discrete_inner_product(ONE, ONE, par, spec)
+            gross = 0.0
+            for k in range(N + 1):
+                zk = par.t[0] * par.q**k
+                ind = lambda z, zk=zk: 1.0 if abs(z - zk) < 1e-9 else 0.0
+                gross += abs(discrete_inner_product(ind, ONE, par, spec))
+            assert _mass_condition(par, N) == gross / max(abs(total), 1e-300)
+
+
+def test_vanishing_theta_factors_raise_pole_error():
+    # theta(1; p) = 0 exactly: t0 t1 = 1 in an rtilde denominator factor
+    par = EllipticParams((0.5, 2.0, 0.6, 0.7), (0.3, None), 0.35, 0.05)
+    assert rtilde(0, 0.9, par) == 1.0
+    with pytest.raises(PoleError):
+        rtilde(1, 0.9, par)
+    # q t0 / t2 = 1 in a point-mass denominator, at t0 t1 = q^-1
+    par = EllipticParams((0.5, 8.0, 0.125, 0.7), (0.3, None), 0.25, 0.05)
+    with pytest.raises(PoleError):
+        discrete_inner_product(ONE, ONE, par, DiscreteSpec(1))
+    # q / (u0 t2) = 1 in the closing factor
+    par = EllipticParams((0.5, 8.0, 0.5, 0.7), (0.5, None), 0.25, 0.05)
+    with pytest.raises(PoleError):
+        discrete_inner_product(ONE, ONE, par, DiscreteSpec(1))

@@ -105,6 +105,15 @@ def test_verify_continuous_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_continuous_unity_row_is_tight(capsys):
+    # the series prefactor leaves the rounding of (q;q)(p;p) in this row
+    for quad in ("512", "1024"):
+        assert main(["verify", "elliptic-continuous", "--quad", quad]) == 0
+        row = capsys.readouterr().out.splitlines()[0]
+        assert f"at {quad} nodes" in row
+        assert float(row.split()[-1]) < 3e-15
+
+
 def test_verify_discrete_small(capsys):
     assert main(["verify", "elliptic-discrete", "--N", "3", "--draws", "4", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -32,7 +32,7 @@ from ebiortho.limits import (
     sigma2_series,
     sigma_measure,
 )
-from ebiortho.qkernel import qpoch_finite
+from ebiortho.qkernel import circle_mean, qpoch_finite
 
 ONE = lambda z: 1.0
 H = Fraction(1, 2)
@@ -143,6 +143,28 @@ def test_nr_measure_normalization():
     t = t[:3] + [_solved_last(t)[-1]] + t[3:]
     m = nr_measure(a, t, Q_MEAS)
     assert abs(m.apply(ONE, ONE) - 1.0) < 1e-12
+
+
+def test_nr_integral_on_half_the_circle():
+    a = (0, 0, H, H, 0, 0)
+    t = [0.4, 0.5, 0.7, 0.45, 0.55]
+    m = nr_measure(a, t[:3] + [_solved_last(t)[-1]] + t[3:], Q_MEAS)
+    nodes = []
+
+    def weight(z):
+        nodes.append(z)
+        return m.weight(z)
+
+    half = LimitMeasure("NR_INTEGRAL", m.prefactors, weight, m.q)
+    f = lambda z: z**3 + 0.3 / z
+    g = lambda z: 1 + 0.2 * z * z
+    for ff, gg in ((ONE, ONE), (f, g)):
+        nodes.clear()
+        got = half.apply(ff, gg, quad=512)
+        # the weight is evaluated on the upper half circle only
+        assert len(nodes) == 256 and all(z.imag > 0 for z in nodes)
+        full = m.prefactors[0] * circle_mean(lambda z: m.weight(z) * ff(z) * gg(z), 512)
+        assert abs(got - full) <= 2e-15 * abs(full)
 
 
 def test_sb_measure_normalization():

@@ -8,7 +8,8 @@ import cmath
 
 import pytest
 
-from ebiortho.biortho import EllipticParams, continuous_weight
+from ebiortho.biortho import EllipticParams, continuous_prefactor, continuous_weight
+from ebiortho.qkernel import qpoch_infinite
 
 mp = pytest.importorskip("mpmath")
 
@@ -39,6 +40,26 @@ def _mp_weight(par, z):
     return complex(num / den)
 
 
+def _mp_gamma_pairs(par):
+    """prod_{r<s} Gamma(t_r t_s) from the double products, cut as in
+    _mp_weight."""
+    p, q = mp.mpc(par.p), mp.mpc(par.q)
+    ts = [mp.mpc(t) for t in par.t + par.u]
+    xs = [ts[r] * ts[s] for r in range(6) for s in range(r + 1, 6)]
+    eps = mp.mpf(10) ** -22
+    num = den = mp.mpf(1)
+    pi = mp.mpf(1)
+    while abs(pi) > eps:
+        pij = pi
+        while abs(pij) > eps:
+            for x in xs:
+                num *= 1 - pij * p * q / x
+                den *= 1 - pij * x
+            pij *= q
+        pi *= p
+    return num / den
+
+
 def _unit(r, phi):
     return r * cmath.exp(1j * phi)
 
@@ -66,3 +87,14 @@ def test_continuous_weight_against_mpmath(name):
             z = cmath.exp(2j * cmath.pi * (j + 0.5) / 512)
             ref = _mp_weight(par, z)
             assert abs(weight(z) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_continuous_prefactor_against_mpmath(name):
+    # the 1/prod Gamma(t_r t_s) part; (q;q)(p;p)/2 is the product form
+    par = WEIGHT_CASES[name]
+    qq = qpoch_infinite(par.q, par.q) * qpoch_infinite(par.p, par.p) / 2.0
+    got = continuous_prefactor(par) / qq
+    with mp.workdps(40):
+        ref = complex(1 / _mp_gamma_pairs(par))
+    assert abs(got - ref) <= 1e-15 * abs(ref)

@@ -19,6 +19,7 @@ from ebiortho.qkernel import (
     qpoch_infinite,
     theta,
     theta_qp_finite,
+    theta_qp_prefix,
 )
 
 
@@ -115,6 +116,20 @@ def test_theta_qp_finite_matches_product():
             direct *= theta(x * q**r, p)
         got = theta_qp_finite(x, q, p, n)
         assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
+
+
+def test_theta_qp_prefix_entries_are_the_finite_symbols():
+    rng = random.Random(1)
+    for _ in range(20):
+        x = _rand_annulus(rng)
+        q = _rand_annulus(rng, 0.2, 2.5)
+        p = rng.uniform(0.05, 0.5)
+        n = rng.randint(0, 8)
+        prefix = theta_qp_prefix(x, q, p, n)
+        assert len(prefix) == n + 1
+        assert prefix == [theta_qp_finite(x, q, p, k) for k in range(n + 1)]
+    with pytest.raises(DomainError):
+        theta_qp_prefix(0.5, 0.3, 0.1, -1)
 
 
 def test_theta_qp_finite_allows_big_q():
