@@ -2,7 +2,8 @@
 
 rtilde evaluates the terminating very-well-poised theta series; the
 discrete inner product is a finite point-mass sum valid when t0*t1 is a
-negative q-power, the continuous one a unit-circle quadrature of the
+negative q-power (discrete_gram takes a matrix of them over one set of
+masses), the continuous one a unit-circle quadrature of the
 elliptic-gamma weight (continuous_weight, qkernel.circle_mean).  Both
 are normalized so that <1,1> = 1.  random_discrete_params draws
 well-conditioned discrete parameters for the verification suites and
@@ -43,6 +44,7 @@ __all__ = [
     "rtilde",
     "check_symmetries",
     "discrete_inner_product",
+    "discrete_gram",
     "norm_formula",
     "continuous_weight",
     "continuous_prefactor",
@@ -281,19 +283,41 @@ def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
     return masses, closing
 
 
-def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> complex:
-    """Finite sum over the point masses at t0 q^k, 0 <= k <= N.
+def discrete_gram(
+    fs, gs, params: EllipticParams, spec: DiscreteSpec
+) -> list[list[complex]]:
+    """The matrix of discrete inner products <f, g> for f in fs, g in gs.
 
-    The masses come from _discrete_masses, whose running products make
-    the sum cost 24N theta evaluations instead of 8N + 8N(N+1).
+    Entry (i, j) is the finite sum over the point masses at t0 q^k,
+    0 <= k <= N, of fs[i] and gs[j].  The masses are built once, by
+    _discrete_masses (24N theta evaluations), and each function is
+    evaluated once per mass point; the entries are summed in the order
+    of discrete_inner_product, so each equals its value bit for bit.
     """
     masses, closing = _discrete_masses(params, spec)
     t0, q = params.t[0], params.q
-    terms = []
-    for k, (head, num, den) in enumerate(masses):
-        zk = t0 * q**k
-        terms.append(f(zk) * g(zk) * head * num / den * q**k)
-    return csum(terms) * closing
+    zs = [t0 * q**k for k in range(len(masses))]
+    F = [[f(zk) for zk in zs] for f in fs]
+    G = [[g(zk) for zk in zs] for g in gs]
+    return [
+        [
+            csum(
+                [
+                    fk * gk * head * num / den * q**k
+                    for k, (fk, gk, (head, num, den)) in enumerate(zip(Fi, Gj, masses))
+                ]
+            )
+            * closing
+            for Gj in G
+        ]
+        for Fi in F
+    ]
+
+
+def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> complex:
+    """Finite sum over the point masses at t0 q^k, 0 <= k <= N: the 1 x 1
+    case of discrete_gram."""
+    return discrete_gram([f], [g], params, spec)[0][0]
 
 
 def norm_formula(n: int, params: EllipticParams) -> complex:

@@ -23,6 +23,7 @@ from .biortho import (
     DiscreteSpec,
     EllipticParams,
     continuous_inner_product,
+    discrete_gram,
     discrete_inner_product,
     norm_formula,
     random_discrete_params,
@@ -161,18 +162,12 @@ def verify_elliptic_discrete(args) -> int:
         sw = par.swapped_u()
         off = diag = 0.0
         nm = min(N, 4) + 1
-        M = [
-            [
-                discrete_inner_product(
-                    lambda z, n=n: rtilde(n, z, par),
-                    lambda z, m=m: rtilde(m, z, sw),
-                    par,
-                    spec,
-                )
-                for m in range(nm)
-            ]
-            for n in range(nm)
-        ]
+        M = discrete_gram(
+            [lambda z, n=n: rtilde(n, z, par) for n in range(nm)],
+            [lambda z, m=m: rtilde(m, z, sw) for m in range(nm)],
+            par,
+            spec,
+        )
         for n in range(nm):
             for m in range(nm):
                 if n == m:

@@ -14,7 +14,10 @@ with the fold A = |zeta + 1/2|, P^(0) as its section A = 0, and each of
 the 27 tiles.  A rational point enters as integer numerators over a
 common even denominator 2h, so that each test is the exact integer
 comparison dot(normal, nums) <= bound2 * h (strict for interiors).  The
-reduction into P works on Fractions.
+reduction into P runs on the same integer numerators: every lattice shift
+and the flip move them by multiples of h, so the denominator 2h of the
+input serves the whole reduction, and Fractions are built only for the
+word and the reduced vector.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, lcm
+from math import lcm
 from operator import mul
 
 from .errors import DomainError, NonTermination
@@ -48,12 +51,6 @@ __all__ = [
 ]
 
 Q = Fraction
-HALF = Q(1, 2)
-
-
-def _fold(zeta: Fraction) -> Fraction:
-    """|zeta + 1/2|, the distance from the fold point."""
-    return abs(zeta + HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +72,15 @@ def _point6(alpha) -> tuple[tuple[int, ...], int]:
     return a, h
 
 
+def _folded(x, h) -> tuple[int, ...]:
+    """(alpha, A) of the 7-vector x over 2h, with the fold A = |zeta + 1/2|."""
+    return (*x[:6], abs(x[6] + h))
+
+
 def _p_point(v: ExponentVector) -> tuple[tuple[int, ...], int]:
     """(alpha, A) of v over the denominator 2h."""
     x, h = _scaled(v.as7())
-    return x[:6] + (abs(x[6] + h),), h
+    return _folded(x, h), h
 
 
 def _row(label, coeffs: dict, bound2: int, n: int = 6):
@@ -171,6 +173,17 @@ def flip(v: ExponentVector) -> ExponentVector:
     )
 
 
+def _in_lattice(x, h) -> bool:
+    """The lattice rule on a 7-vector of numerators over 2h: the alpha
+    shifts sum to 0, and every entry, zeta included, is = 0 (mod 2h) or
+    every entry is = h (mod 2h)."""
+    if sum(x[:6]) != 0:
+        return False
+    d = 2 * h
+    r = x[6] % d
+    return r in (0, h) and all(xi % d == r for xi in x[:6])
+
+
 def in_lattice(vec7) -> bool:
     """Membership in the translation lattice.
 
@@ -178,15 +191,7 @@ def in_lattice(vec7) -> bool:
     either all integer (with integer zeta shift) or all half-odd-integer
     (with half-odd-integer zeta shift).
     """
-    vec7 = [Q(x) for x in vec7]
-    a, z = vec7[:6], vec7[6]
-    if sum(a) != 0:
-        return False
-    if all(x.denominator == 1 for x in a):
-        return z.denominator == 1
-    if all(x.denominator == 2 and x.numerator % 2 != 0 for x in a):
-        return z.denominator == 2
-    return False
+    return _in_lattice(*_scaled(vec7))
 
 
 def _translate(v: ExponentVector, shift) -> ExponentVector:
@@ -206,21 +211,6 @@ def apply_word(word, v: ExponentVector) -> ExponentVector:
     return v
 
 
-def _append_translation(word, shift):
-    if not in_lattice(shift):
-        raise NonTermination("internal shift left the translation lattice")
-    word.append(("translate", tuple(Q(s) for s in shift)))
-
-
-def _reflect(v: ExponentVector, c6, zshift) -> tuple[list, ExponentVector]:
-    """The map alpha -> c - alpha, zeta -> zeta + zshift, as flip + shift."""
-    flipped_c = (Q(0), Q(0), Q(1), Q(1), Q(0), Q(0))
-    delta = [Q(ci) - fi for ci, fi in zip(c6, flipped_c)] + [Q(zshift)]
-    word = [("flip",)]
-    _append_translation(word, delta)
-    return word, apply_word(word, v)
-
-
 _MAX_REDUCE_ROUNDS = 64
 
 
@@ -228,78 +218,91 @@ def reduce_to_P(v: ExponentVector):
     """Map a balanced vector into P by lattice translations and the flip.
 
     Returns (word, reduced) with apply_word(word, v) == reduced and
-    in_P(reduced).
+    in_P(reduced).  The steps run on the numerators of v over its least
+    common even denominator 2h (see the module docstring).
     """
     v.require_balanced()
+    x, h = _scaled(v.as7())
+    x = list(x)
     word: list = []
-    cur = v
     for _ in range(_MAX_REDUCE_ROUNDS):
-        if in_P(cur):
-            return word, cur
-        cur = _reduce_round(word, cur)
+        if _holds(_P_ROWS, _folded(x, h), h):
+            d = 2 * h
+            return word, ExponentVector.from7([Q(xi, d) for xi in x])
+        _reduce_round(word, x, h)
     raise NonTermination("reduction into P did not terminate")
 
 
-def _reduce_round(word, cur: ExponentVector) -> ExponentVector:
+def _shift(word, x, s, h) -> None:
+    """Append the lattice translation s (numerators over 2h) to word and
+    apply it to x in place."""
+    if not _in_lattice(s, h):
+        raise NonTermination("internal shift left the translation lattice")
+    d = 2 * h
+    word.append(("translate", tuple(Q(si, d) for si in s)))
+    for i, si in enumerate(s):
+        x[i] += si
+
+
+def _reduce_round(word, x, h) -> None:
+    """One round of the reduction on the numerators x over d = 2h; a
+    whole step is d and a half step h."""
+    d = 2 * h
     # Step 1: bring all pairwise differences within 1.
     guard = 0
     while True:
-        a = list(cur.a6)
-        lo = min(range(6), key=lambda i: a[i])
-        hi = max(range(6), key=lambda i: a[i])
-        if a[hi] - a[lo] <= 1:
+        lo = min(range(6), key=x.__getitem__)
+        hi = max(range(6), key=x.__getitem__)
+        if x[hi] - x[lo] <= d:
             break
-        shift = [Q(0)] * 7
-        shift[lo], shift[hi] = Q(1), Q(-1)
-        _append_translation(word, shift)
-        cur = _translate(cur, shift)
+        shift = [0] * 7
+        shift[lo], shift[hi] = d, -d
+        _shift(word, x, shift, h)
         guard += 1
         if guard > 10000:
             raise NonTermination("difference reduction looped")
 
     # Step 2: integer-shift zeta into [-1, 0].
-    k = -ceil(cur.zeta)
+    k = -x[6] // d
     if k != 0:
-        shift = [Q(0)] * 6 + [Q(k)]
-        _append_translation(word, shift)
-        cur = _translate(cur, shift)
+        _shift(word, x, [0] * 6 + [k * d], h)
 
     # Step 3: if a triple sum dips below |zeta+1/2| - 1/2, do the
     # half-shift: -1/2 on the three largest entries, +1/2 on the rest,
     # and move zeta by a half step so the fold distances sum to 1/2.
-    a = list(cur.a6)
-    A = _fold(cur.zeta)
-    if min(sum(t) for t in combinations(a, 3)) < A - HALF:
-        order = sorted(range(6), key=lambda i: (-a[i], i))
-        shift = [Q(0)] * 7
+    # The least triple sum is the sum of the three smallest entries.
+    if sum(sorted(x[:6])[:3]) < abs(x[6] + h) - h:
+        order = sorted(range(6), key=lambda i: (-x[i], i))
+        shift = [0] * 7
         for pos in order[:3]:
-            shift[pos] = -HALF
+            shift[pos] = -h
         for pos in order[3:]:
-            shift[pos] = HALF
-        shift[6] = -HALF if cur.zeta >= -HALF else HALF
-        _append_translation(word, shift)
-        cur = _translate(cur, shift)
+            shift[pos] = h
+        shift[6] = -h if x[6] >= -h else h
+        _shift(word, x, shift, h)
 
-    if in_P(cur):
-        return cur
+    if _holds(_P_ROWS, _folded(x, h), h):
+        return
 
-    # Step 4: flip branch on the sorted coordinates.
-    a = list(cur.a6)
-    A = _fold(cur.zeta)
-    order = sorted(range(6), key=lambda i: (a[i], i))
+    # Step 4: flip branch on the sorted coordinates.  The map
+    # alpha -> c - alpha, zeta -> zeta + zshift is the flip
+    # (-a0, -a1, 1-a2, 1-a3, -a4, -a5; zeta) followed by a translation.
+    A = abs(x[6] + h)
+    order = sorted(range(6), key=lambda i: (x[i], i))
     s0, s4, s5 = order[0], order[4], order[5]
-    if A + HALF <= a[s0] + a[s4] + a[s5]:
-        c6 = [Q(0)] * 6
-        c6[s4] = Q(1)
-        c6[s5] = Q(1)
-        zshift = Q(0)
+    if A + h <= x[s0] + x[s4] + x[s5]:
+        c6 = [0] * 6
+        c6[s4] = d
+        c6[s5] = d
+        zshift = 0
     else:
-        c6 = [HALF] * 6
-        c6[s0] = -HALF
-        zshift = -HALF if cur.zeta >= -HALF else HALF
-    subword, cur = _reflect(cur, c6, zshift)
-    word.extend(subword)
-    return cur
+        c6 = [h] * 6
+        c6[s0] = -h
+        zshift = -h if x[6] >= -h else h
+    flipped = (0, 0, d, d, 0, 0)
+    word.append(("flip",))
+    x[:6] = [f - xi for f, xi in zip(flipped, x)]
+    _shift(word, x, [c - f for c, f in zip(c6, flipped)] + [zshift], h)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +462,9 @@ def face_of(alpha) -> list[FaceSignature]:
         raise DomainError("alpha is not in P^(0)")
     found = []
     for tile, rows in _TILE_ROWS.items():
-        slacks = _slacks(rows, a, h)
-        if min(slacks) < 0:
+        if not _holds(rows, a, h):
             continue
+        slacks = _slacks(rows, a, h)
         tight = [row for row, s in zip(rows, slacks) if s == 0]
         dim = 6 - _rank([(1,) * 6] + [n for _, n, _ in tight])
         found.append(FaceSignature(tile, tuple(lab for lab, _, _ in tight), dim))

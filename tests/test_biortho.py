@@ -14,6 +14,7 @@ from ebiortho.biortho import (
     check_symmetries,
     continuous_inner_product,
     continuous_weight,
+    discrete_gram,
     discrete_inner_product,
     norm_formula,
     random_discrete_params,
@@ -369,6 +370,22 @@ def test_running_products_equal_the_per_term_reference():
                 assert discrete_inner_product(fn, gm, par, spec) == (
                     _discrete_reference(fn, gm, par, spec)
                 )
+
+
+def test_discrete_gram_equals_per_entry_inner_products():
+    rng = random.Random(10)
+    for N in (1, 3, 5):
+        spec = DiscreteSpec(N)
+        par = random_discrete_params(rng, N=N)
+        sw = par.swapped_u()
+        fs = [lambda z, n=n: rtilde(n, z, par) for n in range(min(N, 4) + 1)]
+        gs = [lambda z, m=m: rtilde(m, z, sw) for m in range(min(N, 4) + 1)]
+        gs.append(lambda z: z**3 + 0.3 / z)
+        M = discrete_gram(fs, gs, par, spec)
+        assert M == [
+            [discrete_inner_product(f, g, par, spec) for g in gs] for f in fs
+        ]
+        assert M == [[_discrete_reference(f, g, par, spec) for g in gs] for f in fs]
 
 
 def test_mass_condition_equals_indicator_sums():

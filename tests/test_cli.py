@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import ebiortho.biortho
+
 from ebiortho.cli import main, parse_rational
 
 
@@ -43,6 +45,40 @@ def test_classify_prints_reduction_word(capsys):
     assert code == 0
     assert "translate" in out
     assert "reduced: (1, 0, 0, 0, 0, 0; 0)" in out
+
+
+CLASSIFY_GOLDEN = {
+    "5/2 -1 1/3 -2/3 0 -1/6 7/4": """\
+input:   (5/2, -1, 1/3, -2/3, 0, -1/6; 7/4)
+word:    translate(-1, 1, 0, 0, 0, 0, 0) ; translate(-1, 0, 0, 1, 0, 0, 0) ; translate(0, 0, 0, 0, 0, 0, -2)
+reduced: (1/2, 0, 1/3, 1/3, 0, -1/6; -1/4)
+tile:    P_II,(5) (dim 4; tight: pair_lo-1-4)
+zeta:    -1/4
+z-dependent: False
+system:  True
+face:    0031vp
+valuation rtilde n=1: 0
+valuation norm   n=1: 0
+""",
+    "-3 2 1 1/2 1/2 0 -5/2": """\
+input:   (-3, 2, 1, 1/2, 1/2, 0; -5/2)
+word:    translate(1, -1, 0, 0, 0, 0, 0) ; translate(1, -1, 0, 0, 0, 0, 0) ; translate(1, 0, -1, 0, 0, 0, 0) ; translate(0, 0, 0, 0, 0, 0, 2)
+reduced: (0, 0, 0, 1/2, 1/2, 0; -1/2)
+tile:    P_I (dim 1; tight: nonneg-0, nonneg-1, nonneg-2, nonneg-5)
+zeta:    -1/2
+z-dependent: True
+system:  True
+face:    31vp
+valuation rtilde n=1: -1/2
+valuation norm   n=1: 0
+""",
+}
+
+
+@pytest.mark.parametrize("vector", sorted(CLASSIFY_GOLDEN))
+def test_classify_full_output_of_multi_step_words(capsys, vector):
+    assert main(["classify", *vector.split()]) == 0
+    assert capsys.readouterr().out == CLASSIFY_GOLDEN[vector]
 
 
 def test_classify_rejects_floats():
@@ -117,6 +153,29 @@ def test_verify_continuous_unity_row_is_tight(capsys):
 def test_verify_discrete_small(capsys):
     assert main(["verify", "elliptic-discrete", "--N", "3", "--draws", "4", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_discrete_builds_the_masses_once_per_matrix(capsys, monkeypatch):
+    # one mass build per <1,1> draw and one per biorthogonality matrix;
+    # the draws' own condition checks (_mass_condition) build theirs too
+    calls = {"masses": 0, "condition": 0}
+    real_masses = ebiortho.biortho._discrete_masses
+    real_condition = ebiortho.biortho._mass_condition
+
+    def masses(*args):
+        calls["masses"] += 1
+        return real_masses(*args)
+
+    def condition(*args):
+        calls["condition"] += 1
+        return real_condition(*args)
+
+    monkeypatch.setattr(ebiortho.biortho, "_discrete_masses", masses)
+    monkeypatch.setattr(ebiortho.biortho, "_mass_condition", condition)
+    assert main(["verify", "elliptic-discrete", "--N", "3", "--draws", "4"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls["condition"] >= 6
+    assert calls["masses"] - calls["condition"] == 4 + 2
 
 
 def test_verify_tol_can_force_failure(capsys):

@@ -1,6 +1,7 @@
 """Polytope membership, reduction, tiling, and naming."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -88,6 +89,151 @@ def test_reduce_translation_invariance():
         d_plain = tuple(x - y for x, y in zip(red.as7(), v.as7()))
         d_flip = tuple(x - y for x, y in zip(red.as7(), flip(v).as7()))
         assert in_lattice(d_plain) or in_lattice(d_flip)
+
+
+def _ref_in_lattice(vec7):
+    """The lattice rule on Fractions."""
+    vec7 = [Fraction(x) for x in vec7]
+    a, z = vec7[:6], vec7[6]
+    if sum(a) != 0:
+        return False
+    if all(x.denominator == 1 for x in a):
+        return z.denominator == 1
+    if all(x.denominator == 2 and x.numerator % 2 != 0 for x in a):
+        return z.denominator == 2
+    return False
+
+
+def _ref_reduce(v):
+    """The reduction into P on Fractions, step for step: (word, reduced)."""
+    word = []
+    cur = list(v.as7())
+
+    def translate(shift):
+        shift = tuple(Fraction(s) for s in shift)
+        assert _ref_in_lattice(shift)
+        word.append(("translate", shift))
+        cur[:] = [x + s for x, s in zip(cur, shift)]
+
+    while not in_P(ExponentVector.from7(cur)):
+        # step 1: pairwise differences within 1
+        while True:
+            a = cur[:6]
+            lo = min(range(6), key=lambda i: a[i])
+            hi = max(range(6), key=lambda i: a[i])
+            if a[hi] - a[lo] <= 1:
+                break
+            shift = [0] * 7
+            shift[lo], shift[hi] = 1, -1
+            translate(shift)
+        # step 2: zeta into [-1, 0]
+        k = -math.ceil(cur[6])
+        if k != 0:
+            translate([0] * 6 + [k])
+        # step 3: the half-shift when a triple sum dips below A - 1/2
+        a = cur[:6]
+        A = abs(cur[6] + H)
+        if min(sum(t) for t in itertools.combinations(a, 3)) < A - H:
+            order = sorted(range(6), key=lambda i: (-a[i], i))
+            shift = [0] * 7
+            for pos in order[:3]:
+                shift[pos] = -H
+            for pos in order[3:]:
+                shift[pos] = H
+            shift[6] = -H if cur[6] >= -H else H
+            translate(shift)
+        if in_P(ExponentVector.from7(cur)):
+            break
+        # step 4: alpha -> c - alpha as the flip and a translation
+        a = cur[:6]
+        A = abs(cur[6] + H)
+        order = sorted(range(6), key=lambda i: (a[i], i))
+        s0, s4, s5 = order[0], order[4], order[5]
+        if A + H <= a[s0] + a[s4] + a[s5]:
+            c6 = [0] * 6
+            c6[s4] = c6[s5] = 1
+            zshift = 0
+        else:
+            c6 = [H] * 6
+            c6[s0] = -H
+            zshift = -H if cur[6] >= -H else H
+        word.append(("flip",))
+        cur[:] = flip(ExponentVector.from7(cur)).as7()
+        translate([c - f for c, f in zip(c6, (0, 0, 1, 1, 0, 0))] + [zshift])
+    return word, ExponentVector.from7(cur)
+
+
+def _reduction_inputs(rng, count):
+    """Balanced vectors, half with denominators up to 60 and half with
+    small ones (where ties in the flip test are common), a third of them
+    with tied coordinates, and some far from P."""
+    out = []
+    for i in range(count):
+        den = rng.randint(1, 60) if i % 2 else rng.choice((1, 2, 3, 4, 6, 12))
+        span = 9 if i % 4 > 1 else 2
+        a = [Fraction(rng.randint(-span * den, span * den), den) for _ in range(5)]
+        if i % 3 == 0:
+            a[rng.randrange(5)] = a[rng.randrange(5)]
+            a[rng.randrange(5)] = -a[rng.randrange(5)]
+        a.append(1 - sum(a))
+        zeta = Fraction(rng.randint(-span * den, span * den), rng.choice((1, 2, den)))
+        out.append(ExponentVector(a[:4], a[4:], zeta))
+    return out
+
+
+def test_reduce_to_P_matches_fraction_reference():
+    rng = random.Random(11)
+    words = []
+    for v in _reduction_inputs(rng, 600) + [
+        random_P_vector(rng, den=6),
+        ExponentVector((Fraction(5, 2), -1, Fraction(1, 3), Fraction(-2, 3)),
+                       (0, Fraction(-1, 6)), Fraction(7, 4)),
+        ExponentVector((-3, 2, 1, H), (H, 0), Fraction(-5, 2)),
+        # ties A + 1/2 = a_s0 + a_s4 + a_s5 in the flip test
+        ExponentVector.from7(
+            [Fraction(x) for x in "3/4 -3 25/12 7/12 13/12 -1/2 17/6".split()]
+        ),
+        ExponentVector.from7(
+            [Fraction(x) for x in "7/6 -1/2 -5/6 -29/12 35/12 2/3 -7/4".split()]
+        ),
+    ]:
+        word, red = reduce_to_P(v)
+        ref_word, ref_red = _ref_reduce(v)
+        assert repr(word) == repr(ref_word)
+        assert repr(red) == repr(ref_red)
+        words.append(word)
+    # the sample reaches every step: the empty word, long words, the
+    # half-shift and the flip
+    assert min(map(len, words)) == 0 and max(map(len, words)) > 10
+    assert any(("flip",) in w for w in words)
+    assert any(
+        s[0] == "translate" and any(x.denominator == 2 for x in s[1][:6])
+        for w in words
+        for s in w
+    )
+
+
+def test_in_lattice_matches_fraction_rule():
+    rng = random.Random(12)
+    seen = set()
+    for i in range(3000):
+        den = rng.choice((1, 2, 2, 3, 4, 6))
+        a = [Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(5)]
+        a.append(-sum(a) if rng.random() < 0.8 else Fraction(rng.randint(-9, 9), 2))
+        a.append(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+        if i % 3 == 1:
+            a = [str(x) for x in a]
+        elif i % 3 == 2:
+            a = [int(x) if x.denominator == 1 else x for x in a]
+        expected = _ref_in_lattice(a)
+        assert in_lattice(a) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    assert in_lattice([H, -H, H, -H, H, -H, Fraction(3, 2)])
+    assert not in_lattice([H, -H, H, -H, H, -H, 1])
+    assert not in_lattice([1, -1, 0, 0, 0, 0, H])
+    assert not in_lattice(["1/3", "-1/3", 0, 0, 0, 0, 0])
+    assert not in_lattice(["1/6"] * 5 + ["-5/6", "1/6"])
 
 
 def test_zeta_for_gives_P_membership():
