@@ -16,6 +16,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     ContourError,
@@ -28,12 +29,12 @@ from .errors import (
 from .qkernel import (
     check_quad,
     circle_mean,
-    cos_series,
     csum,
     elliptic_gamma,
     gamma_pair_log_series,
+    qpoch_factors,
     qpoch_infinite,
-    theta,
+    qpoch_log_series,
     theta_qp_finite,
     theta_qp_prefix,
 )
@@ -347,27 +348,39 @@ def norm_formula(n: int, params: EllipticParams) -> complex:
 def continuous_weight(params: EllipticParams):
     """The weight w(z) = prod_r Gamma(t_r z^+-1) / Gamma(z^+-2) on |z| = 1.
 
-    Returns a function of z, valid on the unit circle only.  The six
-    parameters t0..t3, u0, u1 with |pq| < |t_r| < 1 enter through one
-    cosine series, exp(2 sum_n c_n cos(n phi)) at z = exp(i phi), whose
-    coefficients qkernel.gamma_pair_log_series computes once here; any
-    other parameter, or one whose series would need more than the
-    4000-term cap, keeps its product factor Gamma(t_r z) Gamma(t_r / z).
-    The Gamma(z^+-2) factors come from
-    1/Gamma(x^+-1) = theta(x;p) theta(1/x;q).  w(1/z) = w(z).
+    Returns (log_weight, remainder), with w(z) = exp(L(z)) remainder(z)
+    at every node of a qkernel.circle_mean grid, L the Laurent series
+    log_weight = (pos, neg).  The Gamma(z^+-2) factors come from
+    1/Gamma(x^+-1) = theta(x;p) theta(1/x;q): theta(z^2;p) theta(z^-2;q)
+    is (1 - z^2)(1 - z^-2) times four q-Pochhammer factors, whose series
+    qkernel.qpoch_log_series gives.  The six parameters t0..t3, u0, u1
+    with |pq| < |t_r| < 1 enter through the series of
+    qkernel.gamma_pair_log_series.  The remainder is (1 - z^2)(1 - z^-2)
+    times the product forms the series leave out: Gamma(t_r z)
+    Gamma(t_r / z) for a parameter outside that annulus or past the
+    4000-term cap, and any theta factor past the cap.  Both parts are
+    unchanged under z -> 1/z.
     """
     p, q = params.p, params.q
     coeffs, rest = gamma_pair_log_series(params.t + params.u, p, q)
+    pos, neg, theta_rest = qpoch_log_series(
+        [(p, 2, 1, p), (p, -2, 1, p), (q, 2, 1, q), (q, -2, 1, q)]
+    )
+    log_weight = (_plus(coeffs, pos), _plus(coeffs, neg))
 
-    def weight(zv):
+    def remainder(zv):
         z2 = zv * zv
-        val = cmath.exp(2.0 * cos_series(coeffs, zv))
-        val *= theta(z2, p) * theta(1.0 / z2, q)
+        val = (1.0 - z2) * (1.0 - 1.0 / z2) * qpoch_factors(theta_rest, zv)
         for tr in rest:
             val *= elliptic_gamma(tr * zv, p, q) * elliptic_gamma(tr / zv, p, q)
         return val
 
-    return weight
+    return log_weight, remainder
+
+
+def _plus(a, b) -> list:
+    """Termwise sum of two coefficient lists of any lengths."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0.0j)]
 
 
 def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
@@ -388,13 +401,15 @@ def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> c
                 "a parameter has modulus >= 1; unit circle inadmissible"
             )
     check_quad(quad)
-    weight = continuous_weight(params)
+    log_weight, remainder = continuous_weight(params)
 
     def integrand(zv):
         zi = 1.0 / zv
-        return weight(zv) * (f(zv) * g(zv) + f(zi) * g(zi)) / 2
+        return remainder(zv) * (f(zv) * g(zv) + f(zi) * g(zi)) / 2
 
-    mean = circle_mean(integrand, quad, inversion_symmetric=True)
+    mean = circle_mean(
+        integrand, quad, inversion_symmetric=True, log_weight=log_weight
+    )
     return mean * continuous_prefactor(params)
 
 

@@ -11,6 +11,7 @@ face 1111pp or 40as, limit_target the closed-form limit it tends to.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,14 @@ from .errors import (
 )
 from .biortho import EllipticParams, rtilde
 from .polytope import _as6, zeta_for
-from .qkernel import circle_mean, qpoch_finite, qpoch_infinite, theta
+from .qkernel import (
+    check_quad,
+    circle_mean,
+    csum,
+    qpoch_factors,
+    qpoch_finite,
+    qpoch_log_series,
+)
 
 __all__ = [
     "pastro_P",
@@ -56,10 +64,29 @@ Q = Fraction
 # _SERIES_TOL relative to the running sum, within _SERIES_MAX_TERMS terms.
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 400
+# The q-Pochhammer constants of the measures take their log series to a
+# tail bound of _CONST_TOL.  At z = 1 the tails of all factors add up,
+# where on the circle they average out over the nodes, so the cut of the
+# circle weights (qkernel._TOL = 1e-15) would show in the constants.
+_CONST_TOL = 1e-17
 
 
 def _binom2(k: int) -> int:
     return k * (k - 1) // 2
+
+
+def _qpoch_constant(factors) -> complex:
+    """prod (x; b)_infty^e over factors (x, e, b).
+
+    The log series of qkernel.qpoch_log_series at z = 1, cut at
+    _CONST_TOL and summed in one compensated sum:
+    exp(-sum_n e x^n / (n (1 - b^n))) over all factors.  A factor the
+    series leaves out is multiplied in by its product form.
+    """
+    pos, _, rest = qpoch_log_series(
+        [(x, 1, e, b) for x, e, b in factors], tol=_CONST_TOL
+    )
+    return cmath.exp(csum(pos)) * qpoch_factors(rest)
 
 
 def _phi(numer, denom, q, x, nterms) -> complex:
@@ -140,26 +167,31 @@ def pastro_q(n, w, A, B, q) -> complex:
 
 
 def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
-    """Unit-circle bilinear form making p_n and q_m biorthogonal."""
+    """Unit-circle bilinear form making p_n and q_m biorthogonal.
+
+    The weight theta(rq w; q) / ((A w / rq; q)_infty (B / (w rq); q)_infty),
+    rq = q^(1/2), is four q-Pochhammer factors, and the contour check
+    puts all four inside the region of their log series: circle_mean
+    takes the weight from one Laurent series, and only a factor past the
+    series cap is evaluated per node.  The constant
+    (q;q)(AB/q;q) / ((A;q)(B;q)) comes from the same series at w = 1.
+    """
     A, B, q = complex(A), complex(B), complex(q)
     if abs(q) >= 1:
         raise DomainError("|q| < 1 required")
     rq = q**0.5
     if abs(A / rq) >= 1 or abs(B / rq) >= 1:
         raise ContourError("pole families cross the unit circle")
-    pref = (
-        qpoch_infinite(q, q)
-        * qpoch_infinite(A * B / q, q)
-        / (qpoch_infinite(A, q) * qpoch_infinite(B, q))
+    check_quad(quad)
+    pref = _qpoch_constant([(q, 1, q), (A * B / q, 1, q), (A, -1, q), (B, -1, q)])
+    pos, neg, rest = qpoch_log_series(
+        [(rq, 1, 1, q), (rq, -1, 1, q), (A / rq, 1, -1, q), (B / rq, -1, -1, q)]
     )
 
     def integrand(w):
-        val = f(w) * g(w) * theta(rq * w, q)
-        val /= qpoch_infinite(A * w / rq, q)
-        val /= qpoch_infinite(B / (w * rq), q)
-        return val
+        return f(w) * g(w) * qpoch_factors(rest, w)
 
-    return pref * circle_mean(integrand, quad)
+    return pref * circle_mean(integrand, quad, log_weight=(pos, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +317,16 @@ class LimitMeasure:
     """A limit bilinear form at base q: a circle integral or a series.
 
     kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
-    FINITE_DISCRETE.  For integral kinds weight is a function of z on the
-    circle; an NR_INTEGRAL weight must satisfy w(1/z) = w(z), because
-    apply averages w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper
-    half circle.  For series kinds weight(i, k) multiplies f(b q^k) g(b q^k)
-    for the i-th base point b of bases.  prefactors holds one factor per
-    base point (a single one for the integral kinds).  n_masses is the
-    length of the finite series; triple, pair and base_index record the
-    exponent indices the SB, Sigma2 and Sigma measures were built on.
+    FINITE_DISCRETE.  For integral kinds the weight on the circle is
+    weight(z), times exp(L(z)) when log_weight holds the Laurent
+    coefficients (pos, neg) of a log series L (qkernel.circle_mean); an
+    NR_INTEGRAL weight must satisfy w(1/z) = w(z), because apply averages
+    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle.  For
+    series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the i-th
+    base point b of bases.  prefactors holds one factor per base point
+    (a single one for the integral kinds).  n_masses is the length of
+    the finite series; triple, pair and base_index record the exponent
+    indices the SB, Sigma2 and Sigma measures were built on.
     """
 
     kind: str
@@ -304,6 +338,7 @@ class LimitMeasure:
     triple: tuple | None = None
     pair: tuple | None = None
     base_index: int | None = None
+    log_weight: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _INTEGRAL_KINDS + _SERIES_KINDS:
@@ -321,11 +356,16 @@ class LimitMeasure:
                 return self.weight(z) * (f(z) * g(z) + f(zi) * g(zi)) / 2
 
             return self.prefactors[0] * circle_mean(
-                integrand, quad, inversion_symmetric=True
+                integrand,
+                quad,
+                inversion_symmetric=True,
+                log_weight=self.log_weight,
             )
         if self.kind == "SB_INTEGRAL":
             return self.prefactors[0] * circle_mean(
-                lambda z: self.weight(z) * f(z) * g(z), quad
+                lambda z: self.weight(z) * f(z) * g(z),
+                quad,
+                log_weight=self.log_weight,
             )
         if self.kind == "FINITE_DISCRETE":
             total = 0.0 + 0.0j
@@ -377,32 +417,34 @@ def nr_measure(alpha, t, q) -> LimitMeasure:
     if any(x < 0 for x in a):
         raise HypothesisError("all alpha_r must be >= 0")
     _check_balance(t, q)
-    pref = qpoch_infinite(q, q) / 2.0
+    consts = [(q, 1, q)]
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q)
+                consts.append((t[r] * t[s], 1, q))
             elif a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
+                consts.append((q / (t[r] * t[s]), -1, q))
+    pref = _qpoch_constant(consts) / 2.0
     for r in range(6):
         if a[r] == 0 and abs(t[r]) >= 1:
             raise ContourError("|t_r| >= 1 for a weight-denominator parameter")
 
-    # (t_r, alpha_r == 1) for the parameters with alpha_r in {0, 1}
-    roles = [(t[r], a[r] == 1) for r in range(6) if a[r] in (0, 1)]
+    # (z^2; q)(z^-2; q) = (1 - z^2)(1 - z^-2)(q z^2; q)(q z^-2; q); then
+    # (q z^+-1 / t_r; q) for alpha_r = 1 and 1 / (t_r z^+-1; q) for alpha_r = 0
+    factors = [(q, 2, 1, q), (q, -2, 1, q)]
+    for r in range(6):
+        for s in (1, -1):
+            if a[r] == 1:
+                factors.append((q / t[r], s, 1, q))
+            elif a[r] == 0:
+                factors.append((t[r], s, -1, q))
+    pos, neg, rest = qpoch_log_series(factors)
 
     def weight(z):
-        val = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
-        for tr, upper in roles:
-            if upper:
-                val *= qpoch_infinite(q * z / tr, q)
-                val *= qpoch_infinite(q / (tr * z), q)
-            else:
-                val /= qpoch_infinite(tr * z, q)
-                val /= qpoch_infinite(tr / z, q)
-        return val
+        z2 = z * z
+        return (1.0 - z2) * (1.0 - 1.0 / z2) * qpoch_factors(rest, z)
 
-    return LimitMeasure("NR_INTEGRAL", (pref,), weight, q)
+    return LimitMeasure("NR_INTEGRAL", (pref,), weight, q, log_weight=(pos, neg))
 
 
 def _find_sb_triple(a, zeta):
@@ -440,19 +482,20 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
     _check_balance(t, q)
 
     inside = set(trip)
-    pref = qpoch_infinite(q, q)
+    consts = [(q, 1, q)]
     for r in range(6):
         for s in range(r + 1, 6):
             both_in = r in inside and s in inside
             mixed = (r in inside) != (s in inside)
             if both_in and a[r] + a[s] == -1:
-                pref *= qpoch_infinite(t[r] * t[s], q)
+                consts.append((t[r] * t[s], 1, q))
             if mixed and a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q)
+                consts.append((t[r] * t[s], 1, q))
             if both_in and a[r] + a[s] == 0:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
+                consts.append((q / (t[r] * t[s]), -1, q))
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
+                consts.append((q / (t[r] * t[s]), -1, q))
+    pref = _qpoch_constant(consts)
     tprod = 1.0 + 0.0j
     for i in trip:
         tprod *= t[i]
@@ -468,38 +511,37 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
                 "|t_r| >= 1 for a weight-denominator parameter"
             )
 
-    # (t_r, r in the triple, numerator role, denominator role), in r order
-    roles = [
-        (t[r], True, a[r] == -zeta, a[r] == zeta)
-        if r in inside
-        else (t[r], False, a[r] == 1 + zeta, a[r] == -zeta)
-        for r in range(6)
-    ]
-    half_roles = [(t[r], a[r] == Q(1, 2), a[r] == Q(-1, 2)) for r in trip]
+    # theta(q z / tprod; q) = (q z / tprod; q)(tprod / z; q); then, in r
+    # order, (q / (t_r z); q) and 1 / (t_r / z; q) for r in the triple and
+    # (q z / t_r; q) and 1 / (t_r z; q) off it, by the roles of alpha_r
+    factors = [(q / tprod, 1, 1, q), (tprod, -1, 1, q)]
+    for r in range(6):
+        if r in inside:
+            up, down, s = a[r] == -zeta, a[r] == zeta, -1
+        else:
+            up, down, s = a[r] == 1 + zeta, a[r] == -zeta, 1
+        if up:
+            factors.append((q / t[r], s, 1, q))
+        if down:
+            factors.append((t[r], s, -1, q))
+    if half:
+        # (z^2; q) / (q z^2; q) = 1 - z^2 is left to the weight
+        for r in trip:
+            if a[r] == Q(1, 2):
+                factors.append((q / t[r], 1, 1, q))
+            if a[r] == Q(-1, 2):
+                factors.append((t[r], 1, -1, q))
+    pos, neg, rest = qpoch_log_series(factors)
 
     def weight(z):
-        val = theta(q * z / tprod, q)
-        for tr, inner, up, down in roles:
-            if inner:
-                if up:
-                    val *= qpoch_infinite(q / (tr * z), q)
-                if down:
-                    val /= qpoch_infinite(tr / z, q)
-            else:
-                if up:
-                    val *= qpoch_infinite(q * z / tr, q)
-                if down:
-                    val /= qpoch_infinite(tr * z, q)
+        val = qpoch_factors(rest, z)
         if half:
-            val *= qpoch_infinite(z * z, q) / qpoch_infinite(q * z * z, q)
-            for tr, up, down in half_roles:
-                if up:
-                    val *= qpoch_infinite(q * z / tr, q)
-                if down:
-                    val /= qpoch_infinite(tr * z, q)
+            val *= 1.0 - z * z
         return val
 
-    return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, triple=trip)
+    return LimitMeasure(
+        "SB_INTEGRAL", (pref,), weight, q, triple=trip, log_weight=(pos, neg)
+    )
 
 
 def _negative_zeta(a) -> Fraction:
@@ -542,6 +584,8 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
     t = tuple(complex(x) for x in t)
     q = complex(q)
     w = complex(w)
+    if w == 0:
+        raise DomainError("sigma2_measure requires w != 0")
     _check_sum1(a)
     zeta, pair = _sigma2_pair(a, pair, limit4=False)
     ia, ib = pair
@@ -554,39 +598,54 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
                 "|t_r| >= 1 for a weight-denominator parameter"
             )
 
-    pref = qpoch_infinite(q, q)
+    consts = [(q, 1, q)]
     if half:
-        pref *= qpoch_infinite(ta * tb, q)
+        consts.append((ta * tb, 1, q))
     for r in range(6):
         if r not in (ia, ib) and a[r] == -zeta:
-            pref *= qpoch_infinite(t[r] * ta, q)
-            pref *= qpoch_infinite(t[r] * tb, q)
+            consts.append((t[r] * ta, 1, q))
+            consts.append((t[r] * tb, 1, q))
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
+                consts.append((q / (t[r] * t[s]), -1, q))
+    pref = _qpoch_constant(consts)
 
-    # (t_r, alpha_r == 1 + zeta, alpha_r == -zeta) off the pair, in r order
-    roles = [
-        (t[r], a[r] == 1 + zeta, a[r] == -zeta) for r in range(6) if r not in (ia, ib)
+    # off the pair, in r order: (q z / t_r; q) for alpha_r = 1 + zeta and
+    # 1 / (t_r z; q) for alpha_r = -zeta; then 1 / (t_a / z; q)(t_b / z; q),
+    # 1 / (t_a z; q)(t_b z; q) when zeta = -1/2, and
+    # theta(w z; q) theta(q z / (t_a t_b w); q) as four factors
+    factors = []
+    for r in range(6):
+        if r not in (ia, ib):
+            if a[r] == 1 + zeta:
+                factors.append((q / t[r], 1, 1, q))
+            if a[r] == -zeta:
+                factors.append((t[r], 1, -1, q))
+    factors += [(ta, -1, -1, q), (tb, -1, -1, q)]
+    if half:
+        factors += [(ta, 1, -1, q), (tb, 1, -1, q)]
+    factors += [
+        (w, 1, 1, q),
+        (q / w, -1, 1, q),
+        (q / (ta * tb * w), 1, 1, q),
+        (ta * tb * w, -1, 1, q),
     ]
-    theta_w = theta(ta * w, q) * theta(tb * w, q)
+    pos, neg, rest = qpoch_log_series(factors)
+    # theta(x; q) = (x; q)(q / x; q) for x = t_a w and t_b w
+    theta_w = _qpoch_constant(
+        [(ta * w, 1, q), (q / (ta * w), 1, q), (tb * w, 1, q), (q / (tb * w), 1, q)]
+    )
 
     def weight(z):
-        val = 1.0 + 0.0j
-        for tr, up, down in roles:
-            if up:
-                val *= qpoch_infinite(q * z / tr, q)
-            if down:
-                val /= qpoch_infinite(tr * z, q)
-        val /= qpoch_infinite(ta / z, q) * qpoch_infinite(tb / z, q)
+        val = qpoch_factors(rest, z)
         if half:
-            val *= (1 - z * z) / (qpoch_infinite(ta * z, q) * qpoch_infinite(tb * z, q))
-        val *= theta(w * z, q) * theta(q * z / (ta * tb * w), q)
-        val /= theta_w
-        return val
+            val *= 1 - z * z
+        return val / theta_w
 
-    return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, pair=pair)
+    return LimitMeasure(
+        "SB_INTEGRAL", (pref,), weight, q, pair=pair, log_weight=(pos, neg)
+    )
 
 
 def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
@@ -600,24 +659,28 @@ def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
     _check_balance(t, q)
     half = zeta == Q(-1, 2)
 
-    shared = 1.0 + 0.0j
-    for r in range(6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] == 1:
-                shared /= qpoch_infinite(q / (t[r] * t[s]), q)
+    shared = [
+        (q / (t[r] * t[s]), -1, q)
+        for r in range(6)
+        for s in range(r + 1, 6)
+        if a[r] + a[s] == 1
+    ]
 
     def make_pref(x, y):
         # series based at t[x], companion t[y]
-        pref = shared
+        consts = list(shared)
         if half:
-            pref /= qpoch_infinite(q * t[x] ** 2, q)
+            consts.append((q * t[x] ** 2, -1, q))
         for r in range(6):
             if r not in (ia, ib) and a[r] == -zeta:
-                pref *= qpoch_infinite(t[r] * t[y], q)
+                consts.append((t[r] * t[y], 1, q))
             if r not in (ia, ib) and a[r] == 1 + zeta:
-                pref *= qpoch_infinite(q * t[x] / t[r], q)
-        pref /= qpoch_infinite(t[y] / t[x], q)
-        return pref
+                consts.append((q * t[x] / t[r], 1, q))
+        # (t_y / t_x; q) = (1 - t_y / t_x)(q t_y / t_x; q), whose first
+        # factor is taken as (t_x - t_y) / t_x, clear of the rounding of
+        # the ratio where it nearly cancels
+        consts.append((q * t[y] / t[x], -1, q))
+        return _qpoch_constant(consts) * t[x] / (t[x] - t[y])
 
     def weight(i, k):
         x, y = (ia, ib) if i == 0 else (ib, ia)
@@ -683,20 +746,21 @@ def sigma_measure(alpha, t, q, a_index=None) -> LimitMeasure:
     half = aa == Q(-1, 2)
     Ncount = sum(1 for r in range(6) if r != ia and a[r] < -aa)
 
-    pref = 1.0 + 0.0j
+    consts = []
     for r in range(6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 0:
-                pref *= qpoch_infinite(t[r] * t[s], q)
+                consts.append((t[r] * t[s], 1, q))
             if a[r] + a[s] == 1:
-                pref /= qpoch_infinite(q / (t[r] * t[s]), q)
+                consts.append((q / (t[r] * t[s]), -1, q))
     for r in range(6):
         if r != ia and a[r] == 1 + aa:
-            pref *= qpoch_infinite(q * ta / t[r], q)
+            consts.append((q * ta / t[r], 1, q))
         if r != ia and a[r] == -aa:
-            pref /= qpoch_infinite(t[r] * ta, q)
+            consts.append((t[r] * ta, -1, q))
     if half:
-        pref /= qpoch_infinite(q * ta**2, q)
+        consts.append((q * ta**2, -1, q))
+    pref = _qpoch_constant(consts)
 
     small_prod = ta ** (Ncount - 2)
     for r in range(6):

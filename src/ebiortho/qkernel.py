@@ -1,27 +1,34 @@
 """Numeric kernel: q-symbols, theta functions, elliptic gamma, the
-log series of elliptic-gamma pairs, and the shared circle quadrature.
+log series of circle weights, and the shared circle quadrature.
 
 All infinite products are truncated once their geometric tail bound
 drops below the fixed tolerance _TOL = 1e-15; a product still above it
 after _MAX_TERMS = 4000 factors raises SeriesDivergence instead of
 returning a silently inaccurate value.
 
-gamma_pair_log_series gives the continuous elliptic weight on the unit
-circle as one cosine series: for |pq| < |t| < 1 and |z| = 1,
+Every circle weight of the package is exp(L(z)) times a small per-node
+remainder, L a Laurent series whose coefficients are built once per
+integral.  Two builders give the coefficients.  gamma_pair_log_series
+serves the elliptic-gamma pairs: for |pq| < |t| < 1 and |z| = 1,
 
     log Gamma(t z; p, q) Gamma(t / z; p, q) = sum_{n>=1} c_n(t) (z^n + z^-n),
     c_n(t) = (t^n - (pq/t)^n) / (n (1 - p^n)(1 - q^n)),
 
 from log Gamma(x) = sum_n (x^n - (pq/x)^n) / (n (1 - p^n)(1 - q^n)),
-valid for |pq| < |x| < 1.  The series is cut by a tail bound at _TOL
-and capped at _MAX_TERMS terms; a parameter outside that annulus, or
-one whose terms do not fall below _TOL within the cap, is returned to
-the caller for the product form.  cos_series evaluates the series at
-z = exp(i phi), where z^n + z^-n = 2 cos(n phi).
+valid for |pq| < |x| < 1.  qpoch_log_series serves q-Pochhammer
+factors (c z^s; b)_infty^e, from log (x; b)_infty = -sum_n x^n / (n (1 - b^n)).
+Both cut their series by a tail bound at _TOL and cap them at
+_MAX_TERMS terms; a parameter outside the region of convergence, or one
+whose terms do not fall below _TOL within the cap, is returned to the
+caller for the product form.
 
 circle_mean is the one unit-circle quadrature of the package: the
 continuous elliptic inner product, the Pastro inner product and the
-integral limit measures all average their integrands with it.
+integral limit measures all average their integrands with it.  Given a
+log weight, it sums L at all its midpoint nodes with grid_log_series:
+the orders up to _HEAD_ORDERS by Horner's rule at each node, every
+higher order by one discrete Fourier transform (Trefethen and Weideman,
+SIAM Rev. 56 (2014); Cooley and Tukey, Math. Comp. 19 (1965)).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PoleError, SeriesDivergence
+from .errors import DomainError, NonFiniteValue, PoleError, SeriesDivergence
 
 __all__ = [
     "qpoch_finite",
@@ -39,7 +46,9 @@ __all__ = [
     "theta_qp_prefix",
     "elliptic_gamma",
     "gamma_pair_log_series",
-    "cos_series",
+    "qpoch_log_series",
+    "qpoch_factors",
+    "grid_log_series",
     "csum",
     "check_quad",
     "circle_mean",
@@ -48,6 +57,9 @@ __all__ = [
 
 _TOL = 1e-15
 _MAX_TERMS = 4000
+# grid_log_series sums the orders up to this one at each node by Horner's
+# rule and leaves only the higher ones to the discrete Fourier transform.
+_HEAD_ORDERS = 16
 
 
 def qpoch_finite(x: complex, q: complex, n: int) -> complex:
@@ -137,7 +149,8 @@ def gamma_pair_log_series(ts, p: complex, q: complex):
 
     Returns (coeffs, rest).  coeffs[n - 1] = sum_r c_n(t_r) over the
     parameters the series serves (see the module docstring), so that
-    their log-product is 2 * cos_series(coeffs, z).  rest lists
+    their log-product is grid_log_series(coeffs, coeffs, quad) on the
+    circle_mean grid.  rest lists
     the parameters left to the product form: those outside
     |pq| < |t| < 1, and those whose tail bound
     4 rho^(m+1) / ((m+1)(1-rho)(1-|p|)(1-|q|)), rho = max(|t|, |pq/t|),
@@ -179,27 +192,132 @@ def gamma_pair_log_series(ts, p: complex, q: complex):
     return coeffs, rest
 
 
-def cos_series(coeffs, z: complex) -> complex:
-    """sum_{n>=1} coeffs[n - 1] cos(n phi) at z = exp(i phi).
+def qpoch_log_series(factors, tol: float = _TOL):
+    """Laurent series of the log of a product of q-Pochhammer factors.
 
-    Reinsch's form of Clenshaw's recurrence: it runs on u = 2 cos(phi) -+ 2,
-    taken from |1 -+ z|^2, so that its rounding error stays O(n eps) next
-    to phi = 0 and pi, where the plain recurrence in cos(phi) loses
-    O(n^2 eps).
+    factors lists (c, s, e, b), each meaning (c z^s; b)_infty^e with
+    s in {1, -1, 2, -2} and e in {1, -1}.  A factor adds
+    -e c^n / (n (1 - b^n)) to the coefficient of z^(s n), n >= 1.
+    Returns (pos, neg, rest): pos[k - 1] and neg[k - 1] are the
+    coefficients of z^k and z^-k summed over the factors the series
+    serves, each series cut at the first m whose tail bound
+    |c|^(m+1) / ((m+1)(1-|c|)(1-|b|)) falls below tol.  rest lists the
+    factors left to the product form (qpoch_factors): those with
+    |c| >= 1 or |b| >= 1, and those whose bound stays at or above tol
+    for every m <= _MAX_TERMS.  The choice rests on the moduli alone.
     """
-    x, y = z.real, z.imag
-    b = d = 0.0 + 0.0j
-    if x >= 0:
-        u = -((1.0 - x) ** 2 + y * y)
-        for c in reversed(coeffs):
-            d += c + u * b
-            b += d
-        return d + 0.5 * u * b
-    u = (1.0 + x) ** 2 + y * y
-    for c in reversed(coeffs):
-        d = c + u * b - d
-        b = d - b
-    return 0.5 * u * b - d
+    pos, neg, rest = [], [], []
+    for factor in factors:
+        c, s, e, b = factor
+        if s not in (1, -1, 2, -2) or e not in (1, -1):
+            raise DomainError("a q-Pochhammer factor needs s in +-1, +-2 and e = +-1")
+        ac, ab = abs(c), abs(b)
+        if not (ac < 1 and ab < 1):
+            rest.append(factor)
+            continue
+        scale = 1.0 / ((1.0 - ac) * (1.0 - ab))
+        m = 1
+        while m <= _MAX_TERMS and scale * ac ** (m + 1) / (m + 1) >= tol:
+            m += 1
+        if m > _MAX_TERMS:
+            rest.append(factor)
+            continue
+        out = pos if s > 0 else neg
+        step = abs(s)
+        if len(out) < step * m:
+            out.extend([0.0j] * (step * m - len(out)))
+        cn = bn = 1.0 + 0.0j
+        for n in range(1, m + 1):
+            cn *= c
+            bn *= b
+            out[step * n - 1] -= e * cn / (n * (1.0 - bn))
+    return pos, neg, rest
+
+
+def qpoch_factors(factors, z: complex = 1.0) -> complex:
+    """prod (c z^s; b)_infty^e over factors (c, s, e, b), in product form."""
+    out = 1.0 + 0.0j
+    for c, s, e, b in factors:
+        val = qpoch_infinite(c * z**s, b)
+        if e > 0:
+            out *= val
+        else:
+            out /= val
+    return out
+
+
+def _nodes(quad: int, count: int) -> list:
+    """The first count of the quad midpoint nodes exp(2 pi i (j + 1/2) / quad)."""
+    return [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(count)]
+
+
+def _dft(a, roots) -> list:
+    """[sum_r a[r] w^(r j) for j < n], n = len(a), w = exp(2 pi i / n).
+
+    roots[k] = exp(2 pi i k / N) for a multiple N of n.  Radix 2 while n
+    is even, then a direct sum over the roots of the odd length, which
+    skips the zero entries: a series shorter than the grid fills few
+    bins, and the direct sum costs n per nonzero entry.
+    """
+    n = len(a)
+    stride = len(roots) // n
+    if n % 2:
+        if n == 1:
+            return [a[0]]
+        terms = [(r, x) for r, x in enumerate(a) if x]
+        return [
+            sum((x * roots[(r * j % n) * stride] for r, x in terms), 0.0j)
+            for j in range(n)
+        ]
+    even = _dft(a[0::2], roots)
+    odd = _dft(a[1::2], roots)
+    half = n // 2
+    out = [0.0j] * n
+    for j in range(half):
+        t = roots[j * stride] * odd[j]
+        out[j] = even[j] + t
+        out[j + half] = even[j] - t
+    return out
+
+
+def grid_log_series(pos, neg, quad: int) -> list:
+    """L(z) = sum_k pos[k - 1] z^k + neg[k - 1] z^-k at the circle_mean nodes.
+
+    Returns [L(z_j) for j < quad], z_j = exp(2 pi i (j + 1/2) / quad).
+    The orders k <= _HEAD_ORDERS are summed at each node by Horner's
+    rule.  Every higher order is folded into quad bins: with
+    w = exp(2 pi i / quad), z_j^+-k = e^(+-i pi k / quad) w^(+-k j), and
+    w^(+-k j) depends on k only through +-k mod quad, so the folding is
+    exact on the grid, and one discrete Fourier transform of the bins
+    sums the folded orders at all nodes.  The rounding error of the
+    transform is correlated across nodes; keeping the large low orders
+    out of it keeps the weighted mean of L within a few units in the
+    last place.
+    """
+    check_quad(quad)
+    nodes = _nodes(quad, quad)
+    inverses = [1.0 / z for z in nodes]
+    up = [0.0j] * quad
+    for c in reversed(pos[:_HEAD_ORDERS]):
+        up = [(u + c) * z for u, z in zip(up, nodes)]
+    down = [0.0j] * quad
+    for c in reversed(neg[:_HEAD_ORDERS]):
+        down = [(d + c) * zi for d, zi in zip(down, inverses)]
+    out = [u + d for u, d in zip(up, down)]
+    if len(pos) <= _HEAD_ORDERS and len(neg) <= _HEAD_ORDERS:
+        return out
+    # twist[r] = e^(i pi r / quad); e^(i pi k / quad) = (-1)^(k // quad) twist[k % quad]
+    twist = [cmath.exp(1j * cmath.pi * r / quad) for r in range(quad)]
+    bins = [0.0j] * quad
+    for sign, coeffs in ((1, pos), (-1, neg)):
+        for k in range(_HEAD_ORDERS + 1, len(coeffs) + 1):
+            turn, r = divmod(k, quad)
+            tw = twist[r] if sign > 0 else twist[r].conjugate()
+            if turn % 2:
+                tw = -tw
+            bins[sign * k % quad] += coeffs[k - 1] * tw
+    roots = [cmath.exp(2j * cmath.pi * k / quad) for k in range(quad)]
+    return [h + t for h, t in zip(out, _dft(bins, roots))]
 
 
 def csum(terms) -> complex:
@@ -216,18 +334,34 @@ def check_quad(quad: int) -> None:
         raise DomainError("quad must be even and at least 8")
 
 
-def circle_mean(fn, quad: int, inversion_symmetric: bool = False) -> complex:
+def circle_mean(
+    fn, quad: int, inversion_symmetric: bool = False, log_weight=None
+) -> complex:
     """Mean of fn over the quad midpoint nodes exp(2 pi i (j + 1/2) / quad).
 
     The midpoint grid avoids the double zeros at z = +-1, +-i of the
     elliptic weights; for integrands analytic on an annulus around the
-    circle the rule converges geometrically in quad.  Node quad - 1 - j
-    is 1/z_j, so when the caller passes inversion_symmetric=True for an
-    fn with fn(1/z) = fn(z), the mean is taken over the upper half
-    circle, nodes j < quad/2, which is the full rule at half the cost.
+    circle the rule converges geometrically in quad.  log_weight, a pair
+    (pos, neg) of Laurent coefficients, multiplies node j by exp(L(z_j))
+    (grid_log_series).  Node quad - 1 - j is 1/z_j, so when the caller
+    passes inversion_symmetric=True for an integrand with the same value
+    at z and 1/z, the mean is taken over the upper half circle, nodes
+    j < quad/2, which is the full rule at half the cost.  A weight or an
+    integrand that leaves the floating-point range raises NonFiniteValue.
     """
     check_quad(quad)
-    nodes = quad // 2 if inversion_symmetric else quad
-    return csum(
-        fn(cmath.exp(2j * cmath.pi * (j + 0.5) / quad)) for j in range(nodes)
-    ) / nodes
+    count = quad // 2 if inversion_symmetric else quad
+    terms = [fn(z) for z in _nodes(quad, count)]
+    if log_weight is not None:
+        logs = grid_log_series(*log_weight, quad)
+        try:
+            terms = [t * cmath.exp(x) for t, x in zip(terms, logs)]
+        except OverflowError:
+            raise NonFiniteValue("circle weight left the floating-point range") from None
+    try:
+        mean = csum(terms) / count
+    except (OverflowError, ValueError):
+        mean = complex("nan")
+    if not cmath.isfinite(mean):
+        raise NonFiniteValue("circle integrand left the floating-point range")
+    return mean

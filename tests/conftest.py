@@ -1,8 +1,12 @@
-"""Shared samplers for exact rational points of the polytopes."""
+"""Shared samplers for exact rational points of the polytopes, and the
+continuous weight on the circle_mean grid."""
 
+import cmath
 from fractions import Fraction
 
+from ebiortho.biortho import continuous_weight
 from ebiortho.polytope import attach_zeta, in_P, in_P0
+from ebiortho.qkernel import grid_log_series
 
 
 def random_P0_point(rng, den=4, max_tries=100000):
@@ -29,3 +33,11 @@ def random_P_vector(rng, den=4, max_tries=100000):
         if in_P(v):
             return v
     raise RuntimeError("rejection sampling failed")
+
+
+def grid_weight(par, quad):
+    """continuous_weight at the circle_mean nodes: [(z_j, w(z_j)) for j < quad]."""
+    (pos, neg), remainder = continuous_weight(par)
+    logs = grid_log_series(pos, neg, quad)
+    nodes = [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(quad)]
+    return [(z, cmath.exp(x) * remainder(z)) for z, x in zip(nodes, logs)]

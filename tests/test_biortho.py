@@ -7,13 +7,13 @@ import random
 import pytest
 
 import ebiortho.qkernel
+from conftest import grid_weight
 from ebiortho.biortho import (
     DiscreteSpec,
     EllipticParams,
     _mass_condition,
     check_symmetries,
     continuous_inner_product,
-    continuous_weight,
     discrete_gram,
     discrete_inner_product,
     norm_formula,
@@ -194,12 +194,14 @@ def test_continuous_weight_matches_product_form():
     outside = EllipticParams((1.5, 0.9, 0.8, 0.8), (1.3, None), 0.1, 0.05)
     assert abs(outside.u[1]) <= abs(outside.p * outside.q)
     for par in (outside, FALLBACK, NEAR_CIRCLE):
-        weight, ref = continuous_weight(par), _product_weight(par)
-        for phi in (0.01, 0.9, 2.0, math.pi - 0.01):
-            z = cmath.exp(1j * phi)
-            w, r = weight(z), ref(z)
+        ref = _product_weight(par)
+        grid = grid_weight(par, 512)
+        # phi = 0.006, 0.9, 2.0 and pi - 0.006; node 511 - j is 1/z_j
+        for j in (0, 73, 162, 255):
+            z, w = grid[j]
+            r = ref(z)
             assert abs(w - r) <= 1e-13 * abs(r)
-            assert abs(weight(1 / z) - w) <= 1e-13 * abs(w)
+            assert abs(grid[511 - j][1] - w) <= 1e-13 * abs(w)
 
 
 def test_continuous_rtilde_block():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import ebiortho.limits
+import ebiortho.qkernel
 from ebiortho.biortho import EllipticParams, continuous_inner_product, rtilde
 from ebiortho.errors import (
     BranchError,
@@ -32,7 +34,7 @@ from ebiortho.limits import (
     sigma2_series,
     sigma_measure,
 )
-from ebiortho.qkernel import circle_mean, qpoch_finite
+from ebiortho.qkernel import circle_mean, qpoch_finite, qpoch_infinite, theta
 
 ONE = lambda z: 1.0
 H = Fraction(1, 2)
@@ -155,7 +157,9 @@ def test_nr_integral_on_half_the_circle():
         nodes.append(z)
         return m.weight(z)
 
-    half = LimitMeasure("NR_INTEGRAL", m.prefactors, weight, m.q)
+    half = LimitMeasure(
+        "NR_INTEGRAL", m.prefactors, weight, m.q, log_weight=m.log_weight
+    )
     f = lambda z: z**3 + 0.3 / z
     g = lambda z: 1 + 0.2 * z * z
     for ff, gg in ((ONE, ONE), (f, g)):
@@ -163,7 +167,9 @@ def test_nr_integral_on_half_the_circle():
         got = half.apply(ff, gg, quad=512)
         # the weight is evaluated on the upper half circle only
         assert len(nodes) == 256 and all(z.imag > 0 for z in nodes)
-        full = m.prefactors[0] * circle_mean(lambda z: m.weight(z) * ff(z) * gg(z), 512)
+        full = m.prefactors[0] * circle_mean(
+            lambda z: m.weight(z) * ff(z) * gg(z), 512, log_weight=m.log_weight
+        )
         assert abs(got - full) <= 2e-15 * abs(full)
 
 
@@ -203,6 +209,8 @@ def test_sigma2_series_and_integral_agree():
     assert abs(v1 - 1.0) < 1e-12
     # the deformation parameter w must not matter
     assert abs(v1 - v2) < 1e-12
+    with pytest.raises(DomainError):
+        sigma2_measure(a, t, Q_MEAS, 0)
 
 
 def test_directly_built_measures_apply():
@@ -279,6 +287,185 @@ def test_bad_node_count_is_a_domain_error(monkeypatch):
     assert weight_calls == []
     continuous_inner_product(ONE, ONE, par, quad=8)
     assert weight_calls, "the counters must see the weight work"
+
+
+# ---------------------------------------------------------------------------
+# The circle weights against their product forms
+
+
+def _pastro_product_form(f, g, A, B, q, quad):
+    """pastro_inner_product with the weight as per-node q-products."""
+    rq = q**0.5
+    pref = qpoch_infinite(q, q) * qpoch_infinite(A * B / q, q)
+    pref /= qpoch_infinite(A, q) * qpoch_infinite(B, q)
+
+    def integrand(w):
+        val = f(w) * g(w) * theta(rq * w, q)
+        return val / (qpoch_infinite(A * w / rq, q) * qpoch_infinite(B / (w * rq), q))
+
+    return pref * circle_mean(integrand, quad)
+
+
+def _qp(x, q, up):
+    return qpoch_infinite(x, q) if up else 1.0 / qpoch_infinite(x, q)
+
+
+def _nr_product_weight(a, t, q):
+    def weight(z):
+        val = qpoch_infinite(z * z, q) * qpoch_infinite(1.0 / (z * z), q)
+        for r in range(6):
+            if a[r] in (0, 1):
+                up = a[r] == 1
+                val *= _qp((q / t[r] if up else t[r]) * z, q, up)
+                val *= _qp((q / t[r] if up else t[r]) / z, q, up)
+        return val
+
+    return weight
+
+
+def _sb_product_weight(a, t, q, trip):
+    zeta = sum(a[i] for i in trip)
+    tprod = t[trip[0]] * t[trip[1]] * t[trip[2]]
+
+    def weight(z):
+        val = theta(q * z / tprod, q)
+        for r in range(6):
+            if r in trip:
+                if a[r] == -zeta:
+                    val *= qpoch_infinite(q / (t[r] * z), q)
+                if a[r] == zeta:
+                    val /= qpoch_infinite(t[r] / z, q)
+            else:
+                if a[r] == 1 + zeta:
+                    val *= qpoch_infinite(q * z / t[r], q)
+                if a[r] == -zeta:
+                    val /= qpoch_infinite(t[r] * z, q)
+        if zeta == -H:
+            val *= qpoch_infinite(z * z, q) / qpoch_infinite(q * z * z, q)
+            for r in trip:
+                if a[r] == H:
+                    val *= qpoch_infinite(q * z / t[r], q)
+                if a[r] == -H:
+                    val /= qpoch_infinite(t[r] * z, q)
+        return val
+
+    return weight
+
+
+def _sigma2_product_weight(a, t, q, w, pair):
+    ia, ib = pair
+    zeta = a[ia]
+    ta, tb = t[ia], t[ib]
+
+    def weight(z):
+        val = 1.0 + 0.0j
+        for r in range(6):
+            if r not in pair:
+                if a[r] == 1 + zeta:
+                    val *= qpoch_infinite(q * z / t[r], q)
+                if a[r] == -zeta:
+                    val /= qpoch_infinite(t[r] * z, q)
+        val /= qpoch_infinite(ta / z, q) * qpoch_infinite(tb / z, q)
+        if zeta == -H:
+            val *= (1 - z * z) / (qpoch_infinite(ta * z, q) * qpoch_infinite(tb * z, q))
+        val *= theta(w * z, q) * theta(q * z / (ta * tb * w), q)
+        return val / (theta(ta * w, q) * theta(tb * w, q))
+
+    return weight
+
+
+def test_pastro_matches_product_form():
+    q = 0.45
+    rq = q**0.5
+    f = lambda w: w**2 + 0.5 / w
+    g = lambda w: 1 + 0.3 * w
+    # |A / rq| = 0.995 leaves (A w / rq; q) to the per-node product form
+    for A, B in ((0.55, 0.4), (0.995 * rq, 0.4)):
+        p2 = lambda w: pastro_p(2, w, A, B, q)
+        q2 = lambda w: pastro_q(2, w, A, B, q)
+        for ff, gg in ((ONE, ONE), (p2, q2), (f, g)):
+            for quad in (128, 512):
+                got = pastro_inner_product(ff, gg, A, B, q, quad=quad)
+                ref = _pastro_product_form(ff, gg, A, B, q, quad)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (A, quad)
+
+
+def _measure_cases():
+    """(series measure, product-form weight) pairs: the `verify measures`
+    parameters, Sigma2 at a |w| > 1 that leaves theta(w z) to the product
+    form, and the zeta = -1/2 branches of SB and Sigma2."""
+    nr_t = [0.4, 0.5, 0.7, 0.45, 0.55]
+    nr_t = nr_t[:3] + _solved_last(nr_t)[-1:] + nr_t[3:]
+    nr_a = (0, 0, H, H, 0, 0)
+    sb_a = tuple(Fraction(x, 12) for x in (-1, -1, 5, 5, -1, 5))
+    sb_t = _solved_last([0.8, 0.7, 0.5, 0.6, 0.75])
+    sb_half_a = (-H, H, -H, H, H, H)
+    sb_half_t = [0.7, None, 0.7, 0.9, 0.6, 0.55]
+    sb_half_t[1] = _solved_last([0.7, 0.7, 0.9, 0.6, 0.55])[-1]
+    s2_a = (-Q4, -Q4, Q4, Q4, Q4, Fraction(3, 4))
+    s2_t = _solved_last([0.75, 0.65, 0.5, 0.6, 0.55])
+    s2_half_a = (-H, -H, H, H, H, H)
+    s2_half_t = _solved_last([0.8, 0.75, 0.9, 0.85, 0.95])
+    cases = [(nr_measure(nr_a, nr_t, Q_MEAS), _nr_product_weight(nr_a, nr_t, Q_MEAS))]
+    for a, t in ((sb_a, sb_t), (sb_half_a, sb_half_t)):
+        m = sb_measure(a, t, Q_MEAS)
+        cases.append((m, _sb_product_weight(a, t, Q_MEAS, m.triple)))
+    for a, t, w in ((s2_a, s2_t, 0.9), (s2_a, s2_t, 1.7), (s2_half_a, s2_half_t, 0.9)):
+        m = sigma2_measure(a, t, Q_MEAS, w)
+        cases.append((m, _sigma2_product_weight(a, t, Q_MEAS, w, m.pair)))
+    return cases
+
+
+def test_integral_measures_match_product_form():
+    # the weights agree to about 1e-14 at every node; the means are
+    # compared on the scale of the mean of |integrand|, as the weight of
+    # the zeta = -1/2 SB case changes sign (sum |w| / |sum w| = 14)
+    f = lambda z: z**3 + 0.3 / z
+    g = lambda z: 1 + 0.2 * z * z
+    for m, product_weight in _measure_cases():
+        values = {}
+
+        def weight(z):
+            if z not in values:
+                values[z] = product_weight(z)
+            return values[z]
+
+        ref_measure = LimitMeasure(m.kind, m.prefactors, weight, m.q)
+        for ff, gg in ((ONE, ONE), (f, g)):
+            for quad in (128, 512):
+                got = m.apply(ff, gg, quad=quad)
+                ref = ref_measure.apply(ff, gg, quad=quad)
+                scale = abs(m.prefactors[0]) * circle_mean(
+                    lambda z: abs(weight(z) * ff(z) * gg(z)), quad
+                )
+                assert abs(got - ref) <= 1e-13 * scale.real, (m.kind, quad)
+
+
+def test_circle_weights_cost_no_products_per_node(monkeypatch):
+    # every factor of the Pastro and NR weights at these parameters is a
+    # series factor, so no count of qpoch_infinite calls grows with quad
+    calls = []
+    real = ebiortho.qkernel.qpoch_infinite
+
+    def counted(x, q):
+        calls.append(x)
+        return real(x, q)
+
+    for mod in (ebiortho.qkernel, ebiortho.limits):
+        monkeypatch.setattr(mod, "qpoch_infinite", counted, raising=False)
+    t = [0.4, 0.5, 0.7, 0.45, 0.55]
+    nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
+    runs = {
+        "pastro": lambda quad: pastro_inner_product(ONE, ONE, 0.55, 0.4, 0.45, quad=quad),
+        "NR": lambda quad: nr.apply(ONE, ONE, quad=quad),
+    }
+    for name, run in runs.items():
+        counts = []
+        for quad in (128, 1024):
+            calls.clear()
+            run(quad)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (name, counts)
 
 
 FW_ALPHA = (0, 0, 1, 0, 0, 0)

@@ -9,7 +9,8 @@ import cmath
 import pytest
 
 from ebiortho.biortho import EllipticParams, continuous_prefactor, continuous_weight
-from ebiortho.qkernel import qpoch_infinite
+from conftest import grid_weight
+from ebiortho.qkernel import grid_log_series, qpoch_infinite
 
 mp = pytest.importorskip("mpmath")
 
@@ -80,13 +81,33 @@ WEIGHT_CASES = {
 @pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
 def test_continuous_weight_against_mpmath(name):
     par = WEIGHT_CASES[name]
-    weight = continuous_weight(par)
+    grid = grid_weight(par, 512)
     with mp.workdps(40):
         # node 0 sits next to the double zero of the weight at z = 1
         for j in (0, 100, 255):
-            z = cmath.exp(2j * cmath.pi * (j + 0.5) / 512)
+            z, w = grid[j]
             ref = _mp_weight(par, z)
-            assert abs(weight(z) - ref) <= 1e-13 * abs(ref)
+            assert abs(w - ref) <= 1e-13 * abs(ref)
+
+
+def test_weighted_log_error_at_the_cli_parameters():
+    # The error of L that the <1,1> mean sees: sum_j w_j (L_j - L*_j) / sum_j |w_j|
+    # over the 512 nodes, L*_j the same coefficients summed at node j to
+    # 40 digits.  Summed by the transform alone, the low orders carry its
+    # correlated rounding into the mean (4e-15); the Horner head keeps
+    # the mean near 1e-16.
+    par = WEIGHT_CASES["cli"]
+    (pos, neg), _ = continuous_weight(par)
+    logs = grid_log_series(pos, neg, 512)
+    grid = grid_weight(par, 512)
+    with mp.workdps(40):
+        up = [mp.mpc(c) for c in reversed(pos)] + [0]
+        down = [mp.mpc(c) for c in reversed(neg)] + [0]
+        err = 0.0j
+        for (z, w), x in zip(grid, logs):
+            zm = mp.mpc(z)
+            err += w * (x - complex(mp.polyval(up, zm) + mp.polyval(down, 1 / zm)))
+    assert abs(err) / sum(abs(w) for _, w in grid) <= 5e-16
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHT_CASES))

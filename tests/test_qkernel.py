@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ebiortho.errors import DomainError, PoleError, SeriesDivergence
+from ebiortho.errors import DomainError, NonFiniteValue, PoleError, SeriesDivergence
 from ebiortho.qkernel import (
     circle_mean,
-    cos_series,
     elliptic_gamma,
     gamma_pair_log_series,
+    grid_log_series,
+    qpoch_factors,
     qpoch_finite,
     qpoch_infinite,
+    qpoch_log_series,
     theta,
     theta_qp_finite,
     theta_qp_prefix,
@@ -25,6 +27,11 @@ from ebiortho.qkernel import (
 
 def _rand_annulus(rng, lo=0.3, hi=2.0):
     return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
+
+
+def _grid(quad):
+    """The circle_mean nodes exp(2 pi i (j + 1/2) / quad), j < quad."""
+    return [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(quad)]
 
 
 def triple_product_sum(x, p, nmax=200):
@@ -164,11 +171,13 @@ def test_gamma_pair_log_series_matches_product():
         ts = [_rand_annulus(rng, 0.3, 0.95) for _ in range(3)]
         coeffs, rest = gamma_pair_log_series(ts, p, q)
         assert rest == []
-        z = cmath.exp(2j * math.pi * rng.random())
+        logs = grid_log_series(coeffs, coeffs, 64)
+        j = rng.randrange(64)
+        z = _grid(64)[j]
         prod = 1.0
         for t in ts:
             prod *= elliptic_gamma(t * z, p, q) * elliptic_gamma(t / z, p, q)
-        series = cmath.exp(2 * cos_series(coeffs, z))
+        series = cmath.exp(logs[j])
         assert abs(series - prod) <= 1e-13 * abs(prod)
 
 
@@ -182,19 +191,116 @@ def test_gamma_pair_log_series_fallback_rule():
     assert rest == [0.004] and 0 < len(coeffs) <= 4000
 
 
-def test_cos_series_long_and_near_the_real_axis():
+def test_grid_log_series_long_and_near_the_real_axis():
     # sum r^n cos(n phi) / n = -log|1 - r e^(i phi)|, where
     # |1 - r e^(i phi)|^2 = (1 - r)^2 + 4 r sin^2(phi / 2) for r > 0 and
     # (1 + r)^2 - 4 r cos^2(phi / 2) for r < 0; 3500 terms of |r| = 0.99
-    # leave a tail below 1e-17.  Clenshaw's recurrence in cos(phi) is off
-    # by up to 9e-14 here, Reinsch's form by 9e-16.
+    # leave a tail below 1e-17.  The 4096-node grid comes within
+    # pi / 4096 of phi = 0 and pi; on 256 nodes the orders fold 13 times.
     for r in (0.99, -0.99):
-        coeffs = [r**n / n for n in range(1, 3501)]
-        for phi in (0.001, 0.01, 1.0, math.pi - 0.01, math.pi - 0.001):
-            half = math.sin(phi / 2) if r > 0 else math.cos(phi / 2)
-            exact = -0.5 * math.log((1 - abs(r)) ** 2 + 4 * abs(r) * half**2)
-            got = cos_series(coeffs, cmath.exp(1j * phi))
-            assert abs(got - exact) < 1e-14 * max(1.0, abs(exact))
+        coeffs = [r**n / (2 * n) for n in range(1, 3501)]
+        for quad in (256, 4096):
+            logs = grid_log_series(coeffs, coeffs, quad)
+            for j, got in enumerate(logs):
+                phi = 2 * math.pi * (j + 0.5) / quad
+                half = math.sin(phi / 2) if r > 0 else math.cos(phi / 2)
+                exact = -0.5 * math.log((1 - abs(r)) ** 2 + 4 * abs(r) * half**2)
+                assert abs(got - exact) < 1e-14 * max(1.0, abs(exact))
+
+
+def _sparse_coeffs(rng, count, quad):
+    """count Laurent coefficients c_k = g_k / k, g_k complex normal, zero
+    except at the orders 1..20, the orders next to quad and 2 quad, and
+    twelve random ones."""
+    orders = set(range(1, min(count, 20) + 1))
+    orders |= {k for k in (quad - 1, quad, quad + 1, 2 * quad - 1, 2 * quad, 2 * quad + 1)}
+    orders |= set(rng.sample(range(1, count + 1), min(count, 12)))
+    coeffs = [0.0j] * count
+    for k in orders:
+        if k <= count:
+            coeffs[k - 1] = complex(rng.gauss(0, 1), rng.gauss(0, 1)) / k
+    return coeffs
+
+
+def test_grid_log_series_against_mpmath_at_every_node():
+    # the reference sums each order at the exact node, 30 digits; the
+    # rounding of the double-precision node moves order k by about
+    # k |c_k| eps, so the bound scales with sum_k k |c_k|
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(3)
+    for quad in (8, 30, 520, 1024):
+        for count in (quad // 2 + 3, 2 * quad + 40):
+            pos, neg = _sparse_coeffs(rng, count, quad), _sparse_coeffs(rng, count, quad)
+            got = grid_log_series(pos, neg, quad)
+            terms = [(k, a, b) for k, (a, b) in enumerate(zip(pos, neg), 1) if a or b]
+            scale = sum(k * (abs(a) + abs(b)) for k, a, b in terms)
+            with mp.workdps(30):
+                terms = [(k, mp.mpc(a), mp.mpc(b)) for k, a, b in terms]
+                # roots[m] = exp(i pi m / quad): z_j^k = roots[k (2j + 1) mod 2 quad]
+                roots = [mp.expjpi(mp.mpf(m) / quad) for m in range(2 * quad)]
+                for j in range(quad):
+                    odd = 2 * j + 1
+                    ref = mp.fsum(
+                        a * roots[k * odd % (2 * quad)] + b * roots[-k * odd % (2 * quad)]
+                        for k, a, b in terms
+                    )
+                    assert abs(got[j] - complex(ref)) <= 1e-15 * scale, (quad, count, j)
+
+
+def test_qpoch_log_series_matches_products():
+    # all four powers s = +-1, +-2 in both roles e = +-1, and the two
+    # fallback moduli 1.2 and 0.995, which stay in product form
+    rng = random.Random(2)
+    b = 0.3 * cmath.exp(0.4j)
+    factors = [
+        (_rand_annulus(rng, 0.2, 0.9), s, e, b) for s in (1, -1, 2, -2) for e in (1, -1)
+    ]
+    fallback = [(1.2 * cmath.exp(1.1j), 1, 1, b), (0.995, -1, -1, b)]
+    pos, neg, rest = qpoch_log_series(factors + fallback)
+    assert rest == fallback
+    for quad in (16, 64):
+        logs = grid_log_series(pos, neg, quad)
+        for j, z in enumerate(_grid(quad)):
+            prod = 1.0 + 0.0j
+            for c, s, e, bb in factors + fallback:
+                val = qpoch_infinite(c * z**s, bb)
+                prod = prod * val if e > 0 else prod / val
+            got = cmath.exp(logs[j]) * qpoch_factors(rest, z)
+            assert abs(got - prod) <= 1e-13 * abs(prod)
+
+
+def test_qpoch_log_series_fallback_rule():
+    b = 0.1
+    # |c| >= 1, and a modulus whose terms need more than the 4000-term
+    # cap (0.995 needs about 6400), keep the product form
+    for c in (1.2, 0.995):
+        for s, e in ((1, 1), (-2, -1)):
+            assert qpoch_log_series([(c, s, e, b)]) == ([], [], [(c, s, e, b)])
+    pos, neg, rest = qpoch_log_series([(0.99, 1, 1, b), (1.2, -1, -1, b)])
+    assert rest == [(1.2, -1, -1, b)] and neg == [] and 0 < len(pos) <= 4000
+    for bad in ((0.5, 3, 1, b), (0.5, 1, 2, b)):
+        with pytest.raises(DomainError):
+            qpoch_log_series([bad])
+
+
+def test_circle_mean_log_weight_and_non_finite_values():
+    fn = lambda z: 2 + z**3 + z**-3
+    for quad in (8, 30, 64):
+        direct = circle_mean(lambda z: fn(z) * cmath.exp(z + 1 / z), quad)
+        weighted = circle_mean(fn, quad, log_weight=([1.0], [1.0]))
+        assert abs(weighted - direct) < 1e-14 * abs(direct)
+    # Re L = 800 cos(phi) passes 709 near z = 1, where exp overflows
+    with pytest.raises(NonFiniteValue):
+        circle_mean(lambda z: 1.0, 16, log_weight=([400.0], [400.0]))
+    inf = float("inf")
+    for bad in (
+        lambda z: inf if z.imag > 0 else 1.0,
+        lambda z: inf if z.imag > 0 else -inf,
+        lambda z: complex("nan"),
+        lambda z: 1e308,
+    ):
+        with pytest.raises(NonFiniteValue):
+            circle_mean(bad, 16)
 
 
 def test_circle_mean_inversion_symmetric_half_grid():
