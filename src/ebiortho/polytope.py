@@ -473,11 +473,6 @@ def face_of(alpha) -> list[FaceSignature]:
     return found
 
 
-def _in_relint_PII(alpha, t: int) -> bool:
-    a, h = _point6(alpha)
-    return sum(a) == 2 * h and _strict(_PII_ROWS[t], a, h)
-
-
 def _is_system(a, h) -> bool:
     return _in_P0(a, h) and not any(_strict(rows, a, h) for rows in _PII_ROWS)
 

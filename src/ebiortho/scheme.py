@@ -3,9 +3,12 @@
 Builds the 21 tiling vertices, enumerates every face of the P_I / P_II,t /
 P_III,(r,s,t) tiling by exact facet saturation, groups faces into
 realizations (S4 x S2 orbits) and systems (orbits modulo lattice shifts
-and the flip), assigns measure tags, and regenerates the golden tables:
-the per-level system tables, the full degeneration graph, and the q-Askey
-subscheme.  Emitters produce deterministic JSON, DOT and TSV.
+and the flip), and derives each orbit's system test, name and flip images
+from its smallest face (see ``Scheme``).  An edge of the degeneration
+graph joins the systems of a face and of a facet.  Assigns measure tags
+and regenerates the golden tables: the per-level system tables, the full
+degeneration graph, and the q-Askey subscheme.  Emitters produce
+deterministic JSON, DOT and TSV.
 """
 
 from __future__ import annotations
@@ -140,10 +143,9 @@ def _midpoint2(names) -> tuple[tuple[int, ...], int]:
     return tuple(map(sum, zip(*_face_vecs(names)))), len(names)
 
 
-@lru_cache(maxsize=1)
-def _all_faces() -> tuple[tuple[str, ...], ...]:
-    """All system faces of the tiling as sorted vertex-name tuples."""
-    faces: set[frozenset[str]] = set()
+def _all_faces() -> set[tuple[str, ...]]:
+    """Every face of the tiling as a sorted vertex-name tuple."""
+    faces: set[tuple[str, ...]] = set()
     for rows in _TILE_ROWS.values():
         # the tight rows of each vertex of the tile
         tight = {}
@@ -161,33 +163,19 @@ def _all_faces() -> tuple[tuple[str, ...], ...]:
             commons |= new
             new = {c & t for c in new for t in tight.values()} - commons
         for common in commons:
-            faces.add(frozenset(n for n, t in tight.items() if t >= common))
-    out = []
-    for fs in faces:
-        names = tuple(sorted(fs))
-        if not _is_system(*_midpoint2(names)):
-            continue
-        vecs = _face_vecs(names)
-        rows = [
-            [x - y for x, y in zip(v, vecs[0])] for v in vecs[1:]
-        ]
-        if rows and _rank(rows) != len(names) - 1:
-            raise InternalError(
-                f"non-simplicial system face {names}"
-            )
-        out.append(names)
-    return tuple(sorted(out, key=lambda f: (len(f), f)))
+            faces.add(tuple(sorted(n for n, t in tight.items() if t >= common)))
+    return faces
 
 
-@lru_cache(maxsize=1)
-def _vertex_images() -> tuple[dict[str, tuple[int, ...]], ...]:
-    """For each symmetry, the image of every vertex on the doubled scale."""
-    return tuple({n: _apply(s, v) for n, v in _VERT2.items()} for s in _SYMS)
+# For each symmetry, the image of every vertex on the doubled scale.
+_VERTEX_IMAGES = tuple(
+    {n: _apply(s, v) for n, v in _VERT2.items()} for s in _SYMS
+)
 
 
 def _canon_orbit_key(names) -> tuple:
     return min(
-        tuple(sorted(img[n] for n in names)) for img in _vertex_images()
+        tuple(sorted(img[n] for n in names)) for img in _VERTEX_IMAGES
     )
 
 
@@ -278,20 +266,31 @@ def _midpoint7(names) -> tuple[Fraction, ...]:
     return mid + (-zeta_for(mid),)
 
 
+def _orbit_system(oid: str) -> str:
+    return oid.rsplit(".", 1)[0]
+
+
 EXPECTED_TOTAL = 38
 EXPECTED_LEVEL_COUNTS = {1: 1, 2: 5, 3: 7, 4: 12, 5: 10, 6: 3}
 
 
 class Scheme:
-    """Fully enumerated scheme with orbit/class/flip structure."""
+    """The system faces grouped into orbits, systems, flips and a graph.
+
+    Each S4 x S2 orbit's system test, simplex check, name and flip images
+    come from its smallest face alone, since all four are invariant: the
+    P^(0) rows are symmetric in all six indices and S4 x S2 permutes the
+    P_II,t tiles; the name counts over alpha_0..alpha_3 and its suffix is
+    symmetric in alpha_4 <-> alpha_5; a coordinate permutation keeps the
+    rank; and the flip is b -> c - b with c = (0,0,1,1,0,0), where
+    sigma(c) - c is a sum-zero integer vector (a lattice shift), so the
+    flip-plus-shift images of sigma(f) are sigma applied to those of f.
+    ``faces`` holds the system faces sorted by (size, names).
+    """
 
     def __init__(self):
-        faces = _all_faces()
-        self.faces = faces
-        self.face_system = {f: _face_name(*_midpoint2(f)) for f in faces}
-
         orbit_keys: dict[tuple, list] = {}
-        for f in faces:
+        for f in _all_faces():
             orbit_keys.setdefault(_canon_orbit_key(f), []).append(f)
         # orbit id: system name + index of the orbit's smallest face
         self.orbit_of: dict[tuple, str] = {}
@@ -299,21 +298,27 @@ class Scheme:
         per_name_count: dict[str, int] = {}
         for key in sorted(orbit_keys):
             members = sorted(orbit_keys[key])
-            name = self.face_system[members[0]]
+            rep = members[0]
+            mid = _midpoint2(rep)
+            if not _is_system(*mid):
+                continue
+            vecs = _face_vecs(rep)
+            rows = [[x - y for x, y in zip(v, vecs[0])] for v in vecs[1:]]
+            if rows and _rank(rows) != len(rep) - 1:
+                raise InternalError(f"non-simplicial system face {rep}")
+            name = _face_name(*mid)
             idx = per_name_count.get(name, 0)
             per_name_count[name] = idx + 1
             oid = f"{name}.{idx}"
             self.orbit_faces[oid] = members
             for f in members:
                 self.orbit_of[f] = oid
+        self.faces = tuple(sorted(self.orbit_of, key=lambda f: (len(f), f)))
 
         self.flip_orbits: dict[str, tuple[str, ...] | None] = {}
         for oid, members in self.orbit_faces.items():
-            images: set[str] = set()
-            for f in members:
-                for img in _flip_image_faces(f):
-                    images.add(self.orbit_of[img])
-            self.flip_orbits[oid] = tuple(sorted(images)) if images else None
+            imgs = {self.orbit_of[f] for f in _flip_image_faces(members[0])}
+            self.flip_orbits[oid] = tuple(sorted(imgs)) or None
 
         self.systems = self._assemble_systems()
         self.graph = self._build_graph()
@@ -321,7 +326,7 @@ class Scheme:
     def _assemble_systems(self) -> tuple[SystemRecord, ...]:
         by_name: dict[str, list[str]] = {}
         for oid in self.orbit_faces:
-            by_name.setdefault(oid.rsplit(".", 1)[0], []).append(oid)
+            by_name.setdefault(_orbit_system(oid), []).append(oid)
         askey = {}
         for row in ASKEY_ROWS:
             askey.setdefault(row[2], []).append(row[0])
@@ -366,19 +371,13 @@ class Scheme:
         return tuple(systems)
 
     def _build_graph(self) -> DegenerationGraph:
-        by_level: dict[int, dict[str, list]] = {}
-        for f in self.faces:
-            by_level.setdefault(len(f), {}).setdefault(
-                self.face_system[f], []
-            ).append(frozenset(f))
-        edges = set()
-        for lvl in range(1, 6):
-            lo = by_level.get(lvl, {})
-            hi = by_level.get(lvl + 1, {})
-            for na, fas in lo.items():
-                for nb, fbs in hi.items():
-                    if any(fa < fb for fa in fas for fb in fbs):
-                        edges.add((na, nb))
+        # (system of facet fa, system of face fb), fa = fb minus one vertex
+        edges = {
+            (_orbit_system(self.orbit_of[fa]), _orbit_system(oid))
+            for fb, oid in self.orbit_of.items()
+            for fa in combinations(fb, len(fb) - 1)
+            if fa in self.orbit_of
+        }
         nodes = frozenset(s.name for s in self.systems)
         return DegenerationGraph(nodes=nodes, edges=frozenset(edges))
 
@@ -813,7 +812,7 @@ def check_appendix() -> list[str]:
         got_mid = _midpoint7(verts)
         if got_mid != mid7:
             errors.append(f"{where}: midpoint {got_mid} != {mid7}")
-        got_name = sch.face_system[verts]
+        got_name = _orbit_system(sch.orbit_of[verts])
         if got_name != name:
             errors.append(f"{where}: name {got_name} != {name}")
         if measure_tag(verts) != mu:
@@ -861,7 +860,7 @@ def check_appendix() -> list[str]:
                     if imgs is not None:
                         errors.append(f"{name}: level-6 flip should leave P0")
                 elif imgs is None or any(
-                    i.rsplit(".", 1)[0] != name for i in imgs
+                    _orbit_system(i) != name for i in imgs
                 ):
                     errors.append(f"{name}: {oid} flips out of its system")
 

@@ -37,11 +37,9 @@ from ebiortho.limits import (
     richardson,
 )
 from ebiortho.polytope import (
-    TileId,
-    _in_relint_PII,
     attach_zeta,
+    face_of,
     is_z_dependent,
-    point_in_tile,
     reduce_to_P,
 )
 from ebiortho.qkernel import elliptic_gamma, qpoch_finite, qpoch_infinite, theta
@@ -194,28 +192,24 @@ def test_deficit_nonnegative_1000_points():
 
 
 def _tile_samples(per_tile=4, n_other=8):
+    """Seeded P^(0) points in the relative interior of each P_II,t, on its
+    boundary, and in no P_II,t, read off the face_of signatures."""
     rng = random.Random(6)
     interior = {t: [] for t in range(6)}
     boundary = {t: [] for t in range(6)}
     other = []
-    tiles2 = {t: TileId("II", (t,)) for t in range(6)}
     while (
         any(len(s) < per_tile for s in interior.values())
         or any(len(s) < per_tile for s in boundary.values())
         or len(other) < n_other
     ):
         a = random_P0_point(rng, den=rng.choice([2, 3, 4, 6, 8]))
-        hit = False
-        for t in range(6):
-            if _in_relint_PII(a, t):
-                if len(interior[t]) < per_tile:
-                    interior[t].append(a)
-                hit = True
-            elif point_in_tile(a, tiles2[t]):
-                if len(boundary[t]) < per_tile:
-                    boundary[t].append(a)
-                hit = True
-        if not hit and len(other) < n_other:
+        pii = [s for s in face_of(a) if s.tile.kind == "II"]
+        for sig in pii:
+            bucket = boundary if sig.tight else interior
+            if len(bucket[sig.tile.indices[0]]) < per_tile:
+                bucket[sig.tile.indices[0]].append(a)
+        if not pii and len(other) < n_other:
             other.append(a)
     return interior, boundary, other
 

@@ -208,6 +208,15 @@ def test_scheme_out_file(tmp_path, capsys):
     assert len(path.read_text().strip().split("\n")) == 39
 
 
+def test_scheme_dot_all_and_tsv_stdout(capsys):
+    from ebiortho.scheme import emit_dot, emit_tsv
+
+    assert main(["scheme", "--format", "dot", "--all"]) == 0
+    assert capsys.readouterr().out == emit_dot(include_as=True)
+    assert main(["scheme", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == emit_tsv()
+
+
 def test_quad_reaches_the_suite(capsys):
     assert main(["verify", "elliptic-continuous", "--quad", "256"]) == 0
     assert "256 nodes" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from ebiortho.errors import DomainError
 from ebiortho.exponents import ExponentVector
 from ebiortho.polytope import (
     TileId,
-    _in_relint_PII,
     apply_word,
     attach_zeta,
     face_name,
@@ -431,8 +430,7 @@ def test_integer_table_matches_fraction_reference():
         assert in_P0(a) and _ref_in_P0(a)
         for tile in tiles():
             assert point_in_tile(a, tile) == any(r[0] == tile for r in ref)
-        for t in range(6):
-            assert _in_relint_PII(a, t) == any(r[0] == pii[t] and r[3] for r in ref)
+        assert is_system(a) == (not any(r[0] in pii and r[3] for r in ref))
         assert [(s.tile, s.tight, s.dim) for s in face_of(a)] == [r[:3] for r in ref]
         zeta = zeta_for(a)
         assert type(zeta) is Fraction and zeta == _ref_zeta(a)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+from ebiortho import scheme
 from ebiortho.polytope import attach_zeta, face_name, is_system
 from ebiortho.scheme import (
     EXPECTED_LEVEL_COUNTS,
@@ -109,6 +110,62 @@ def test_flip_partner_consistency():
             assert s.flip_partner is None
         else:
             assert s.flip_partner == s.name
+
+
+# The scheme derives each orbit's data from its smallest face.  The tests
+# below recompute that data face by face and compare.
+
+
+def test_system_test_is_orbit_invariant():
+    sch = build_scheme()
+    faces = scheme._all_faces()
+    assert len(faces) == 1255
+    for f in faces:
+        assert scheme._is_system(*scheme._midpoint2(f)) == (f in sch.orbit_of)
+    assert len(sch.faces) == 1249
+    assert set(sch.faces) == set(sch.orbit_of)
+    assert len(sch.orbit_faces) == 105
+
+
+def test_every_system_face_is_named_by_its_orbit():
+    sch = build_scheme()
+    for f in sch.faces:
+        mid = scheme._midpoint7(f)[:6]
+        assert face_name(mid) == sch.orbit_of[f].rsplit(".", 1)[0]
+
+
+def test_every_system_face_flips_to_its_orbits_flip_orbits():
+    sch = build_scheme()
+    for f in sch.faces:
+        images = {sch.orbit_of[img] for img in scheme._flip_image_faces(f)}
+        assert (tuple(sorted(images)) or None) == sch.flip_orbits[sch.orbit_of[f]]
+
+
+def test_graph_edges_match_pairwise_face_inclusion():
+    sch = build_scheme()
+    by_level = {}
+    for f in sch.faces:
+        name = sch.orbit_of[f].rsplit(".", 1)[0]
+        by_level.setdefault(len(f), {}).setdefault(name, []).append(frozenset(f))
+    edges = set()
+    for lvl in range(1, 6):
+        for na, fas in by_level.get(lvl, {}).items():
+            for nb, fbs in by_level.get(lvl + 1, {}).items():
+                if any(fa < fb for fa in fas for fb in fbs):
+                    edges.add((na, nb))
+    assert sch.graph.edges == edges
+    assert len(edges) == 78
+
+
+def test_name_and_flip_run_once_per_orbit(monkeypatch):
+    calls = {"_face_name": 0, "_flip_image_faces": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(scheme, fn), _key=fn):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(scheme, fn, counted)
+    scheme.Scheme()
+    assert calls == {"_face_name": 105, "_flip_image_faces": 105}
 
 
 # sha256 of the four emitter outputs as the all-Fraction implementation
