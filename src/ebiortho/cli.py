@@ -37,6 +37,7 @@ from .limits import (
     limit_value,
     nr_measure,
     pastro_inner_product,
+    pastro_norm,
     pastro_p,
     pastro_q,
     richardson,
@@ -52,7 +53,6 @@ from .polytope import (
     is_z_dependent,
     reduce_to_P,
 )
-from .qkernel import qpoch_finite
 
 __all__ = ["main", "parse_rational"]
 
@@ -209,10 +209,7 @@ def verify_pastro(args) -> int:
                 quad=args.quad,
             )
             if n == m:
-                h = (A * B / q) ** n * qpoch_finite(q, q, n) / qpoch_finite(
-                    A * B / q, q, n
-                )
-                diag = max(diag, abs(v - h))
+                diag = max(diag, abs(v - pastro_norm(n, A, B, q)))
             else:
                 off = max(off, abs(v))
     # B = q is a removable singularity of the series: its mean over

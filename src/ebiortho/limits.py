@@ -4,7 +4,11 @@ Pastro polynomials with their circle measure, the finite-support limit
 weights, the four infinite-support limit bilinear forms (beta-integral
 type, symmetry-broken integral, double series, single series), and
 numeric limit extraction: log-slope valuation estimates and the one
-Richardson routine in p -> 0.  The `verify limit` family also lives
+Richardson routine in p -> 0.  Every measure is built from lists of its
+factors: the circle weights (Pastro, NR, SB, Sigma2 integral) by one
+builder, _circle_weight, which also holds the one contour rule, and the
+series weights (Sigma, Sigma2 series, finite) from one basic
+hypergeometric term, _series_term.  The `verify limit` family also lives
 here: limit_value evaluates rtilde along the p-dependent parameters of
 face 1111pp or 40as, limit_target the closed-form limit it tends to.
 """
@@ -42,6 +46,7 @@ __all__ = [
     "pastro_p",
     "pastro_q",
     "pastro_inner_product",
+    "pastro_norm",
     "finite_weights",
     "LimitMeasure",
     "nr_measure",
@@ -87,6 +92,47 @@ def _qpoch_constant(factors) -> complex:
         [(x, 1, e, b) for x, e, b in factors], tol=_CONST_TOL
     )
     return cmath.exp(csum(pos)) * qpoch_factors(rest)
+
+
+def _circle_weight(consts, factors, zeros=()):
+    """(prefactor, weight, log_weight) of a measure on the unit circle.
+
+    The constant is prod (x; b)_infty^e over consts (x, e, b); the weight
+    is prod (c z^s; b)_infty^e over factors (c, s, e, b) as a log series
+    (pos, neg), times weight(z): prod (1 - z^s) over zeros and the factors
+    the series leaves out.  The contour rule: the poles z^s = c^-1 q^-j of
+    a denominator factor stay off the circle, on their own side of it,
+    only while |c| < 1; ContourError otherwise.
+    """
+    if any(e < 0 and abs(c) >= 1 for c, _, e, _ in factors):
+        raise ContourError("a weight-denominator pole family meets the unit circle")
+    pref = _qpoch_constant(consts)
+    pos, neg, rest = qpoch_log_series(factors)
+
+    def weight(z):
+        val = 1.0 + 0.0j
+        for s in zeros:
+            val *= 1.0 - z**s
+        return val * qpoch_factors(rest, z)
+
+    return pref, weight, (pos, neg)
+
+
+def _series_term(k, q, numer, denom, z, m, vwp=None) -> complex:
+    """Basic hypergeometric term (Gasper-Rahman, ch. 2) z^k q^(m C(k,2))
+    prod (a; q)_k / ((q; q)_k prod (b; q)_k), a in numer, b in denom,
+    times (1 - v q^(2k)) / (1 - v) when vwp = v (very-well-poised)."""
+    val = z**k
+    if m:
+        val *= q ** (m * _binom2(k))
+    if vwp is not None:
+        val *= (1 - vwp * q ** (2 * k)) / (1 - vwp)
+    den = qpoch_finite(q, q, k)
+    for x in numer:
+        val *= qpoch_finite(x, q, k)
+    for x in denom:
+        den *= qpoch_finite(x, q, k)
+    return val / den
 
 
 def _phi(numer, denom, q, x, nterms) -> complex:
@@ -170,28 +216,25 @@ def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
     """Unit-circle bilinear form making p_n and q_m biorthogonal.
 
     The weight theta(rq w; q) / ((A w / rq; q)_infty (B / (w rq); q)_infty),
-    rq = q^(1/2), is four q-Pochhammer factors, and the contour check
-    puts all four inside the region of their log series: circle_mean
-    takes the weight from one Laurent series, and only a factor past the
-    series cap is evaluated per node.  The constant
-    (q;q)(AB/q;q) / ((A;q)(B;q)) comes from the same series at w = 1.
+    rq = q^(1/2), times the constant (q;q)(AB/q;q) / ((A;q)(B;q)).
     """
     A, B, q = complex(A), complex(B), complex(q)
     if abs(q) >= 1:
         raise DomainError("|q| < 1 required")
-    rq = q**0.5
-    if abs(A / rq) >= 1 or abs(B / rq) >= 1:
-        raise ContourError("pole families cross the unit circle")
     check_quad(quad)
-    pref = _qpoch_constant([(q, 1, q), (A * B / q, 1, q), (A, -1, q), (B, -1, q)])
-    pos, neg, rest = qpoch_log_series(
-        [(rq, 1, 1, q), (rq, -1, 1, q), (A / rq, 1, -1, q), (B / rq, -1, -1, q)]
+    rq = q**0.5
+    pref, weight, log_weight = _circle_weight(
+        [(q, 1, q), (A * B / q, 1, q), (A, -1, q), (B, -1, q)],
+        [(rq, 1, 1, q), (rq, -1, 1, q), (A / rq, 1, -1, q), (B / rq, -1, -1, q)],
+    )
+    return pref * circle_mean(
+        lambda w: f(w) * g(w) * weight(w), quad, log_weight=log_weight
     )
 
-    def integrand(w):
-        return f(w) * g(w) * qpoch_factors(rest, w)
 
-    return pref * circle_mean(integrand, quad, log_weight=(pos, neg))
+def pastro_norm(n, A, B, q) -> complex:
+    """<p_n, q_n> in closed form: (AB/q)^n (q;q)_n / (AB/q;q)_n."""
+    return (A * B / q) ** n * qpoch_finite(q, q, n) / qpoch_finite(A * B / q, q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +242,9 @@ def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
 
 
 def finite_weights(k, alpha, t, N, q) -> complex:
-    """Weight of the k-th mass point t0 q^k of the finite limit measure.
-
-    Three branches depending on alpha_0 = 0, in (-1/2, 0), or = -1/2.
-    """
+    """Weight of the k-th mass point t0 q^k of the finite limit measure:
+    a constant times a basic hypergeometric term in k, with one branch
+    for alpha_0 = 0 and -1/2 and one for -1/2 < alpha_0 < 0."""
     a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
@@ -230,86 +272,63 @@ def finite_weights(k, alpha, t, N, q) -> complex:
         raise DomainError("t2 t3 t4 t5 = q^(N+1) violated")
 
     t0, t1 = t[0], t[1]
-    pair_tail = 1.0 + 0.0j
+    const = 1.0 + 0.0j
     for r in range(2, 6):
         for s in range(r + 1, 6):
             if a[r] + a[s] == 1:
-                pair_tail /= qpoch_finite(q / (t[r] * t[s]), q, N)
+                const /= qpoch_finite(q / (t[r] * t[s]), q, N)
 
-    if a0 == 0:
-        w = (1 - t0**2 * q ** (2 * k)) / (1 - t0**2)
-        w *= qpoch_finite(q ** (-N), q, k) * qpoch_finite(t0**2, q, k)
-        w /= qpoch_finite(q, q, k) * qpoch_finite(q * t0 / t1, q, k)
-        w *= (1.0 / (t1 * t0**3 * q)) ** k * q ** (-2 * _binom2(k))
-        w /= qpoch_finite(t1 / t0, q, N)
-        for r in range(2, 6):
-            if a[r] == 0:
-                w *= (
-                    qpoch_finite(t0 * t[r], q, k)
-                    * qpoch_finite(t1 * t[r], q, N)
-                    / qpoch_finite(q * t0 / t[r], q, k)
-                )
-                w *= (-q * t0 / t[r]) ** k * q ** _binom2(k)
-            elif a[r] == 1:
-                w *= (
-                    qpoch_finite(t0 * t[r], q, k)
-                    * qpoch_finite(t1 * t[r], q, N)
-                    / qpoch_finite(q * t0 / t[r], q, k)
-                )
-                w *= (-t0 * t[r]) ** (-k) * (-t1 * t[r]) ** (-N)
-                w *= q ** (-_binom2(k) - _binom2(N))
-        return w * pair_tail
+    if a0 in (0, Q(-1, 2)):
+        # very-well-poised in t0^2; only the heads of the two endpoints
+        # differ, alpha_r = alpha_0 and 1 + alpha_0 add the same factors
+        low = [r for r in range(2, 6) if a[r] == a0]
+        up = [r for r in range(2, 6) if a[r] == 1 + a0]
+        numer = [q ** (-N), t0**2] + [t0 * t[r] for r in low + up]
+        denom = [q * t0 / t1] + [q * t0 / t[r] for r in low + up]
+        if a0 == 0:
+            z, m = 1.0 / (t1 * t0**3 * q), -2
+        else:
+            z, m = q * t0 / t1, 2
+            const *= (-t1 / t0) ** N * q ** _binom2(N)
+        const /= qpoch_finite(t1 / t0, q, N)
+        for r in low:
+            z, m = -z * q * t0 / t[r], m + 1
+        for r in up:
+            z, m = -z / (t0 * t[r]), m - 1
+            const *= (-t1 * t[r]) ** (-N) * q ** (-_binom2(N))
+        for r in low + up:
+            const *= qpoch_finite(t1 * t[r], q, N)
+        return const * _series_term(k, q, numer, denom, z, m, vwp=t0**2)
 
-    if a0 == Q(-1, 2):
-        w = (1 - t0**2 * q ** (2 * k)) / (1 - t0**2)
-        w *= qpoch_finite(q ** (-N), q, k) * qpoch_finite(t0**2, q, k)
-        w /= qpoch_finite(q, q, k) * qpoch_finite(q * t0 / t1, q, k)
-        w /= qpoch_finite(t1 / t0, q, N)
-        w *= (q * t0 / t1) ** k * (-t1 / t0) ** N
-        w *= q ** (2 * _binom2(k) + _binom2(N))
-        for r in range(2, 6):
-            if a[r] == Q(-1, 2):
-                w *= (
-                    qpoch_finite(t0 * t[r], q, k)
-                    * qpoch_finite(t1 * t[r], q, N)
-                    * (-q * t0 / t[r]) ** k
-                    * q ** _binom2(k)
-                    / qpoch_finite(q * t0 / t[r], q, k)
-                )
-            elif a[r] == Q(1, 2):
-                w *= (
-                    qpoch_finite(t0 * t[r], q, k)
-                    * qpoch_finite(t1 * t[r], q, N)
-                    / qpoch_finite(q * t0 / t[r], q, k)
-                )
-                w *= (-t0 * t[r]) ** (-k) * (-t1 * t[r]) ** (-N)
-                w *= q ** (-_binom2(k) - _binom2(N))
-        return w * pair_tail
-
-    # -1/2 < alpha_0 < 0
-    w = qpoch_finite(q ** (-N), q, k) / qpoch_finite(q, q, k)
-    w /= t0 ** (2 * k) * q ** (2 * _binom2(k))
+    # interior branch, -1/2 < alpha_0 < 0
+    numer = [q ** (-N)] + [t0 * t[r] for r in range(2, 6) if a[r] == -a0]
+    denom = [q * t0 / t[r] for r in range(2, 6) if a[r] in (a0, 1 + a0)]
+    z, m = t0 ** (-2), -2
     for r in range(2, 6):
         if a[r] == a0:
-            w *= (q * t0**2) ** k * q ** (2 * _binom2(k))
-            w /= qpoch_finite(q * t0 / t[r], q, k)
-            w *= qpoch_finite(t1 * t[r], q, N)
+            z *= q * t0**2
+            m += 2
+            const *= qpoch_finite(t1 * t[r], q, N)
         elif a0 < a[r] < -a0:
-            w *= (-t0 * t[r]) ** k * q ** _binom2(k)
-        if a[r] == -a0:
-            w *= qpoch_finite(t0 * t[r], q, k)
-        if a[r] == 1 + a0:
-            w *= qpoch_finite(q * t0 / t[r], q, N)
-            w /= qpoch_finite(q * t0 / t[r], q, k)
-    return w * pair_tail
+            z *= -t0 * t[r]
+            m += 1
+        elif a[r] == 1 + a0:
+            const *= qpoch_finite(q * t0 / t[r], q, N)
+    return const * _series_term(k, q, numer, denom, z, m)
 
 
 # ---------------------------------------------------------------------------
 # Limit measures
 
 
-_INTEGRAL_KINDS = ("NR_INTEGRAL", "SB_INTEGRAL")
-_SERIES_KINDS = ("SIGMA_SERIES", "SIGMA2_SERIES", "FINITE_DISCRETE")
+# Number of series base points of each limit-measure kind.
+_KIND_BASES = {
+    "NR_INTEGRAL": 0,
+    "SB_INTEGRAL": 0,
+    "SIGMA_SERIES": 1,
+    "SIGMA2_SERIES": 2,
+    "FINITE_DISCRETE": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -323,10 +342,12 @@ class LimitMeasure:
     NR_INTEGRAL weight must satisfy w(1/z) = w(z), because apply averages
     w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle.  For
     series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the i-th
-    base point b of bases.  prefactors holds one factor per base point
-    (a single one for the integral kinds).  n_masses is the length of
-    the finite series; triple, pair and base_index record the exponent
-    indices the SB, Sigma2 and Sigma measures were built on.
+    base point b of bases: one for SIGMA_SERIES and FINITE_DISCRETE, two
+    for SIGMA2_SERIES, none for the integral kinds.  prefactors holds one
+    factor per base point (a single one for the integral kinds).
+    n_masses, an integer >= 1, is the length of the finite series;
+    triple, pair and base_index record the exponent indices the SB,
+    Sigma2 and Sigma measures were built on.
     """
 
     kind: str
@@ -341,10 +362,15 @@ class LimitMeasure:
     log_weight: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _INTEGRAL_KINDS + _SERIES_KINDS:
+        nbases = _KIND_BASES.get(self.kind)
+        if nbases is None:
             raise DomainError(f"unknown limit-measure kind {self.kind!r}")
-        if len(self.prefactors) != max(len(self.bases), 1):
-            raise DomainError("need one prefactor per series base point")
+        if (len(self.bases), len(self.prefactors)) != (nbases, max(nbases, 1)):
+            raise DomainError(f"{self.kind} needs {nbases} bases and a prefactor each")
+        if self.kind == "FINITE_DISCRETE" and not (
+            isinstance(self.n_masses, int) and self.n_masses >= 1
+        ):
+            raise DomainError("a finite measure needs an integer n_masses >= 1")
 
     def apply(self, f, g, quad: int = 512) -> complex:
         q = self.q
@@ -424,11 +450,6 @@ def nr_measure(alpha, t, q) -> LimitMeasure:
                 consts.append((t[r] * t[s], 1, q))
             elif a[r] + a[s] == 1:
                 consts.append((q / (t[r] * t[s]), -1, q))
-    pref = _qpoch_constant(consts) / 2.0
-    for r in range(6):
-        if a[r] == 0 and abs(t[r]) >= 1:
-            raise ContourError("|t_r| >= 1 for a weight-denominator parameter")
-
     # (z^2; q)(z^-2; q) = (1 - z^2)(1 - z^-2)(q z^2; q)(q z^-2; q); then
     # (q z^+-1 / t_r; q) for alpha_r = 1 and 1 / (t_r z^+-1; q) for alpha_r = 0
     factors = [(q, 2, 1, q), (q, -2, 1, q)]
@@ -438,13 +459,10 @@ def nr_measure(alpha, t, q) -> LimitMeasure:
                 factors.append((q / t[r], s, 1, q))
             elif a[r] == 0:
                 factors.append((t[r], s, -1, q))
-    pos, neg, rest = qpoch_log_series(factors)
-
-    def weight(z):
-        z2 = z * z
-        return (1.0 - z2) * (1.0 - 1.0 / z2) * qpoch_factors(rest, z)
-
-    return LimitMeasure("NR_INTEGRAL", (pref,), weight, q, log_weight=(pos, neg))
+    pref, weight, log_weight = _circle_weight(consts, factors, zeros=(2, -2))
+    return LimitMeasure(
+        "NR_INTEGRAL", (pref / 2.0,), weight, q, log_weight=log_weight
+    )
 
 
 def _find_sb_triple(a, zeta):
@@ -458,27 +476,18 @@ def _find_sb_triple(a, zeta):
     return None
 
 
-def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
-    """Symmetry-broken integral limit measure.
-
-    Requires a triple (a,b,c) with alpha_a + alpha_b + alpha_c = zeta and
-    the associated band conditions; found automatically when not given.
-    """
+def sb_measure(alpha, t, q) -> LimitMeasure:
+    """Symmetry-broken integral limit measure, on the first triple (a,b,c)
+    with alpha_a + alpha_b + alpha_c = zeta and the band conditions, which
+    the measure records as triple; HypothesisError when there is none."""
     a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
     zeta = _negative_zeta(a)
-    if triple is None:
-        triple = _find_sb_triple(a, zeta)
-    if triple is None:
+    trip = _find_sb_triple(a, zeta)
+    if trip is None:
         raise HypothesisError("no triple with alpha_a+alpha_b+alpha_c = zeta")
-    trip = tuple(sorted(triple))
-    if sum(a[i] for i in trip) != zeta or not (
-        all(zeta <= a[i] <= -zeta for i in trip)
-        and all(-zeta <= a[i] <= 1 + zeta for i in range(6) if i not in trip)
-    ):
-        raise HypothesisError("triple violates the band conditions")
     _check_balance(t, q)
 
     inside = set(trip)
@@ -495,21 +504,10 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
                 consts.append((q / (t[r] * t[s]), -1, q))
             if a[r] + a[s] == 1:
                 consts.append((q / (t[r] * t[s]), -1, q))
-    pref = _qpoch_constant(consts)
     tprod = 1.0 + 0.0j
     for i in trip:
         tprod *= t[i]
     half = zeta == Q(-1, 2)
-    for r in range(6):
-        in_den = (r in inside and a[r] == zeta) or (
-            r not in inside and a[r] == -zeta
-        )
-        if half and r in inside and a[r] == Q(-1, 2):
-            in_den = True
-        if in_den and abs(t[r]) >= 1:
-            raise ContourError(
-                "|t_r| >= 1 for a weight-denominator parameter"
-            )
 
     # theta(q z / tprod; q) = (q z / tprod; q)(tprod / z; q); then, in r
     # order, (q / (t_r z); q) and 1 / (t_r / z; q) for r in the triple and
@@ -531,16 +529,9 @@ def sb_measure(alpha, t, q, triple=None) -> LimitMeasure:
                 factors.append((q / t[r], 1, 1, q))
             if a[r] == Q(-1, 2):
                 factors.append((t[r], 1, -1, q))
-    pos, neg, rest = qpoch_log_series(factors)
-
-    def weight(z):
-        val = qpoch_factors(rest, z)
-        if half:
-            val *= 1.0 - z * z
-        return val
-
+    pref, weight, log_weight = _circle_weight(consts, factors, (2,) if half else ())
     return LimitMeasure(
-        "SB_INTEGRAL", (pref,), weight, q, triple=trip, log_weight=(pos, neg)
+        "SB_INTEGRAL", (pref,), weight, q, triple=trip, log_weight=log_weight
     )
 
 
@@ -552,34 +543,29 @@ def _negative_zeta(a) -> Fraction:
     return zeta
 
 
-def _sigma2_pair(a, pair, limit4):
-    """(zeta, pair) of a Sigma2 measure: alpha_a = alpha_b = zeta on the
-    pair (found when None) and alpha_r in [-zeta, 1+zeta] elsewhere.  With
-    limit4 (the series form) the pair must avoid the u-parameter slots."""
+def _sigma2_pair(a, limit4):
+    """(zeta, pair) of a Sigma2 measure: the first pair with alpha_a =
+    alpha_b = zeta (a, b <= 3 with limit4, the series form) and alpha_r
+    in [-zeta, 1+zeta] elsewhere."""
     zeta = _negative_zeta(a)
-    if pair is None:
-        top = 4 if limit4 else 6
-        pair = next(
-            ((r, s) for r in range(top) for s in range(r + 1, top)
-             if a[r] == a[s] == zeta),
-            None,
-        )
+    top = 4 if limit4 else 6
+    pair = next(
+        ((r, s) for r in range(top) for s in range(r + 1, top)
+         if a[r] == a[s] == zeta),
+        None,
+    )
     if pair is None:
         where = " a,b <= 3" if limit4 else ""
         raise HypothesisError(f"no pair{where} with alpha_a = alpha_b = zeta")
-    ia, ib = pair
-    if limit4 and (ia > 3 or ib > 3):
-        raise HypothesisError("series pair must avoid the u-parameter slots")
-    if a[ia] != zeta or a[ib] != zeta:
-        raise HypothesisError("pair must carry exponent zeta")
     for r in range(6):
-        if r not in (ia, ib) and not -zeta <= a[r] <= 1 + zeta:
+        if r not in pair and not -zeta <= a[r] <= 1 + zeta:
             raise HypothesisError("alpha_r outside [-zeta, 1+zeta]")
     return zeta, pair
 
 
-def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
-    """Integral form of the double-series limit measure with free w."""
+def sigma2_measure(alpha, t, q, w) -> LimitMeasure:
+    """Integral form of the double-series limit measure with free w, on
+    the pair of _sigma2_pair, which the measure records."""
     a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
@@ -587,16 +573,11 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
     if w == 0:
         raise DomainError("sigma2_measure requires w != 0")
     _check_sum1(a)
-    zeta, pair = _sigma2_pair(a, pair, limit4=False)
+    zeta, pair = _sigma2_pair(a, limit4=False)
     ia, ib = pair
     _check_balance(t, q)
     ta, tb = t[ia], t[ib]
     half = zeta == Q(-1, 2)
-    for r in range(6):
-        if (r in (ia, ib) or a[r] == -zeta) and abs(t[r]) >= 1:
-            raise ContourError(
-                "|t_r| >= 1 for a weight-denominator parameter"
-            )
 
     consts = [(q, 1, q)]
     if half:
@@ -609,11 +590,10 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
         for s in range(r + 1, 6):
             if a[r] + a[s] == 1:
                 consts.append((q / (t[r] * t[s]), -1, q))
-    pref = _qpoch_constant(consts)
 
     # off the pair, in r order: (q z / t_r; q) for alpha_r = 1 + zeta and
     # 1 / (t_r z; q) for alpha_r = -zeta; then 1 / (t_a / z; q)(t_b / z; q),
-    # 1 / (t_a z; q)(t_b z; q) when zeta = -1/2, and
+    # 1 / (t_a z; q)(t_b z; q) and (1 - z^2) when zeta = -1/2, and
     # theta(w z; q) theta(q z / (t_a t_b w); q) as four factors
     factors = []
     for r in range(6):
@@ -631,33 +611,34 @@ def sigma2_measure(alpha, t, q, w, pair=None) -> LimitMeasure:
         (q / (ta * tb * w), 1, 1, q),
         (ta * tb * w, -1, 1, q),
     ]
-    pos, neg, rest = qpoch_log_series(factors)
+    pref, weight, log_weight = _circle_weight(consts, factors, (2,) if half else ())
     # theta(x; q) = (x; q)(q / x; q) for x = t_a w and t_b w
     theta_w = _qpoch_constant(
         [(ta * w, 1, q), (q / (ta * w), 1, q), (tb * w, 1, q), (q / (tb * w), 1, q)]
     )
-
-    def weight(z):
-        val = qpoch_factors(rest, z)
-        if half:
-            val *= 1 - z * z
-        return val / theta_w
-
     return LimitMeasure(
-        "SB_INTEGRAL", (pref,), weight, q, pair=pair, log_weight=(pos, neg)
+        "SB_INTEGRAL",
+        (pref,),
+        lambda z: weight(z) / theta_w,
+        q,
+        pair=pair,
+        log_weight=log_weight,
     )
 
 
-def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
-    """Double-series form of the same limit measure; pair indices <= 3."""
+def sigma2_series(alpha, t, q) -> LimitMeasure:
+    """Double-series form of the same limit measure, based at t_a q^k and
+    t_b q^k on the pair a, b <= 3 of _sigma2_pair, which it records."""
     a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
-    zeta, pair = _sigma2_pair(a, pair, limit4=True)
+    zeta, pair = _sigma2_pair(a, limit4=True)
     ia, ib = pair
     _check_balance(t, q)
     half = zeta == Q(-1, 2)
+    low = [r for r in range(6) if r not in pair and a[r] == -zeta]
+    up = [r for r in range(6) if r not in pair and a[r] == 1 + zeta]
 
     shared = [
         (q / (t[r] * t[s]), -1, q)
@@ -666,70 +647,54 @@ def sigma2_series(alpha, t, q, pair=None) -> LimitMeasure:
         if a[r] + a[s] == 1
     ]
 
-    def make_pref(x, y):
-        # series based at t[x], companion t[y]
+    def based_at(x, y):
+        # the series at t_x q^k with companion t_y: its prefactor and the
+        # arguments of _series_term after (k, q)
+        tx, ty = t[x], t[y]
         consts = list(shared)
         if half:
-            consts.append((q * t[x] ** 2, -1, q))
+            consts.append((q * tx**2, -1, q))
         for r in range(6):
-            if r not in (ia, ib) and a[r] == -zeta:
-                consts.append((t[r] * t[y], 1, q))
-            if r not in (ia, ib) and a[r] == 1 + zeta:
-                consts.append((q * t[x] / t[r], 1, q))
+            if r in low:
+                consts.append((t[r] * ty, 1, q))
+            if r in up:
+                consts.append((q * tx / t[r], 1, q))
         # (t_y / t_x; q) = (1 - t_y / t_x)(q t_y / t_x; q), whose first
         # factor is taken as (t_x - t_y) / t_x, clear of the rounding of
         # the ratio where it nearly cancels
-        consts.append((q * t[y] / t[x], -1, q))
-        return _qpoch_constant(consts) * t[x] / (t[x] - t[y])
+        consts.append((q * ty / tx, -1, q))
+        numer = ([tx**2, tx * ty] if half else []) + [t[r] * tx for r in low]
+        denom = [q * tx / ty] + [q * tx / t[r] for r in up]
+        args = (numer, denom, q, 0, tx**2 if half else None)
+        return _qpoch_constant(consts) * tx / (tx - ty), args
 
-    def weight(i, k):
-        x, y = (ia, ib) if i == 0 else (ib, ia)
-        tx, ty = t[x], t[y]
-        val = q**k
-        if half:
-            val *= (
-                qpoch_finite(q * tx**2, q, 2 * k)
-                * qpoch_finite(tx**2, q, k)
-                * qpoch_finite(tx * ty, q, k)
-                / qpoch_finite(tx**2, q, 2 * k)
-            )
-        den = qpoch_finite(q, q, k) * qpoch_finite(q * tx / ty, q, k)
-        for r in range(6):
-            if r not in (ia, ib) and a[r] == -zeta:
-                val *= qpoch_finite(t[r] * tx, q, k)
-            if r not in (ia, ib) and a[r] == 1 + zeta:
-                den *= qpoch_finite(q * tx / t[r], q, k)
-        return val / den
-
+    prefs, args = zip(based_at(ia, ib), based_at(ib, ia))
     return LimitMeasure(
         "SIGMA2_SERIES",
-        (make_pref(ia, ib), make_pref(ib, ia)),
-        weight,
+        prefs,
+        lambda i, k: _series_term(k, q, *args[i]),
         q,
         bases=(t[ia], t[ib]),
         pair=pair,
     )
 
 
-def sigma_measure(alpha, t, q, a_index=None) -> LimitMeasure:
-    """Single-series limit measure based at t_a q^k."""
+def sigma_measure(alpha, t, q) -> LimitMeasure:
+    """Single-series limit measure based at t_a q^k, a the first index
+    <= 3 with alpha_a in [-1/2, 0) below every other alpha_r, which the
+    measure records as base_index."""
     a = _as6(alpha)
     t = tuple(complex(x) for x in t)
     q = complex(q)
     _check_sum1(a)
-    if a_index is None:
-        for r in range(4):
-            if -Q(1, 2) <= a[r] < 0 and all(
-                a[s] > a[r] for s in range(6) if s != r
-            ):
-                a_index = r
-                break
-    if a_index is None or not 0 <= a_index <= 3:
+    ia = next(
+        (r for r in range(4)
+         if -Q(1, 2) <= a[r] < 0 and all(a[s] > a[r] for s in range(6) if s != r)),
+        None,
+    )
+    if ia is None:
         raise HypothesisError("no admissible series base index a <= 3")
-    ia = a_index
     aa = a[ia]
-    if not -Q(1, 2) <= aa < 0:
-        raise HypothesisError("alpha_a must lie in [-1/2, 0)")
     for r in range(6):
         if r != ia and not aa < a[r] <= 1 + aa:
             raise HypothesisError("alpha_r outside (alpha_a, 1 + alpha_a]")
@@ -762,31 +727,24 @@ def sigma_measure(alpha, t, q, a_index=None) -> LimitMeasure:
         consts.append((q * ta**2, -1, q))
     pref = _qpoch_constant(consts)
 
-    small_prod = ta ** (Ncount - 2)
+    # the powers ((-1)^k q^C(k,2))^(Ncount - 2) (ta^(Ncount - 2) prod t_r)^k,
+    # t_r over alpha_r + alpha_a < 0, are z^k q^((Ncount - 2) C(k,2))
+    z = (-1) ** (Ncount - 2) * ta ** (Ncount - 2)
     for r in range(6):
         if r != ia and a[r] + aa < 0:
-            small_prod *= t[r]
-
-    def weight(i, k):
-        val = 1.0 + 0.0j
-        if half:
-            val *= (
-                (1 - ta**2 * q ** (2 * k))
-                / (1 - ta**2)
-                * qpoch_finite(ta**2, q, k)
-            )
-        den = qpoch_finite(q, q, k)
-        for r in range(6):
-            if r != ia and a[r] == -aa:
-                val *= qpoch_finite(t[r] * ta, q, k)
-            if r != ia and a[r] == 1 + aa:
-                den *= qpoch_finite(q * ta / t[r], q, k)
-        val *= ((-1) ** k * q ** _binom2(k)) ** (Ncount - 2)
-        val *= small_prod**k
-        return val / den
-
+            z *= t[r]
+    numer = [t[r] * ta for r in range(6) if r != ia and a[r] == -aa]
+    denom = [q * ta / t[r] for r in range(6) if r != ia and a[r] == 1 + aa]
+    args = (numer, denom, z, Ncount - 2, None)
+    if half:
+        args = ([ta**2] + numer, denom, z, Ncount - 2, ta**2)
     return LimitMeasure(
-        "SIGMA_SERIES", (pref,), weight, q, bases=(ta,), base_index=ia
+        "SIGMA_SERIES",
+        (pref,),
+        lambda i, k: _series_term(k, q, *args),
+        q,
+        bases=(ta,),
+        base_index=ia,
     )
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import ebiortho.qkernel
 from ebiortho.biortho import EllipticParams, continuous_inner_product, rtilde
 from ebiortho.errors import (
     BranchError,
+    ContourError,
     DomainError,
     HypothesisError,
     NonConvergence,
@@ -27,6 +29,7 @@ from ebiortho.limits import (
     numeric_limit,
     pastro_P,
     pastro_inner_product,
+    pastro_norm,
     pastro_p,
     pastro_q,
     sb_measure,
@@ -63,6 +66,13 @@ def test_pastro_biorthogonality_small():
                 assert abs(v - h) < 1e-10
             else:
                 assert abs(v) < 1e-10
+
+
+def test_pastro_norm_is_the_closed_form():
+    A, B, q = 0.55, 0.4, 0.45
+    for n in range(6):
+        h = (A * B / q) ** n * qpoch_finite(q, q, n) / qpoch_finite(A * B / q, q, n)
+        assert pastro_norm(n, A, B, q) == h
 
 
 def test_pastro_P_circle_variable_dictionary():
@@ -181,6 +191,17 @@ def test_sb_measure_normalization():
     assert abs(m.apply(ONE, ONE) - 1.0) < 1e-12
 
 
+def test_sb_measure_half_branch_normalization():
+    # zeta = -1/2: the weight carries (1 - z^2) and the triple's
+    # alpha_r = +-1/2 factors; t1 = 2.40 from balancing
+    a = (-H, H, -H, H, H, H)
+    t = [0.7, None, 0.7, 0.9, 0.6, 0.55]
+    t[1] = _solved_last([0.7, 0.7, 0.9, 0.6, 0.55])[-1]
+    m = sb_measure(a, t, Q_MEAS)
+    assert m.triple == (0, 1, 2)
+    assert abs(m.apply(ONE, ONE, quad=512) - 1.0) < 1e-12
+
+
 def test_sigma_measure_normalization():
     a = (-H, Q4, Q4, Q4, Q4, H)
     t = _solved_last([0.8, 0.5, 0.6, 0.7, 0.45])
@@ -255,6 +276,15 @@ def test_directly_built_measures_apply():
         LimitMeasure("SIGMA2_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5, 0.7))
     with pytest.raises(DomainError):
         LimitMeasure("NO_SUCH_KIND", (1.0,), lambda z: 1.0, q)
+    # a series measure without its base points, or a finite one without an
+    # integer mass count >= 1, would sum nothing
+    w = lambda i, k: 1.0
+    for kind in ("SIGMA_SERIES", "SIGMA2_SERIES", "FINITE_DISCRETE"):
+        with pytest.raises(DomainError):
+            LimitMeasure(kind, (1.0,), w, q)
+    for n in (None, 0, 1.0):
+        with pytest.raises(DomainError):
+            LimitMeasure("FINITE_DISCRETE", (1.0,), w, q, bases=(1.0,), n_masses=n)
     # a series whose terms never shrink hits the fixed 400-term cap
     flat = LimitMeasure("SIGMA_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5,))
     with pytest.raises(SeriesDivergence):
@@ -505,6 +535,235 @@ def test_finite_weights_branch_guards():
     bad_t = (0.9, 0.9, 0.3, 0.4, 0.35, 0.5)
     with pytest.raises(DomainError):
         finite_weights(0, FW_ALPHA, bad_t, FW_N, FW_Q)
+
+
+# ---------------------------------------------------------------------------
+# The series weights and contour rules against their written-out forms
+
+
+def _finite_weights_reference(k, a, t, N, q):
+    """finite_weights written out branch by branch, past the validation."""
+    b2 = lambda n: n * (n - 1) // 2
+    qf = qpoch_finite
+    t0, t1, a0 = t[0], t[1], a[0]
+    pair_tail = 1.0 + 0.0j
+    for r in range(2, 6):
+        for s in range(r + 1, 6):
+            if a[r] + a[s] == 1:
+                pair_tail /= qf(q / (t[r] * t[s]), q, N)
+    if a0 in (0, -H):
+        w = (1 - t0**2 * q ** (2 * k)) / (1 - t0**2)
+        w *= qf(q ** (-N), q, k) * qf(t0**2, q, k)
+        w /= qf(q, q, k) * qf(q * t0 / t1, q, k) * qf(t1 / t0, q, N)
+        if a0 == 0:
+            w *= (1.0 / (t1 * t0**3 * q)) ** k * q ** (-2 * b2(k))
+        else:
+            w *= (q * t0 / t1) ** k * (-t1 / t0) ** N * q ** (2 * b2(k) + b2(N))
+        for r in range(2, 6):
+            if a[r] in (a0, 1 + a0):
+                w *= qf(t0 * t[r], q, k) * qf(t1 * t[r], q, N) / qf(q * t0 / t[r], q, k)
+            if a[r] == a0:
+                w *= (-q * t0 / t[r]) ** k * q ** b2(k)
+            elif a[r] == 1 + a0:
+                w *= (-t0 * t[r]) ** (-k) * (-t1 * t[r]) ** (-N)
+                w *= q ** (-b2(k) - b2(N))
+        return w * pair_tail
+    w = qf(q ** (-N), q, k) / qf(q, q, k)
+    w /= t0 ** (2 * k) * q ** (2 * b2(k))
+    for r in range(2, 6):
+        if a[r] == a0:
+            w *= (q * t0**2) ** k * q ** (2 * b2(k))
+            w /= qf(q * t0 / t[r], q, k)
+            w *= qf(t1 * t[r], q, N)
+        elif a0 < a[r] < -a0:
+            w *= (-t0 * t[r]) ** k * q ** b2(k)
+        if a[r] == -a0:
+            w *= qf(t0 * t[r], q, k)
+        if a[r] == 1 + a0:
+            w *= qf(q * t0 / t[r], q, N) / qf(q * t0 / t[r], q, k)
+    return w * pair_tail
+
+
+# alpha_0 = 0 (a mass pair alpha_2 + alpha_s = 1, a pair at 1/2 each, and
+# neither), alpha_0 = -1/2 (with and without alpha_r = alpha_0) and two
+# interior alpha_0
+FW_BRANCH_ALPHAS = (
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, H, H, 0, 0),
+    (0, 0, Q4, Q4, Q4, Q4),
+    (-H, H, 0, 0, H, H),
+    (-H, H, -H, H, H, H),
+    (Fraction(-1, 3), Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(2, 3)),
+    (-Q4, Q4, -Q4, Q4, Q4, Fraction(3, 4)),
+)
+
+
+def test_finite_weights_match_branch_reference():
+    worst = 0.0
+    for a in FW_BRANCH_ALPHAS:
+        for N in (1, 2, 3, 5):
+            for q in (0.3, 0.45, 0.3 * cmath.exp(0.4j)):
+                t0, t2, t3, t4 = 0.9, 0.3 + 0.1j, 0.4, 0.35
+                t = (t0, q ** (-N) / t0, t2, t3, t4, q ** (N + 1) / (t2 * t3 * t4))
+                for k in range(N + 1):
+                    got = finite_weights(k, a, t, N, q)
+                    ref = _finite_weights_reference(k, a, t, N, complex(q))
+                    worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-14, worst
+
+
+def _sigma_reference_weight(a, t, q):
+    """The Sigma weight closure written out: the very-well-poised factor,
+    the (t_r t_a; q)_k / (q t_a / t_r; q)_k ratios and the power terms."""
+    ia = next(r for r in range(4) if all(a[s] > a[r] for s in range(6) if s != r))
+    aa, ta = a[ia], t[ia]
+    ncount = sum(1 for r in range(6) if r != ia and a[r] < -aa)
+    small_prod = ta ** (ncount - 2)
+    for r in range(6):
+        if r != ia and a[r] + aa < 0:
+            small_prod *= t[r]
+
+    def weight(k):
+        val = 1.0 + 0.0j
+        if aa == -H:
+            val *= (1 - ta**2 * q ** (2 * k)) / (1 - ta**2) * qpoch_finite(ta**2, q, k)
+        den = qpoch_finite(q, q, k)
+        for r in range(6):
+            if r != ia and a[r] == -aa:
+                val *= qpoch_finite(t[r] * ta, q, k)
+            if r != ia and a[r] == 1 + aa:
+                den *= qpoch_finite(q * ta / t[r], q, k)
+        val *= ((-1) ** k * q ** (k * (k - 1) // 2)) ** (ncount - 2)
+        return val * small_prod**k / den
+
+    return [weight]
+
+
+def _sigma2_series_reference_weights(a, t, q, pair):
+    """The two Sigma2 series weight closures written out."""
+    ia, ib = pair
+    zeta = a[ia]
+    rest = [r for r in range(6) if r not in pair]
+
+    def based_at(x, y):
+        tx, ty = t[x], t[y]
+
+        def weight(k):
+            val = q**k
+            if zeta == -H:
+                val *= (
+                    qpoch_finite(q * tx**2, q, 2 * k)
+                    * qpoch_finite(tx**2, q, k)
+                    * qpoch_finite(tx * ty, q, k)
+                    / qpoch_finite(tx**2, q, 2 * k)
+                )
+            den = qpoch_finite(q, q, k) * qpoch_finite(q * tx / ty, q, k)
+            for r in rest:
+                if a[r] == -zeta:
+                    val *= qpoch_finite(t[r] * tx, q, k)
+                if a[r] == 1 + zeta:
+                    den *= qpoch_finite(q * tx / t[r], q, k)
+            return val / den
+
+        return weight
+
+    return [based_at(ia, ib), based_at(ib, ia)]
+
+
+def test_series_measure_weights_match_reference():
+    # the `verify measures` parameters, the zeta = -1/2 Sigma2 branch and a
+    # Sigma measure with a complex base; terms past k = 10 are below 1e-40
+    # of the first, where the rounding of the q powers of the reference
+    # alone reaches 1e-14
+    d12 = Fraction(1, 12)
+    cases = []
+    for a, ts in (
+        ((-H, Q4, Q4, Q4, Q4, H), [0.8, 0.5, 0.6, 0.7, 0.45]),
+        ((-Q4, d12, d12, d12, Q4, Fraction(3, 4)), [0.8j, 0.5, 0.6, 0.7, 0.45]),
+    ):
+        t = _solved_last(ts)
+        ref = _sigma_reference_weight(a, t, Q_MEAS)
+        cases.append((sigma_measure(a, t, Q_MEAS), ref))
+    for a, ts in (
+        ((-Q4, -Q4, Q4, Q4, Q4, Fraction(3, 4)), [0.75, 0.65, 0.5, 0.6, 0.55]),
+        ((-H, -H, H, H, H, H), [0.8, 0.75, 0.9, 0.85, 0.95]),
+    ):
+        t = _solved_last(ts)
+        m = sigma2_series(a, t, Q_MEAS)
+        ref = _sigma2_series_reference_weights(a, t, complex(Q_MEAS), m.pair)
+        cases.append((m, ref))
+    for m, refs in cases:
+        for i, ref in enumerate(refs):
+            for k in range(11):
+                want = ref(k)
+                assert abs(m.weight(i, k) - want) <= 1e-14 * abs(want), (m.kind, i, k)
+
+
+def _contour_reference(kind, a, t, m):
+    """The contour condition of each circle measure, written out on its
+    own, on the index triple or pair that m was built on."""
+    if kind == "NR":
+        return any(a[r] == 0 and abs(t[r]) >= 1 for r in range(6))
+    if kind == "SB":
+        trip = m.triple
+        zeta = sum(a[i] for i in trip)
+        for r in range(6):
+            in_den = (r in trip and a[r] == zeta) or (r not in trip and a[r] == -zeta)
+            if zeta == -H and r in trip and a[r] == -H:
+                in_den = True
+            if in_den and abs(t[r]) >= 1:
+                return True
+        return False
+    zeta = a[m.pair[0]]
+    return any(
+        (r in m.pair or a[r] == -zeta) and abs(t[r]) >= 1 for r in range(6)
+    )
+
+
+def _draw(rng, lo, hi):
+    """A complex number of modulus in [lo, hi) and random argument."""
+    return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+def test_contour_error_exactly_when_a_denominator_pole_family_meets_the_circle():
+    from ebiortho.scheme import build_scheme
+
+    alphas = [f.midpoint[:6] for s in build_scheme().systems for f in s.realizations]
+    assert len(alphas) == 105
+    rng = random.Random(7)
+    safe = [Q_MEAS ** (1 / 6)] * 6  # every |t_r| < 1: no contour error
+    builders = {
+        "NR": nr_measure,
+        "SB": sb_measure,
+        "Sigma2": lambda a, t, q: sigma2_measure(a, t, q, 0.9),
+    }
+    seen = set()
+    for a in alphas:
+        for kind, builder in builders.items():
+            try:
+                m = builder(a, safe, Q_MEAS)
+            except HypothesisError:
+                continue
+            for _ in range(12):
+                t = _solved_last([_draw(rng, 0.3, 1.3) for _ in range(5)])
+                rng.shuffle(t)
+                try:
+                    builder(a, t, Q_MEAS)
+                    raised = False
+                except ContourError:
+                    raised = True
+                assert raised == _contour_reference(kind, a, t, m), (kind, a, t)
+                seen.add((kind, raised))
+    assert len(seen) == 6
+    rq = 0.45**0.5
+    for _ in range(200):
+        A, B = _draw(rng, 0.5 * rq, 1.5 * rq), _draw(rng, 0.5 * rq, 1.5 * rq)
+        try:
+            pastro_inner_product(ONE, ONE, A, B, 0.45, quad=8)
+            raised = False
+        except ContourError:
+            raised = True
+        assert raised == (abs(A / rq) >= 1 or abs(B / rq) >= 1)
 
 
 # ---------------------------------------------------------------------------
