@@ -4,8 +4,9 @@ rtilde evaluates the terminating very-well-poised theta series; the
 discrete inner product is a finite point-mass sum valid when t0*t1 is a
 negative q-power (discrete_gram takes a matrix of them over one set of
 masses), the continuous one a unit-circle quadrature of the
-elliptic-gamma weight (continuous_weight, qkernel.circle_mean).  Both
-are normalized so that <1,1> = 1.  random_discrete_params draws
+elliptic-gamma weight (continuous_weight; continuous_gram takes a matrix
+of them from qkernel.circle_gram).  Both are normalized so that
+<1,1> = 1.  random_discrete_params draws
 well-conditioned discrete parameters for the verification suites and
 tests.
 """
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .qkernel import (
     check_quad,
-    circle_mean,
+    circle_gram,
     csum,
     elliptic_gamma,
     gamma_pair_log_series,
@@ -49,6 +50,7 @@ __all__ = [
     "norm_formula",
     "continuous_weight",
     "continuous_prefactor",
+    "continuous_gram",
     "continuous_inner_product",
     "random_discrete_params",
 ]
@@ -63,7 +65,8 @@ class EllipticParams:
     """Parameters (t0..t3; u0, u1; q; p) with t0 t1 t2 t3 u0 u1 = p q.
 
     Pass u1 = None to solve for it from the balancing condition;
-    otherwise the condition is verified to relative 1e-12.
+    otherwise the condition is verified to relative 1e-12.  All six
+    parameters must be nonzero, so p = 0 and q = 0 are rejected too.
     """
 
     t: tuple[complex, complex, complex, complex]
@@ -81,10 +84,14 @@ class EllipticParams:
         if abs(p) >= 1:
             raise DomainError("|p| < 1 required")
         u0 = complex(u[0])
+        if 0 in t or u0 == 0:
+            raise DomainError("t0..t3 and u0 must be nonzero")
         if u[1] is None:
             u1 = p * q / (t[0] * t[1] * t[2] * t[3] * u0)
         else:
             u1 = complex(u[1])
+        if u1 == 0:
+            raise DomainError("u1 must be nonzero, which needs p q != 0")
         prod = t[0] * t[1] * t[2] * t[3] * u0 * u1
         if abs(prod - p * q) > BALANCE_TOL * abs(p * q):
             raise DomainError("balancing t0 t1 t2 t3 u0 u1 = p q violated")
@@ -150,6 +157,8 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if z == 0:
+        raise DomainError("rtilde requires z != 0")
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
@@ -349,7 +358,7 @@ def continuous_weight(params: EllipticParams):
     """The weight w(z) = prod_r Gamma(t_r z^+-1) / Gamma(z^+-2) on |z| = 1.
 
     Returns (log_weight, remainder), with w(z) = exp(L(z)) remainder(z)
-    at every node of a qkernel.circle_mean grid, L the Laurent series
+    at every node of a qkernel.circle_gram grid, L the Laurent series
     log_weight = (pos, neg).  The Gamma(z^+-2) factors come from
     1/Gamma(x^+-1) = theta(x;p) theta(1/x;q): theta(z^2;p) theta(z^-2;q)
     is (1 - z^2)(1 - z^-2) times four q-Pochhammer factors, whose series
@@ -383,34 +392,31 @@ def _plus(a, b) -> list:
     return [x + y for x, y in zip_longest(a, b, fillvalue=0.0j)]
 
 
-def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
-    """Unit-circle quadrature of the elliptic-gamma bilinear form.
+def continuous_gram(
+    fs, gs, params: EllipticParams, quad: int = 512
+) -> list[list[complex]]:
+    """The matrix of continuous inner products <f, g> for f in fs, g in gs.
 
-    The unit circle must contain all pole ladders p^i q^j t_r of the six
-    parameters t0..t3, u0, u1.  The weight is continuous_weight, so
-    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 is inversion-symmetric for any
-    f and g and has the same midpoint-rule mean as w f g; circle_mean
-    averages it over the upper half of the quad-node grid.  quad is
-    checked before any weight work.
+    Unit-circle quadrature of the elliptic-gamma bilinear form; the
+    circle must contain all pole ladders p^i q^j t_r of t0..t3, u0, u1.
+    The weight (continuous_weight) is built once, and it is unchanged
+    under z -> 1/z, so circle_gram takes it on the upper half circle.
+    quad is checked before any weight work.
     """
     if abs(params.q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
-    for tr in params.t + params.u:
-        if abs(tr) >= 1:
-            raise ContourError(
-                "a parameter has modulus >= 1; unit circle inadmissible"
-            )
+    if any(abs(tr) >= 1 for tr in params.t + params.u):
+        raise ContourError("a parameter has modulus >= 1; unit circle inadmissible")
     check_quad(quad)
     log_weight, remainder = continuous_weight(params)
+    means = circle_gram(fs, gs, quad, remainder, log_weight, inversion_symmetric=True)
+    pref = continuous_prefactor(params)
+    return [[mean * pref for mean in row] for row in means]
 
-    def integrand(zv):
-        zi = 1.0 / zv
-        return remainder(zv) * (f(zv) * g(zv) + f(zi) * g(zi)) / 2
 
-    mean = circle_mean(
-        integrand, quad, inversion_symmetric=True, log_weight=log_weight
-    )
-    return mean * continuous_prefactor(params)
+def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
+    """The 1 x 1 case of continuous_gram."""
+    return continuous_gram([f], [g], params, quad)[0][0]
 
 
 def continuous_prefactor(params: EllipticParams) -> complex:

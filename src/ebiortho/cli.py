@@ -22,6 +22,7 @@ from . import scheme as scheme_mod
 from .biortho import (
     DiscreteSpec,
     EllipticParams,
+    continuous_gram,
     continuous_inner_product,
     discrete_gram,
     discrete_inner_product,
@@ -36,7 +37,7 @@ from .limits import (
     limit_target,
     limit_value,
     nr_measure,
-    pastro_inner_product,
+    pastro_gram,
     pastro_norm,
     pastro_p,
     pastro_q,
@@ -190,28 +191,39 @@ def verify_elliptic_continuous(args) -> int:
         (f"<1,1> = 1 at {args.quad} nodes", abs(full - 1)),
         ("node-doubling stability", abs(double - full)),
     ]
+    # u0 q^-2 = 0.8: the unit circle is admissible for degrees n, m <= 2
+    par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
+    sw = par.swapped_u()
+    M = continuous_gram(
+        [lambda z, n=n: rtilde(n, z, par) for n in range(3)],
+        [lambda z, m=m: rtilde(m, z, sw) for m in range(3)],
+        par,
+        quad=args.quad,
+    )
+    h = [norm_formula(n, par) for n in range(3)]
+    off = max(
+        abs(M[n][m]) / abs(h[n] * h[m]) ** 0.5
+        for n in range(3)
+        for m in range(3)
+        if n != m
+    )
+    diag = max(abs(M[n][n] - h[n]) / abs(h[n]) for n in range(3))
+    rows.append(("biorthogonality off-diagonal, n,m <= 2", off))
+    rows.append(("diagonal vs norm formula, n <= 2", diag))
     return _report(rows, tol)
 
 
 def verify_pastro(args) -> int:
     tol = args.tol or 1e-8
-    nmax = args.nmax
     A, B, q = 0.55, 0.4, 0.45
-    off = diag = 0.0
-    for n in range(nmax + 1):
-        for m in range(nmax + 1):
-            v = pastro_inner_product(
-                lambda w, n=n: pastro_p(n, w, A, B, q),
-                lambda w, m=m: pastro_q(m, w, A, B, q),
-                A,
-                B,
-                q,
-                quad=args.quad,
-            )
-            if n == m:
-                diag = max(diag, abs(v - pastro_norm(n, A, B, q)))
-            else:
-                off = max(off, abs(v))
+    ns = range(args.nmax + 1)
+    M = pastro_gram(
+        [lambda w, n=n: pastro_p(n, w, A, B, q) for n in ns],
+        [lambda w, m=m: pastro_q(m, w, A, B, q) for m in ns],
+        A, B, q, quad=args.quad,
+    )
+    off = max(abs(M[n][m]) for n in ns for m in ns if n != m)
+    diag = max(abs(M[n][n] - pastro_norm(n, A, B, q)) for n in ns)
     # B = q is a removable singularity of the series: its mean over
     # B = q(1 +- 1e-5) must meet the monomial w^n A^n q^(-n/2).
     mono = 0.0
@@ -220,7 +232,7 @@ def verify_pastro(args) -> int:
         mean = sum(pastro_p(n, w, A, q * (1 + h), q) for h in (1e-5, -1e-5)) / 2
         mono = max(mono, abs(mean - w**n * A**n * q ** (-n / 2)))
     rows = [
-        (f"biorthogonality off-diagonal, n,m <= {nmax}", off),
+        (f"biorthogonality off-diagonal, n,m <= {args.nmax}", off),
         ("diagonal vs closed-form norm", diag),
         ("B = q(1 +- 1e-5) mean vs monomial, n <= 6", mono),
     ]

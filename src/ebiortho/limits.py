@@ -34,7 +34,7 @@ from .biortho import EllipticParams, rtilde
 from .polytope import _as6, zeta_for
 from .qkernel import (
     check_quad,
-    circle_mean,
+    circle_gram,
     csum,
     qpoch_factors,
     qpoch_finite,
@@ -45,6 +45,7 @@ __all__ = [
     "pastro_P",
     "pastro_p",
     "pastro_q",
+    "pastro_gram",
     "pastro_inner_product",
     "pastro_norm",
     "finite_weights",
@@ -194,6 +195,8 @@ def pastro_p(n, w, A, B, q) -> complex:
     if n < 0:
         raise DomainError("n must be nonnegative")
     A, B, q, w = complex(A), complex(B), complex(q), complex(w)
+    if q == 0 or B == 0:
+        raise DomainError("pastro_p requires q != 0 and B != 0")
     if abs(B - q) < 1e-14:
         # removable singularity: the series collapses to a monomial
         return w**n * A**n * q ** (-n / 2)
@@ -212,24 +215,30 @@ def pastro_q(n, w, A, B, q) -> complex:
     return pastro_p(n, 1.0 / complex(w), B, A, q)
 
 
-def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
-    """Unit-circle bilinear form making p_n and q_m biorthogonal.
+def pastro_gram(fs, gs, A, B, q, quad: int = 512) -> list[list[complex]]:
+    """The matrix of Pastro inner products <f, g> for f in fs, g in gs.
 
-    The weight theta(rq w; q) / ((A w / rq; q)_infty (B / (w rq); q)_infty),
-    rq = q^(1/2), times the constant (q;q)(AB/q;q) / ((A;q)(B;q)).
+    The unit-circle bilinear form making p_n and q_m biorthogonal, with
+    its weight built once: theta(rq w; q) / ((A w / rq; q)_infty
+    (B / (w rq); q)_infty), rq = q^(1/2), times the constant
+    (q;q)(AB/q;q) / ((A;q)(B;q)).
     """
     A, B, q = complex(A), complex(B), complex(q)
-    if abs(q) >= 1:
-        raise DomainError("|q| < 1 required")
+    if not 0 < abs(q) < 1:
+        raise DomainError("0 < |q| < 1 required")
     check_quad(quad)
     rq = q**0.5
     pref, weight, log_weight = _circle_weight(
         [(q, 1, q), (A * B / q, 1, q), (A, -1, q), (B, -1, q)],
         [(rq, 1, 1, q), (rq, -1, 1, q), (A / rq, 1, -1, q), (B / rq, -1, -1, q)],
     )
-    return pref * circle_mean(
-        lambda w: f(w) * g(w) * weight(w), quad, log_weight=log_weight
-    )
+    means = circle_gram(fs, gs, quad, weight, log_weight)
+    return [[pref * mean for mean in row] for row in means]
+
+
+def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
+    """The 1 x 1 case of pastro_gram."""
+    return pastro_gram([f], [g], A, B, q, quad)[0][0]
 
 
 def pastro_norm(n, A, B, q) -> complex:
@@ -338,7 +347,7 @@ class LimitMeasure:
     kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
     FINITE_DISCRETE.  For integral kinds the weight on the circle is
     weight(z), times exp(L(z)) when log_weight holds the Laurent
-    coefficients (pos, neg) of a log series L (qkernel.circle_mean); an
+    coefficients (pos, neg) of a log series L (qkernel.circle_gram); an
     NR_INTEGRAL weight must satisfy w(1/z) = w(z), because apply averages
     w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle.  For
     series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the i-th
@@ -374,25 +383,10 @@ class LimitMeasure:
 
     def apply(self, f, g, quad: int = 512) -> complex:
         q = self.q
-        if self.kind == "NR_INTEGRAL":
-            # the NR weight is inversion-symmetric, so the symmetrized
-            # integrand has the same mean over half the nodes
-            def integrand(z):
-                zi = 1.0 / z
-                return self.weight(z) * (f(z) * g(z) + f(zi) * g(zi)) / 2
-
-            return self.prefactors[0] * circle_mean(
-                integrand,
-                quad,
-                inversion_symmetric=True,
-                log_weight=self.log_weight,
-            )
-        if self.kind == "SB_INTEGRAL":
-            return self.prefactors[0] * circle_mean(
-                lambda z: self.weight(z) * f(z) * g(z),
-                quad,
-                log_weight=self.log_weight,
-            )
+        if self.kind in ("NR_INTEGRAL", "SB_INTEGRAL"):
+            symmetric = self.kind == "NR_INTEGRAL"
+            gram = circle_gram([f], [g], quad, self.weight, self.log_weight, symmetric)
+            return self.prefactors[0] * gram[0][0]
         if self.kind == "FINITE_DISCRETE":
             total = 0.0 + 0.0j
             for k in range(self.n_masses):

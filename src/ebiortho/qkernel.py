@@ -22,10 +22,10 @@ _MAX_TERMS terms; a parameter outside the region of convergence, or one
 whose terms do not fall below _TOL within the cap, is returned to the
 caller for the product form.
 
-circle_mean is the one unit-circle quadrature of the package: the
-continuous elliptic inner product, the Pastro inner product and the
-integral limit measures all average their integrands with it.  Given a
-log weight, it sums L at all its midpoint nodes with grid_log_series:
+circle_gram is the one unit-circle quadrature of the package: the
+continuous elliptic and Pastro bilinear forms and the integral limit
+measures take their matrices from it.  Given a log weight, it sums L at
+all its midpoint nodes with grid_log_series:
 the orders up to _HEAD_ORDERS by Horner's rule at each node, every
 higher order by one discrete Fourier transform (Trefethen and Weideman,
 SIAM Rev. 56 (2014); Cooley and Tukey, Math. Comp. 19 (1965)).
@@ -51,7 +51,7 @@ __all__ = [
     "grid_log_series",
     "csum",
     "check_quad",
-    "circle_mean",
+    "circle_gram",
 ]
 
 
@@ -150,7 +150,7 @@ def gamma_pair_log_series(ts, p: complex, q: complex):
     Returns (coeffs, rest).  coeffs[n - 1] = sum_r c_n(t_r) over the
     parameters the series serves (see the module docstring), so that
     their log-product is grid_log_series(coeffs, coeffs, quad) on the
-    circle_mean grid.  rest lists
+    circle_gram grid.  rest lists
     the parameters left to the product form: those outside
     |pq| < |t| < 1, and those whose tail bound
     4 rho^(m+1) / ((m+1)(1-rho)(1-|p|)(1-|q|)), rho = max(|t|, |pq/t|),
@@ -281,7 +281,7 @@ def _dft(a, roots) -> list:
 
 
 def grid_log_series(pos, neg, quad: int) -> list:
-    """L(z) = sum_k pos[k - 1] z^k + neg[k - 1] z^-k at the circle_mean nodes.
+    """L(z) = sum_k pos[k - 1] z^k + neg[k - 1] z^-k at the circle_gram nodes.
 
     Returns [L(z_j) for j < quad], z_j = exp(2 pi i (j + 1/2) / quad).
     The orders k <= _HEAD_ORDERS are summed at each node by Horner's
@@ -329,39 +329,56 @@ def csum(terms) -> complex:
 
 
 def check_quad(quad: int) -> None:
-    """Raise DomainError unless quad is a valid circle_mean node count."""
+    """Raise DomainError unless quad is a valid circle_gram node count."""
     if quad < 8 or quad % 2:
         raise DomainError("quad must be even and at least 8")
 
 
-def circle_mean(
-    fn, quad: int, inversion_symmetric: bool = False, log_weight=None
-) -> complex:
-    """Mean of fn over the quad midpoint nodes exp(2 pi i (j + 1/2) / quad).
+def circle_gram(
+    fs, gs, quad: int, weight, log_weight=None, inversion_symmetric: bool = False
+) -> list[list[complex]]:
+    """Matrix of the means of f g w exp(L) for f in fs, g in gs.
 
-    The midpoint grid avoids the double zeros at z = +-1, +-i of the
-    elliptic weights; for integrands analytic on an annulus around the
-    circle the rule converges geometrically in quad.  log_weight, a pair
-    (pos, neg) of Laurent coefficients, multiplies node j by exp(L(z_j))
-    (grid_log_series).  Node quad - 1 - j is 1/z_j, so when the caller
-    passes inversion_symmetric=True for an integrand with the same value
-    at z and 1/z, the mean is taken over the upper half circle, nodes
-    j < quad/2, which is the full rule at half the cost.  A weight or an
-    integrand that leaves the floating-point range raises NonFiniteValue.
+    The means are over the quad midpoint nodes z_k = exp(2 pi i (k + 1/2)
+    / quad), which avoid the double zeros at z = +-1, +-i of the elliptic
+    weights; the rule converges geometrically for integrands analytic near
+    the circle.  L is the series log_weight = (pos, neg) (grid_log_series)
+    or 0.  The weight, exp(L) and each function are evaluated once per
+    node for the whole matrix; node k adds ((f g) w) exp(L).  Node
+    quad - 1 - k is 1/z_k, so when w(1/z) = w(z) and L(1/z) = L(z),
+    inversion_symmetric=True averages (w (f g + f(1/z) g(1/z)) / 2) exp(L)
+    over the upper half circle: the full rule at half the weight work.  A
+    weight or an entry outside the floating-point range raises
+    NonFiniteValue.
     """
     check_quad(quad)
     count = quad // 2 if inversion_symmetric else quad
-    terms = [fn(z) for z in _nodes(quad, count)]
+    nodes = _nodes(quad, count)
+    ws = [weight(z) for z in nodes]
+    points = nodes + [1.0 / z for z in nodes] if inversion_symmetric else nodes
+    F = [[f(z) for z in points] for f in fs]
+    G = [[g(z) for z in points] for g in gs]
     if log_weight is not None:
         logs = grid_log_series(*log_weight, quad)
         try:
-            terms = [t * cmath.exp(x) for t, x in zip(terms, logs)]
+            exps = [cmath.exp(x) for x in logs[:count]]
         except OverflowError:
             raise NonFiniteValue("circle weight left the floating-point range") from None
-    try:
-        mean = csum(terms) / count
-    except (OverflowError, ValueError):
-        mean = complex("nan")
-    if not cmath.isfinite(mean):
-        raise NonFiniteValue("circle integrand left the floating-point range")
-    return mean
+
+    def mean(fv, gv):
+        fg = [f * g for f, g in zip(fv, gv)]
+        if inversion_symmetric:
+            terms = [w * (a + b) / 2 for w, a, b in zip(ws, fg, fg[count:])]
+        else:
+            terms = [a * w for a, w in zip(fg, ws)]
+        if log_weight is not None:
+            terms = [t * e for t, e in zip(terms, exps)]
+        try:
+            out = csum(terms) / count
+        except (OverflowError, ValueError):
+            out = complex("nan")
+        if not cmath.isfinite(out):
+            raise NonFiniteValue("circle integrand left the floating-point range")
+        return out
+
+    return [[mean(fv, gv) for gv in G] for fv in F]

@@ -1,5 +1,5 @@
 """Shared samplers for exact rational points of the polytopes, and the
-continuous weight on the circle_mean grid."""
+continuous weight on the circle_gram grid."""
 
 import cmath
 from fractions import Fraction
@@ -36,7 +36,7 @@ def random_P_vector(rng, den=4, max_tries=100000):
 
 
 def grid_weight(par, quad):
-    """continuous_weight at the circle_mean nodes: [(z_j, w(z_j)) for j < quad]."""
+    """continuous_weight at the circle_gram nodes: [(z_j, w(z_j)) for j < quad]."""
     (pos, neg), remainder = continuous_weight(par)
     logs = grid_log_series(pos, neg, quad)
     nodes = [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(quad)]

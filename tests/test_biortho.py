@@ -13,6 +13,7 @@ from ebiortho.biortho import (
     EllipticParams,
     _mass_condition,
     check_symmetries,
+    continuous_gram,
     continuous_inner_product,
     discrete_gram,
     discrete_inner_product,
@@ -22,7 +23,7 @@ from ebiortho.biortho import (
 )
 from ebiortho.errors import ContourError, DomainError, PoleError
 from ebiortho.qkernel import (
-    circle_mean,
+    circle_gram,
     csum,
     elliptic_gamma,
     qpoch_infinite,
@@ -159,7 +160,7 @@ def _product_reference(f, g, par, quad):
     for r in range(6):
         for s in range(r + 1, 6):
             pref /= elliptic_gamma(ts[r] * ts[s], p, q)
-    return pref * circle_mean(lambda z: weight(z) * f(z) * g(z), quad)
+    return pref * circle_gram([f], [g], quad, weight)[0][0]
 
 
 def _unit(r, phi):
@@ -208,26 +209,31 @@ def test_continuous_rtilde_block():
     # u0 q^-2 = 0.8: the unit circle stays admissible for degrees n, m <= 2
     par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
     sw = par.swapped_u()
-    cache = {}
-
-    def cached(n, params):
-        def fn(z):
-            key = (n, params is sw, z)
-            if key not in cache:
-                cache[key] = rtilde(n, z, params)
-            return cache[key]
-
-        return fn
-
+    M = continuous_gram(
+        [lambda z, n=n: rtilde(n, z, par) for n in range(3)],
+        [lambda z, m=m: rtilde(m, z, sw) for m in range(3)],
+        par,
+        quad=512,
+    )
     for n in range(3):
         h = norm_formula(n, par)
         for m in range(3):
-            v = continuous_inner_product(cached(n, par), cached(m, sw), par, quad=512)
+            v = M[n][m]
             if n == m:
                 assert abs(v - h) <= 1e-12 * abs(h)
             else:
                 scale = (abs(h) * abs(norm_formula(m, par))) ** 0.5
                 assert abs(v) <= 1e-12 * scale
+
+
+def test_continuous_gram_equals_per_entry_inner_products():
+    fs = [ONE, lambda z: z**3 + 0.3 / z, lambda z: rtilde(1, z, NEAR_CIRCLE)]
+    gs = [ONE, lambda z: 1 + 0.2 * z * z]
+    for par in (NEAR_CIRCLE, FALLBACK):
+        M = continuous_gram(fs, gs, par, quad=64)
+        assert M == [
+            [continuous_inner_product(f, g, par, quad=64) for g in gs] for f in fs
+        ]
 
 
 def test_continuous_contour_guard():

@@ -5,6 +5,9 @@ import json
 import pytest
 
 import ebiortho.biortho
+import ebiortho.cli
+import ebiortho.limits
+import ebiortho.qkernel
 
 from ebiortho.cli import main, parse_rational
 
@@ -136,6 +139,29 @@ def test_verify_pastro_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_pastro_builds_its_weight_once(capsys, monkeypatch):
+    # one Gram matrix: one log-series grid, and p_n, q_m evaluated once
+    # per node each (12 quad calls), plus the 14 of the B = q row
+    calls = {"pastro_p": 0, "grid_log_series": 0}
+    real_p = ebiortho.limits.pastro_p
+    real_grid = ebiortho.qkernel.grid_log_series
+
+    def counted_p(*args):
+        calls["pastro_p"] += 1
+        return real_p(*args)
+
+    def counted_grid(*args):
+        calls["grid_log_series"] += 1
+        return real_grid(*args)
+
+    for mod in (ebiortho.limits, ebiortho.cli):
+        monkeypatch.setattr(mod, "pastro_p", counted_p)
+    monkeypatch.setattr(ebiortho.qkernel, "grid_log_series", counted_grid)
+    assert main(["verify", "pastro"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == {"pastro_p": 12 * 512 + 14, "grid_log_series": 1}
+
+
 def test_verify_continuous_passes(capsys):
     assert main(["verify", "elliptic-continuous"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -148,6 +174,23 @@ def test_verify_continuous_unity_row_is_tight(capsys):
         row = capsys.readouterr().out.splitlines()[0]
         assert f"at {quad} nodes" in row
         assert float(row.split()[-1]) < 3e-15
+
+
+def test_verify_continuous_rtilde_rows(capsys):
+    # the rtilde block needs about 256 nodes; at 128 the suite fails
+    # on those rows while its <1,1> rows still pass
+    for quad, code in (("512", 0), ("256", 0), ("128", 1)):
+        assert main(["verify", "elliptic-continuous", "--quad", quad]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:4]] == [
+            "<1,1>", "node-doubling", "biorthogonality", "diagonal"
+        ]
+        unity, doubling, off, diag = (float(line.split()[-1]) for line in lines[:4])
+        assert max(unity, doubling) < 1e-13
+        if quad == "512":
+            assert max(off, diag) < 1e-13
+        if quad == "128":
+            assert min(off, diag) > 1e-6
 
 
 def test_verify_discrete_small(capsys):

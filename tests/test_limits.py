@@ -28,6 +28,7 @@ from ebiortho.limits import (
     nr_measure,
     numeric_limit,
     pastro_P,
+    pastro_gram,
     pastro_inner_product,
     pastro_norm,
     pastro_p,
@@ -37,7 +38,7 @@ from ebiortho.limits import (
     sigma2_series,
     sigma_measure,
 )
-from ebiortho.qkernel import circle_mean, qpoch_finite, qpoch_infinite, theta
+from ebiortho.qkernel import circle_gram, qpoch_finite, qpoch_infinite, theta
 
 ONE = lambda z: 1.0
 H = Fraction(1, 2)
@@ -66,6 +67,42 @@ def test_pastro_biorthogonality_small():
                 assert abs(v - h) < 1e-10
             else:
                 assert abs(v) < 1e-10
+
+
+def test_pastro_gram_equals_per_entry_inner_products():
+    A, B, q = 0.55, 0.4, 0.45
+    fs = [lambda w, n=n: pastro_p(n, w, A, B, q) for n in range(6)]
+    gs = [lambda w, m=m: pastro_q(m, w, A, B, q) for m in range(6)]
+    M = pastro_gram(fs, gs, A, B, q)
+    assert M == [[pastro_inner_product(f, g, A, B, q) for g in gs] for f in fs]
+
+
+_GOOD_T = (0.7, 0.6, 0.5, 0.4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EllipticParams((0.7, 0.0, 0.5, 0.4), (0.3, None), 0.35, 0.05),
+        lambda: EllipticParams(_GOOD_T, (0.0, None), 0.35, 0.05),
+        lambda: EllipticParams(_GOOD_T, (0.3, None), 0.35, 0.0),
+        lambda: EllipticParams(_GOOD_T, (0.3, None), 0.0, 0.05),
+        lambda: rtilde(2, 0, EllipticParams(_GOOD_T, (0.3, None), 0.35, 0.05)),
+        lambda: pastro_p(2, 0.5j, 0.55, 0.4, 0),
+        lambda: pastro_p(2, 0.5j, 0.55, 0, 0.45),
+        lambda: pastro_q(2, 0.5j, 0.55, 0.4, 0),
+        lambda: pastro_inner_product(ONE, ONE, 0.55, 0.4, 0, quad=8),
+    ],
+    ids=[
+        "t1=0", "u0=0", "p=0", "q=0", "rtilde-z=0",
+        "pastro_p-q=0", "pastro_p-B=0", "pastro_q-q=0", "pastro_inner-q=0",
+    ],
+)
+def test_zero_parameters_are_domain_errors(call):
+    # a zero parameter is a typed input error, never a ZeroDivisionError;
+    # p = 0 used to build with u1 = 0 and left norm_formula to divide by it
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_pastro_norm_is_the_closed_form():
@@ -177,9 +214,9 @@ def test_nr_integral_on_half_the_circle():
         got = half.apply(ff, gg, quad=512)
         # the weight is evaluated on the upper half circle only
         assert len(nodes) == 256 and all(z.imag > 0 for z in nodes)
-        full = m.prefactors[0] * circle_mean(
-            lambda z: m.weight(z) * ff(z) * gg(z), 512, log_weight=m.log_weight
-        )
+        full = m.prefactors[0] * circle_gram(
+            [ff], [gg], 512, m.weight, m.log_weight
+        )[0][0]
         assert abs(got - full) <= 2e-15 * abs(full)
 
 
@@ -329,11 +366,11 @@ def _pastro_product_form(f, g, A, B, q, quad):
     pref = qpoch_infinite(q, q) * qpoch_infinite(A * B / q, q)
     pref /= qpoch_infinite(A, q) * qpoch_infinite(B, q)
 
-    def integrand(w):
-        val = f(w) * g(w) * theta(rq * w, q)
+    def weight(w):
+        val = theta(rq * w, q)
         return val / (qpoch_infinite(A * w / rq, q) * qpoch_infinite(B / (w * rq), q))
 
-    return pref * circle_mean(integrand, quad)
+    return pref * circle_gram([f], [g], quad, weight)[0][0]
 
 
 def _qp(x, q, up):
@@ -465,9 +502,9 @@ def test_integral_measures_match_product_form():
             for quad in (128, 512):
                 got = m.apply(ff, gg, quad=quad)
                 ref = ref_measure.apply(ff, gg, quad=quad)
-                scale = abs(m.prefactors[0]) * circle_mean(
-                    lambda z: abs(weight(z) * ff(z) * gg(z)), quad
-                )
+                scale = abs(m.prefactors[0]) * circle_gram(
+                    [lambda z: abs(weight(z) * ff(z) * gg(z))], [ONE], quad, ONE
+                )[0][0]
                 assert abs(got - ref) <= 1e-13 * scale.real, (m.kind, quad)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ebiortho.errors import DomainError, NonFiniteValue, PoleError, SeriesDivergence
 from ebiortho.qkernel import (
-    circle_mean,
+    circle_gram,
     elliptic_gamma,
     gamma_pair_log_series,
     grid_log_series,
@@ -25,12 +25,15 @@ from ebiortho.qkernel import (
 )
 
 
+ONE = lambda z: 1.0
+
+
 def _rand_annulus(rng, lo=0.3, hi=2.0):
     return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
 
 
 def _grid(quad):
-    """The circle_mean nodes exp(2 pi i (j + 1/2) / quad), j < quad."""
+    """The circle_gram nodes exp(2 pi i (j + 1/2) / quad), j < quad."""
     return [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(quad)]
 
 
@@ -283,15 +286,15 @@ def test_qpoch_log_series_fallback_rule():
             qpoch_log_series([bad])
 
 
-def test_circle_mean_log_weight_and_non_finite_values():
+def test_circle_gram_log_weight_and_non_finite_values():
     fn = lambda z: 2 + z**3 + z**-3
     for quad in (8, 30, 64):
-        direct = circle_mean(lambda z: fn(z) * cmath.exp(z + 1 / z), quad)
-        weighted = circle_mean(fn, quad, log_weight=([1.0], [1.0]))
+        direct = circle_gram([fn], [ONE], quad, lambda z: cmath.exp(z + 1 / z))[0][0]
+        weighted = circle_gram([fn], [ONE], quad, ONE, ([1.0], [1.0]))[0][0]
         assert abs(weighted - direct) < 1e-14 * abs(direct)
     # Re L = 800 cos(phi) passes 709 near z = 1, where exp overflows
     with pytest.raises(NonFiniteValue):
-        circle_mean(lambda z: 1.0, 16, log_weight=([400.0], [400.0]))
+        circle_gram([ONE], [ONE], 16, ONE, ([400.0], [400.0]))
     inf = float("inf")
     for bad in (
         lambda z: inf if z.imag > 0 else 1.0,
@@ -300,15 +303,64 @@ def test_circle_mean_log_weight_and_non_finite_values():
         lambda z: 1e308,
     ):
         with pytest.raises(NonFiniteValue):
-            circle_mean(bad, 16)
+            circle_gram([bad], [ONE], 16, ONE)
+        with pytest.raises(NonFiniteValue):
+            circle_gram([ONE], [ONE], 16, bad)
 
 
-def test_circle_mean_inversion_symmetric_half_grid():
+def test_circle_gram_inversion_symmetric_half_grid():
     fn = lambda z: cmath.exp(z + 1 / z) * (2 + z**3 + z**-3)
     for quad in (8, 30, 64):
-        full = circle_mean(fn, quad)
-        half = circle_mean(fn, quad, inversion_symmetric=True)
+        full = circle_gram([ONE], [ONE], quad, fn)[0][0]
+        half = circle_gram([ONE], [ONE], quad, fn, inversion_symmetric=True)[0][0]
         assert abs(half - full) < 1e-14 * abs(full)
     nodes = []
-    circle_mean(lambda z: nodes.append(z) or 1.0, 64, inversion_symmetric=True)
+    circle_gram(
+        [ONE], [ONE], 64, lambda z: nodes.append(z) or 1.0, inversion_symmetric=True
+    )
     assert len(nodes) == 32 and all(z.imag > 0 for z in nodes)
+    # a symmetric weight pairs f(z) g(z) with f(1/z) g(1/z): the mean of
+    # w f g on the full grid, for f and g without the symmetry
+    f = lambda z: z**2 + 0.5 / z
+    g = lambda z: 1 + 0.3 * z
+    full = circle_gram([f], [g], 64, fn)[0][0]
+    half = circle_gram([f], [g], 64, fn, inversion_symmetric=True)[0][0]
+    assert abs(half - full) < 1e-14 * abs(full)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["full", "half"])
+def test_circle_gram_entries_and_evaluation_counts(symmetric):
+    # every entry equals its 1 x 1 gram bit for bit, and the weight and
+    # each function are evaluated once per node (twice with the
+    # symmetric rule, at z and 1/z) for the whole matrix
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(z):
+            calls.append(name)
+            return fn(z)
+
+        return wrapped
+
+    weight = lambda z: cmath.exp(0.3 * (z + 1 / z))
+    log_weight = ([0.2, 0.05], [0.2, 0.05])
+    fs = [lambda z, k=k: z**k + 0.5 / z for k in range(3)]
+    gs = [lambda z, k=k: 1 + 0.3 * k * z for k in range(2)]
+    quad = 32
+    M = circle_gram(
+        [counted(f"f{i}", f) for i, f in enumerate(fs)],
+        [counted(f"g{j}", g) for j, g in enumerate(gs)],
+        quad,
+        counted("w", weight),
+        log_weight,
+        symmetric,
+    )
+    count = quad // 2 if symmetric else quad
+    per_fn = 2 * count if symmetric else count
+    assert calls.count("w") == count
+    for name in ("f0", "f1", "f2", "g0", "g1"):
+        assert calls.count(name) == per_fn
+    for i, f in enumerate(fs):
+        for j, g in enumerate(gs):
+            one = circle_gram([f], [g], quad, weight, log_weight, symmetric)
+            assert M[i][j] == one[0][0]
