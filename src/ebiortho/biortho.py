@@ -6,9 +6,11 @@ negative q-power (discrete_gram takes a matrix of them over one set of
 masses), the continuous one a unit-circle quadrature of the
 elliptic-gamma weight (continuous_weight; continuous_gram takes a matrix
 of them from qkernel.circle_gram).  Both are normalized so that
-<1,1> = 1.  random_discrete_params draws
-well-conditioned discrete parameters for the verification suites and
-tests.
+<1,1> = 1.  rtilde, the point masses, their closing factor and
+norm_formula are ratios of theta Pochhammer symbols, all built by one
+routine, _theta_terms, from their argument lists.  random_discrete_params
+draws well-conditioned discrete parameters for the verification suites
+and tests.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .qkernel import (
     qpoch_factors,
     qpoch_infinite,
     qpoch_log_series,
-    theta_qp_finite,
     theta_qp_prefix,
 )
 
@@ -118,42 +119,49 @@ class DiscreteSpec:
         if abs(t0 * t1 - q ** (-self.N)) > BALANCE_TOL * abs(q ** (-self.N)):
             raise DomainError("t0 t1 = q^-N violated")
         # reject q^k landing on an integer power of p: infinite point mass
-        if abs(p) > 0:
-            lp = math.log(abs(p))
-            for k in range(1, self.N + 1):
-                qk = q**k
-                m = round(math.log(abs(qk)) / lp) if abs(qk) != 1 else 0
-                if abs(qk - p**m) < 1e-9:
-                    raise DomainError(
-                        "q^k coincides with a power of p; point mass diverges"
-                    )
+        lp = math.log(abs(p))
+        for k in range(1, self.N + 1):
+            qk = q**k
+            m = round(math.log(abs(qk)) / lp) if abs(qk) != 1 else 0
+            if abs(qk - p**m) < 1e-9:
+                raise DomainError(
+                    "q^k coincides with a power of p; point mass diverges"
+                )
 
 
-def _theta_prod(args, q, p, k) -> complex:
-    out = 1.0 + 0.0j
-    for a in args:
-        out *= theta_qp_finite(a, q, p, k)
-    return out
+def _theta_terms(head, nums, dens, q, p, n):
+    """Theta Pochhammer ratios of the terms k = 0..n of a terminating series.
 
-
-def _product_at(prefixes, k) -> complex:
-    """prod_a theta(a;q;p)_k, taking entry k of each prefix in order."""
-    out = 1.0 + 0.0j
-    for pre in prefixes:
-        out *= pre[k]
-    return out
+    Returns ([(head_k, num_k, den_k) for k = 0..n], low): head_k is
+    theta(h;q;p)_2k / theta(g;q;p)_2k for head = (h, g), or 1 when head
+    is None; num_k and den_k are the products of theta(a;q;p)_k over
+    nums and over dens, in list order; low is the least |theta(b;q;p)_k|
+    over dens and 1 <= k <= n, for the callers' pole checks.  Every
+    symbol is entry k of one qkernel.theta_qp_prefix, so the call costs
+    (4 + len(nums) + len(dens)) n theta evaluations, and each product
+    has the factors and the order of the per-term one.
+    """
+    if head is None:
+        heads = [1.0 + 0.0j] * (n + 1)
+    else:
+        h, g = (theta_qp_prefix(a, q, p, 2 * n) for a in head)
+        heads = [h[2 * k] / g[2 * k] for k in range(n + 1)]
+    num_cols = list(zip(*(theta_qp_prefix(a, q, p, n) for a in nums)))
+    den_cols = list(zip(*(theta_qp_prefix(b, q, p, n) for b in dens)))
+    low = min((abs(x) for col in den_cols[1:] for x in col), default=math.inf)
+    terms = [
+        (head_k, math.prod(nc, start=1.0 + 0.0j), math.prod(dc, start=1.0 + 0.0j))
+        for head_k, nc, dc in zip(heads, num_cols, den_cols)
+    ]
+    return terms, low
 
 
 def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """The degree-n biorthogonal function, normalized to 1 at z = t0.
 
-    The n + 1 terms of the terminating theta series are evaluated from
-    running products: every theta Pochhammer symbol theta(a;q;p)_k is
-    entry k of one qkernel.theta_qp_prefix, taken to n for the eight
-    numerator and eight denominator parameters and to 2n for the two
-    head symbols.  That is 20n theta evaluations, where rebuilding each
-    symbol per term costs 10n(n+1); each term is the same product in the
-    same order, so the value is unchanged.
+    The n + 1 terms of the series come from _theta_terms over two head,
+    eight numerator and eight denominator parameters: 20n theta
+    evaluations, where rebuilding each symbol per term costs 10n(n+1).
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -162,46 +170,17 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    head_num = theta_qp_prefix(q * t0 / u0, q, p, 2 * n)
-    head_den = theta_qp_prefix(t0 / u0, q, p, 2 * n)
-    nums = [
-        theta_qp_prefix(a, q, p, n)
-        for a in (
-            t0 / u0,
-            p * q**n / (u0 * u1),
-            q ** (-n),
-            t0 * z,
-            t0 / z,
-            q / (u0 * t1),
-            q / (u0 * t2),
-            q / (u0 * t3),
-        )
-    ]
-    dens = [
-        theta_qp_prefix(a, q, p, n)
-        for a in (
-            q,
-            q ** (1 - n) * t0 * u1 / p,
-            q ** (n + 1) * t0 / u0,
-            q * z / u0,
-            q / (u0 * z),
-            t0 * t1,
-            t0 * t2,
-            t0 * t3,
-        )
-    ]
-    terms = []
-    for k in range(n + 1):
-        head = head_num[2 * k] / head_den[2 * k]
-        num = _product_at(nums, k)
-        den = 1.0 + 0.0j
-        for pre in dens:
-            fac = pre[k]
-            if k > 0 and abs(fac) < 1e-13:
-                raise PoleError("rtilde denominator theta factor vanishes")
-            den *= fac
-        terms.append(head * num / den * q**k)
-    out = csum(terms)
+    terms, low = _theta_terms(
+        (q * t0 / u0, t0 / u0),
+        [t0 / u0, p * q**n / (u0 * u1), q ** (-n), t0 * z, t0 / z,
+         q / (u0 * t1), q / (u0 * t2), q / (u0 * t3)],
+        [q, q ** (1 - n) * t0 * u1 / p, q ** (n + 1) * t0 / u0, q * z / u0,
+         q / (u0 * z), t0 * t1, t0 * t2, t0 * t3],
+        q, p, n,
+    )
+    if low < 1e-13:
+        raise PoleError("rtilde denominator theta factor vanishes")
+    out = csum([head * num / den * q**k for k, (head, num, den) in enumerate(terms)])
     if not cmath.isfinite(out):
         raise NonFiniteValue("rtilde left the floating-point range")
     return out
@@ -248,49 +227,33 @@ def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
     """Factors of the point masses at t0 q^k, 0 <= k <= N, and the closing factor.
 
     Returns ([(head_k, num_k, den_k) for k = 0..N], closing): the mass at
-    t0 q^k is head_k num_k / den_k q^k times closing.  The symbols are
-    entries of running products (qkernel.theta_qp_prefix), to 2N for the
-    two head parameters and to N for the twelve others, so the N + 1
-    masses cost 16N theta evaluations and the closing factor 8N more.
+    t0 q^k is head_k num_k / den_k q^k times closing.  Both come from
+    _theta_terms: the N + 1 masses cost 16N theta evaluations and the
+    closing factor, term N of a headless product, 8N more.
     """
     spec.validate(params)
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
     N = spec.N
-    closing_num = _theta_prod([q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p], q, p, N)
-    closing_den = _theta_prod(
-        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)], q, p, N
+    closing, _ = _theta_terms(
+        None,
+        [q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p],
+        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)],
+        q, p, N,
     )
+    _, closing_num, closing_den = closing[N]
     if abs(closing_den) < 1e-250:
         raise PoleError("discrete measure closing factor hits a pole")
-    closing = closing_num / closing_den
-    head_num = theta_qp_prefix(q * t0 * t0, q, p, 2 * N)
-    head_den = theta_qp_prefix(t0 * t0, q, p, 2 * N)
-    nums = [
-        theta_qp_prefix(a, q, p, N)
-        for a in (t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p)
-    ]
-    dens = [
-        theta_qp_prefix(a, q, p, N)
-        for a in (
-            q,
-            q * t0 / t1,
-            q * t0 / t2,
-            q * t0 / t3,
-            q * t0 / u0,
-            p * q * t0 / u1,
-        )
-    ]
-    masses = []
-    for k in range(N + 1):
-        head = head_num[2 * k] / head_den[2 * k]
-        num = _product_at(nums, k)
-        den = _product_at(dens, k)
-        if abs(den) < 1e-250:
-            raise PoleError("discrete weight hits a pole")
-        masses.append((head, num, den))
-    return masses, closing
+    masses, _ = _theta_terms(
+        (q * t0 * t0, t0 * t0),
+        [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p],
+        [q, q * t0 / t1, q * t0 / t2, q * t0 / t3, q * t0 / u0, p * q * t0 / u1],
+        q, p, N,
+    )
+    if any(abs(den) < 1e-250 for _, _, den in masses):
+        raise PoleError("discrete weight hits a pole")
+    return masses, closing_num / closing_den
 
 
 def discrete_gram(
@@ -331,24 +294,20 @@ def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> 
 
 
 def norm_formula(n: int, params: EllipticParams) -> complex:
-    """Closed-form squared norm of the degree-n pair."""
+    """Closed-form squared norm of the degree-n pair: term n of
+    _theta_terms, 16n theta evaluations."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    head = theta_qp_finite(p / (u0 * u1), q, p, 2 * n) / theta_qp_finite(
-        p * q / (u0 * u1), q, p, 2 * n
-    )
-    num = _theta_prod(
-        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1], q, p, n
-    )
-    den = _theta_prod(
+    terms, _ = _theta_terms(
+        (p / (u0 * u1), p * q / (u0 * u1)),
+        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1],
         [p / (u0 * u1), t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)],
-        q,
-        p,
-        n,
+        q, p, n,
     )
+    head, num, den = terms[n]
     if abs(den) < 1e-250:
         raise PoleError("norm denominator hits a pole")
     return head * num / den * q ** (-n)

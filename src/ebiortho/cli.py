@@ -243,16 +243,17 @@ def verify_limit(args) -> int:
     face = args.face
     gap = 0.25 if face == "1111pp" else 0.5
     tol = args.tol or (1e-2 if face == "1111pp" else 1e-4)
-    table_ps = [1e-2, 1e-3, 1e-4]
     ladder = [10 ** (-2 - 0.5 * i) for i in range(7)]
+    # the table's p = 1e-2, 1e-3, 1e-4 are ladder entries 0, 2 and 4
+    table = (0, 2, 4)
     print(f"face {face}: relative error vs closed-form limit")
-    header = "  n " + "".join(f"  p={p:<8.0e}" for p in table_ps) + "  extrapolated"
-    print(header)
+    cols = "".join(f"  p={ladder[i]:<8.0e}" for i in table)
+    print("  n " + cols + "  extrapolated")
     rows = []
     for n in range(1, 5):
         tgt = limit_target(face, n)
-        errs = [abs(limit_value(face, n, p) - tgt) / abs(tgt) for p in table_ps]
         vals = [limit_value(face, n, p) for p in ladder]
+        errs = [abs(vals[i] - tgt) / abs(tgt) for i in table]
         ex = abs(richardson(vals, ladder, gap) - tgt) / abs(tgt)
         print(f"  {n} " + "".join(f"  {e:<10.3e}" for e in errs) + f"  {ex:.3e}")
         rows.append((f"extrapolated limit error, n = {n}", ex))

@@ -167,6 +167,8 @@ def pastro_P(n, z, t, u, q) -> complex:
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if z == 0:
+        raise DomainError("pastro_P requires z != 0")
     t0, t1, t2, t3 = (complex(x) for x in t)
     u0, u1 = (complex(x) for x in u)
     q = complex(q)
@@ -212,6 +214,8 @@ def pastro_p(n, w, A, B, q) -> complex:
 
 def pastro_q(n, w, A, B, q) -> complex:
     """q_n(w; A, B) = p_n(1/w; B, A)."""
+    if w == 0:
+        raise DomainError("pastro_q requires w != 0")
     return pastro_p(n, 1.0 / complex(w), B, A, q)
 
 
@@ -767,6 +771,8 @@ def finite_measure(alpha, t, N, q) -> LimitMeasure:
 def aw_phi43(n, z, t, u, q) -> complex:
     """Terminating 4phi3 limit family at the top orthogonal-polynomial
     point, normalized to 1 at z = t0."""
+    if z == 0:
+        raise DomainError("aw_phi43 requires z != 0")
     t0, t1, t2, t3 = (complex(x) for x in t)
     q = complex(q)
 

@@ -42,7 +42,6 @@ __all__ = [
     "qpoch_finite",
     "qpoch_infinite",
     "theta",
-    "theta_qp_finite",
     "theta_qp_prefix",
     "elliptic_gamma",
     "gamma_pair_log_series",
@@ -99,18 +98,12 @@ def theta(x: complex, p: complex) -> complex:
     return qpoch_infinite(x, p) * qpoch_infinite(p / x, p)
 
 
-def theta_qp_finite(x: complex, q: complex, p: complex, n: int) -> complex:
-    """theta(x;q;p)_n = prod_{r=0}^{n-1} theta(x q^r; p).  |q| >= 1 allowed."""
-    return theta_qp_prefix(x, q, p, n)[-1]
-
-
 def theta_qp_prefix(x: complex, q: complex, p: complex, n: int) -> list:
     """[theta(x;q;p)_k for k = 0..n], one running product of n theta values.
 
-    Entry k is bit-identical to theta_qp_finite(x, q, p, k): each is the
-    same product taken in the same order.  A terminating theta series
-    needs every k up to its length, at n theta evaluations in all
-    instead of n(n+1)/2.
+    theta(x;q;p)_k = prod_{r=0}^{k-1} theta(x q^r; p); |q| >= 1 is
+    allowed.  A terminating theta series needs every k up to its length,
+    at n theta evaluations in all instead of n(n+1)/2.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")

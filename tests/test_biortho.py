@@ -27,7 +27,7 @@ from ebiortho.qkernel import (
     csum,
     elliptic_gamma,
     qpoch_infinite,
-    theta_qp_finite,
+    theta,
 )
 
 ONE = lambda z: 1.0
@@ -266,10 +266,20 @@ def test_rtilde_rejects_negative_degree():
 # Running theta Pochhammer products: cost and unchanged values
 
 
+def _theta_qp(x, q, p, k):
+    """theta(x;q;p)_k rebuilt from theta alone: prod_{r<k} theta(x q^r; p)."""
+    out = 1.0 + 0.0j
+    xq = complex(x)
+    for _ in range(k):
+        out *= theta(xq, p)
+        xq *= q
+    return out
+
+
 def _theta_prod(args, q, p, k):
     out = 1.0 + 0.0j
     for a in args:
-        out *= theta_qp_finite(a, q, p, k)
+        out *= _theta_qp(a, q, p, k)
     return out
 
 
@@ -280,7 +290,7 @@ def _rtilde_reference(n, z, params):
     q, p = params.q, params.p
     terms = []
     for k in range(n + 1):
-        head = theta_qp_finite(q * t0 / u0, q, p, 2 * k) / theta_qp_finite(
+        head = _theta_qp(q * t0 / u0, q, p, 2 * k) / _theta_qp(
             t0 / u0, q, p, 2 * k
         )
         num = _theta_prod(
@@ -309,7 +319,7 @@ def _discrete_reference(f, g, params, spec):
     terms = []
     for k in range(N + 1):
         zk = t0 * q**k
-        head = theta_qp_finite(q * t0 * t0, q, p, 2 * k) / theta_qp_finite(
+        head = _theta_qp(q * t0 * t0, q, p, 2 * k) / _theta_qp(
             t0 * t0, q, p, 2 * k
         )
         num = _theta_prod(
@@ -321,6 +331,24 @@ def _discrete_reference(f, g, params, spec):
         )
         terms.append(f(zk) * g(zk) * head * num / den * q**k)
     return csum(terms) * closing
+
+
+def _norm_reference(n, params):
+    """norm_formula with every symbol built for term n alone."""
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    head = _theta_qp(p / (u0 * u1), q, p, 2 * n) / _theta_qp(
+        p * q / (u0 * u1), q, p, 2 * n
+    )
+    num = _theta_prod(
+        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1], q, p, n
+    )
+    den = _theta_prod(
+        [p / (u0 * u1), t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)],
+        q, p, n,
+    )
+    return head * num / den * q ** (-n)
 
 
 @pytest.fixture
@@ -342,6 +370,14 @@ def test_rtilde_makes_20n_theta_calls(theta_calls):
         theta_calls.clear()
         rtilde(n, 1.1 * cmath.exp(0.4j), par)
         assert len(theta_calls) == 20 * n
+
+
+def test_norm_formula_makes_16n_theta_calls(theta_calls):
+    par = random_discrete_params(random.Random(6))
+    for n in range(7):
+        theta_calls.clear()
+        norm_formula(n, par)
+        assert len(theta_calls) == 16 * n
 
 
 def test_discrete_makes_24N_theta_calls(theta_calls):
@@ -378,6 +414,16 @@ def test_running_products_equal_the_per_term_reference():
                 assert discrete_inner_product(fn, gm, par, spec) == (
                     _discrete_reference(fn, gm, par, spec)
                 )
+
+
+def test_norm_formula_equals_the_per_term_reference():
+    rng = random.Random(11)
+    for N in (1, 3, 6):
+        for _ in range(3):
+            par = random_discrete_params(rng, N=N, p=rng.choice([0.05, 0.2]))
+            for pr in (par, par.swapped_u()):
+                for n in range(N + 1):
+                    assert norm_formula(n, pr) == _norm_reference(n, pr)
 
 
 def test_discrete_gram_equals_per_entry_inner_products():

@@ -162,6 +162,27 @@ def test_verify_pastro_builds_its_weight_once(capsys, monkeypatch):
     assert calls == {"pastro_p": 12 * 512 + 14, "grid_log_series": 1}
 
 
+def test_verify_limit_reads_its_table_from_the_ladder(capsys, monkeypatch):
+    # the p = 1e-2, 1e-3, 1e-4 columns are ladder entries 0, 2 and 4:
+    # seven evaluations per degree n = 1..4, none repeated for the table
+    calls = []
+    real = ebiortho.cli.limit_value
+
+    def counted(face, n, p):
+        calls.append((face, n, p))
+        return real(face, n, p)
+
+    monkeypatch.setattr(ebiortho.cli, "limit_value", counted)
+    for face in ("1111pp", "40as"):
+        calls.clear()
+        assert main(["verify", "limit", "--face", face]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert "  p=1e-02     p=1e-03     p=1e-04     extrapolated" in out
+        assert len(calls) == 28
+        assert len(set(calls)) == 28
+
+
 def test_verify_continuous_passes(capsys):
     assert main(["verify", "elliptic-continuous"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -92,10 +92,14 @@ _GOOD_T = (0.7, 0.6, 0.5, 0.4)
         lambda: pastro_p(2, 0.5j, 0.55, 0, 0.45),
         lambda: pastro_q(2, 0.5j, 0.55, 0.4, 0),
         lambda: pastro_inner_product(ONE, ONE, 0.55, 0.4, 0, quad=8),
+        lambda: pastro_q(2, 0, 0.55, 0.4, 0.45),
+        lambda: pastro_P(2, 0, _GOOD_T, (0.3, 0.5), 0.45),
+        lambda: aw_phi43(2, 0, _GOOD_T, (0.3, 0.5), 0.45),
     ],
     ids=[
         "t1=0", "u0=0", "p=0", "q=0", "rtilde-z=0",
         "pastro_p-q=0", "pastro_p-B=0", "pastro_q-q=0", "pastro_inner-q=0",
+        "pastro_q-w=0", "pastro_P-z=0", "aw_phi43-z=0",
     ],
 )
 def test_zero_parameters_are_domain_errors(call):

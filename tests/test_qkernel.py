@@ -20,7 +20,6 @@ from ebiortho.qkernel import (
     qpoch_infinite,
     qpoch_log_series,
     theta,
-    theta_qp_finite,
     theta_qp_prefix,
 )
 
@@ -114,7 +113,7 @@ def test_gamma_pole(p, q):
         elliptic_gamma(1 / q, 0.0, q)
 
 
-def test_theta_qp_finite_matches_product():
+def test_theta_qp_prefix_matches_product():
     rng = random.Random(0)
     for _ in range(50):
         x = _rand_annulus(rng)
@@ -124,7 +123,7 @@ def test_theta_qp_finite_matches_product():
         direct = 1.0 + 0.0j
         for r in range(n):
             direct *= theta(x * q**r, p)
-        got = theta_qp_finite(x, q, p, n)
+        got = theta_qp_prefix(x, q, p, n)[n]
         assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
 
 
@@ -137,14 +136,14 @@ def test_theta_qp_prefix_entries_are_the_finite_symbols():
         n = rng.randint(0, 8)
         prefix = theta_qp_prefix(x, q, p, n)
         assert len(prefix) == n + 1
-        assert prefix == [theta_qp_finite(x, q, p, k) for k in range(n + 1)]
+        assert prefix == [theta_qp_prefix(x, q, p, k)[k] for k in range(n + 1)]
     with pytest.raises(DomainError):
         theta_qp_prefix(0.5, 0.3, 0.1, -1)
 
 
-def test_theta_qp_finite_allows_big_q():
+def test_theta_qp_prefix_allows_big_q():
     # |q| > 1 is legal for the finite ladder
-    val = theta_qp_finite(0.5, 2.5, 0.1, 3)
+    val = theta_qp_prefix(0.5, 2.5, 0.1, 3)[3]
     direct = theta(0.5, 0.1) * theta(1.25, 0.1) * theta(3.125, 0.1)
     assert abs(val - direct) < 1e-12 * abs(direct)
 
