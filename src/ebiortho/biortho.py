@@ -38,6 +38,7 @@ from .qkernel import (
     qpoch_factors,
     qpoch_infinite,
     qpoch_log_series,
+    theta,
     theta_qp_prefix,
 )
 
@@ -140,19 +141,30 @@ def _theta_terms(head, nums, dens, q, p, n):
     symbol is entry k of one qkernel.theta_qp_prefix, so the call costs
     (4 + len(nums) + len(dens)) n theta evaluations, and each product
     has the factors and the order of the per-term one.
+
+    A head denominator theta(g;q;p)_2k that is exactly 0 is cancelled
+    against nums[0] when that is g and head = (q g, g), as in rtilde and
+    the masses: head_k theta(g;q;p)_k = theta(g q^2k; p) theta(q g;q;p)_(k-1),
+    one more theta evaluation, is returned as head_k, and num_k omits
+    nums[0].  Any other vanishing head denominator is a PoleError.
     """
     if head is None:
         heads = [1.0 + 0.0j] * (n + 1)
     else:
         h, g = (theta_qp_prefix(a, q, p, 2 * n) for a in head)
-        heads = [h[2 * k] / g[2 * k] for k in range(n + 1)]
+        heads = [h[2 * k] / g[2 * k] if g[2 * k] else None for k in range(n + 1)]
     num_cols = list(zip(*(theta_qp_prefix(a, q, p, n) for a in nums)))
     den_cols = list(zip(*(theta_qp_prefix(b, q, p, n) for b in dens)))
     low = min((abs(x) for col in den_cols[1:] for x in col), default=math.inf)
-    terms = [
-        (head_k, math.prod(nc, start=1.0 + 0.0j), math.prod(dc, start=1.0 + 0.0j))
-        for head_k, nc, dc in zip(heads, num_cols, den_cols)
-    ]
+    terms = []
+    for k, (head_k, nc, dc) in enumerate(zip(heads, num_cols, den_cols)):
+        if head_k is None:
+            if nums[0] != head[1]:
+                raise PoleError("head denominator theta factor vanishes")
+            head_k, nc = theta(head[1] * q ** (2 * k), p) * h[k - 1], nc[1:]
+        terms.append(
+            (head_k, math.prod(nc, start=1.0 + 0.0j), math.prod(dc, start=1.0 + 0.0j))
+        )
     return terms, low
 
 
@@ -162,6 +174,7 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     The n + 1 terms of the series come from _theta_terms over two head,
     eight numerator and eight denominator parameters: 20n theta
     evaluations, where rebuilding each symbol per term costs 10n(n+1).
+    At t0 = u0 the head denominator vanishes and _theta_terms cancels it.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")

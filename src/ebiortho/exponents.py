@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 
 from .errors import DomainError
@@ -65,6 +66,13 @@ class ExponentVector:
     def require_balanced(self) -> None:
         if not self.balanced:
             raise DomainError("exponent vector violates sum(alpha)+sum(gamma)=1")
+
+    @cached_property
+    def inside_P(self) -> bool:
+        """polytope.in_P of this vector, computed on first use only."""
+        from .polytope import in_P  # deferred: polytope imports this module
+
+        return in_P(self)
 
     def as7(self) -> tuple[Fraction, ...]:
         return self.a6 + (self.zeta,)
@@ -126,9 +134,7 @@ def _pos_part(x: Fraction) -> Fraction:
 
 
 def _require_in_P(v: ExponentVector) -> None:
-    from .polytope import in_P  # deferred: polytope imports this module
-
-    if not in_P(v):
+    if not v.inside_P:
         raise DomainError("exponent vector is not in the polytope P")
 
 

@@ -1,14 +1,15 @@
 """Enumeration of the degeneration scheme.
 
-Builds the 21 tiling vertices, enumerates every face of the P_I / P_II,t /
-P_III,(r,s,t) tiling by exact facet saturation, groups faces into
-realizations (S4 x S2 orbits) and systems (orbits modulo lattice shifts
-and the flip), and derives each orbit's system test, name and flip images
-from its smallest face (see ``Scheme``).  An edge of the degeneration
-graph joins the systems of a face and of a facet.  Assigns measure tags
-and regenerates the golden tables: the per-level system tables, the full
-degeneration graph, and the q-Askey subscheme.  Emitters produce
-deterministic JSON, DOT and TSV.
+Builds the 21 tiling vertices, enumerates the faces of one tile per
+S4 x S2 orbit of the P_I / P_II,t / P_III,(r,s,t) tiling by exact facet
+saturation, and generates every realization (S4 x S2 orbit of faces) as
+the 48 images of one face.  Groups realizations into systems (orbits
+modulo lattice shifts and the flip), and derives each orbit's system
+test, name, flip images and graph edges from its smallest face (see
+``Scheme``).  An edge of the degeneration graph joins the systems of a
+face and of a facet.  Assigns measure tags and regenerates the golden
+tables: the per-level system tables, the full degeneration graph, and
+the q-Askey subscheme.  Emitters produce deterministic JSON, DOT and TSV.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from .errors import DomainError, InternalError
 from .exponents import ExponentVector
 from .polytope import (
     _TILE_ROWS,
+    TileId,
     _face_name,
     _is_system,
     _rank,
     _slacks,
+    _zeta_num,
     attach_zeta,
     face_name,
     reduce_to_P,
-    zeta_for,
+    tiles,
 )
 
 __all__ = [
@@ -143,40 +146,79 @@ def _midpoint2(names) -> tuple[tuple[int, ...], int]:
     return tuple(map(sum, zip(*_face_vecs(names)))), len(names)
 
 
-def _all_faces() -> set[tuple[str, ...]]:
-    """Every face of the tiling as a sorted vertex-name tuple."""
-    faces: set[tuple[str, ...]] = set()
-    for rows in _TILE_ROWS.values():
-        # the tight rows of each vertex of the tile
-        tight = {}
-        for name, vec in _VERT2.items():
-            slacks = _slacks(rows, vec, 1)
-            if min(slacks) >= 0:
-                tight[name] = frozenset(
-                    i for i, s in enumerate(slacks) if s == 0
-                )
-        # every intersection of tight sets spans a face: its vertices are
-        # those tight on all of it
-        commons: set[frozenset[int]] = set()
-        new = set(tight.values())
-        while new:
-            commons |= new
-            new = {c & t for c in new for t in tight.values()} - commons
-        for common in commons:
-            faces.add(tuple(sorted(n for n, t in tight.items() if t >= common)))
-    return faces
+def _tile_faces(rows) -> set[tuple[str, ...]]:
+    """Every face of the tile with these rows as a sorted vertex-name tuple."""
+    # the tight rows of each vertex of the tile
+    tight = {}
+    for name, vec in _VERT2.items():
+        slacks = _slacks(rows, vec, 1)
+        if min(slacks) >= 0:
+            tight[name] = frozenset(i for i, s in enumerate(slacks) if s == 0)
+    # every intersection of tight sets spans a face: its vertices are
+    # those tight on all of it
+    commons: set[frozenset[int]] = set()
+    new = set(tight.values())
+    while new:
+        commons |= new
+        new = {c & t for c in new for t in tight.values()} - commons
+    return {
+        tuple(sorted(n for n, t in tight.items() if t >= common))
+        for common in commons
+    }
 
 
-# For each symmetry, the image of every vertex on the doubled scale.
+def _tile_image(perm, tile: TileId) -> TileId:
+    """The tile onto which the symmetry ``perm`` maps ``tile``: under
+    ``_apply``, entry j of a point moves to position perm.index(j)."""
+    return TileId(tile.kind, tuple(sorted(perm.index(j) for j in tile.indices)))
+
+
+def _tile_representatives() -> list[TileId]:
+    """The first tile of each S4 x S2 orbit of tiles, in ``tiles()`` order:
+    P_I, P_II,(0), P_II,(4) and P_III with 0, 1 or 2 indices in {4, 5}."""
+    reps: list[TileId] = []
+    seen: set[TileId] = set()
+    for tile in tiles():
+        if tile not in seen:
+            reps.append(tile)
+            seen.update(_tile_image(s, tile) for s in _SYMS)
+    return reps
+
+
+# For each symmetry, the name of the image of every vertex.
 _VERTEX_IMAGES = tuple(
-    {n: _apply(s, v) for n, v in _VERT2.items()} for s in _SYMS
+    {n: _VERT2_NAME[_apply(s, v)] for n, v in _VERT2.items()} for s in _SYMS
 )
 
 
 def _canon_orbit_key(names) -> tuple:
     return min(
-        tuple(sorted(img[n] for n in names)) for img in _VERTEX_IMAGES
+        tuple(sorted(_VERT2[img[n]] for n in names)) for img in _VERTEX_IMAGES
     )
+
+
+def _face_orbits() -> list[list[tuple[str, ...]]]:
+    """Every face of the tiling grouped into its S4 x S2 orbits, in
+    canonical-key order, each orbit a sorted list of faces.
+
+    S4 x S2 permutes the tiles, so every face is an image of a face of a
+    representative tile.  Each of those faces not yet placed gives its
+    whole orbit as its 48 images, and the canonical key is computed once
+    per orbit, on that face.
+    """
+    faces = set().union(
+        *(_tile_faces(_TILE_ROWS[tile]) for tile in _tile_representatives())
+    )
+    orbits: dict[tuple, list[tuple[str, ...]]] = {}
+    placed: set[tuple[str, ...]] = set()
+    for f in sorted(faces):
+        if f not in placed:
+            members = sorted(
+                {tuple(sorted(img[n] for n in f)) for img in _VERTEX_IMAGES}
+            )
+            placed.update(members)
+            orbits[_canon_orbit_key(f)] = members
+    return [orbits[key] for key in sorted(orbits)]
 
 
 def _flip_image_faces(names) -> set[tuple[str, ...]]:
@@ -207,8 +249,7 @@ def _flip_image_faces(names) -> set[tuple[str, ...]]:
 # Measure tags
 
 def _neg_indices(name) -> frozenset[int]:
-    vec = VERTEX_COORDS[name]
-    return frozenset(i for i in range(6) if vec[i] == -H)
+    return frozenset(i for i, x in enumerate(_VERT2[name]) if x == -1)
 
 
 def measure_tag(vertex_names) -> str:
@@ -262,8 +303,7 @@ class DegenerationGraph:
 
 def _midpoint7(names) -> tuple[Fraction, ...]:
     num, k = _midpoint2(names)
-    mid = tuple(Q(x, 2 * k) for x in num)
-    return mid + (-zeta_for(mid),)
+    return tuple(Q(x, 2 * k) for x in num) + (Q(-_zeta_num(num, k), 2 * k),)
 
 
 def _orbit_system(oid: str) -> str:
@@ -285,19 +325,17 @@ class Scheme:
     rank; and the flip is b -> c - b with c = (0,0,1,1,0,0), where
     sigma(c) - c is a sum-zero integer vector (a lattice shift), so the
     flip-plus-shift images of sigma(f) are sigma applied to those of f.
-    ``faces`` holds the system faces sorted by (size, names).
+    The graph edges come from the smallest faces too, as the edge set is
+    S4 x S2-invariant.  ``faces`` holds the system faces sorted by
+    (size, names).
     """
 
     def __init__(self):
-        orbit_keys: dict[tuple, list] = {}
-        for f in _all_faces():
-            orbit_keys.setdefault(_canon_orbit_key(f), []).append(f)
         # orbit id: system name + index of the orbit's smallest face
         self.orbit_of: dict[tuple, str] = {}
         self.orbit_faces: dict[str, list] = {}
         per_name_count: dict[str, int] = {}
-        for key in sorted(orbit_keys):
-            members = sorted(orbit_keys[key])
+        for members in _face_orbits():
             rep = members[0]
             mid = _midpoint2(rep)
             if not _is_system(*mid):
@@ -371,10 +409,12 @@ class Scheme:
         return tuple(systems)
 
     def _build_graph(self) -> DegenerationGraph:
-        # (system of facet fa, system of face fb), fa = fb minus one vertex
+        # (system of facet fa, system of face fb), fa = fb minus one vertex;
+        # S4 x S2 maps a face and its facets onto faces of the same orbits,
+        # so each orbit's smallest face gives all of the orbit's edges
         edges = {
             (_orbit_system(self.orbit_of[fa]), _orbit_system(oid))
-            for fb, oid in self.orbit_of.items()
+            for oid, (fb, *_) in self.orbit_faces.items()
             for fa in combinations(fb, len(fb) - 1)
             if fa in self.orbit_of
         }

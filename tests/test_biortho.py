@@ -372,6 +372,22 @@ def test_rtilde_makes_20n_theta_calls(theta_calls):
         assert len(theta_calls) == 20 * n
 
 
+@pytest.mark.parametrize(
+    "t, q, p",
+    [((0.5, 0.6, 0.7, 0.8), 0.35, 0.05),
+     ((0.5, 0.6, 0.75, 0.8), 0.35, 0.05),
+     ((0.6, 0.45, 0.7, 0.3), 0.4, 0.1)],
+)
+def test_rtilde_at_t0_equals_u0_is_the_limit(t, q, p):
+    # theta(t0/u0;q;p)_2k in the head ratio vanishes at u0 = t0, and the
+    # numerator theta(t0/u0;q;p)_k cancels it
+    at = EllipticParams(t, (t[0], None), q, p)
+    near = EllipticParams(t, (t[0] * (1 + 1e-10), None), q, p)
+    for n in range(4):
+        for z in (0.9, 1.3 + 0.2j):
+            assert abs(rtilde(n, z, at) - rtilde(n, z, near)) < 1e-8
+
+
 def test_norm_formula_makes_16n_theta_calls(theta_calls):
     par = random_discrete_params(random.Random(6))
     for n in range(7):

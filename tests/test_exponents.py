@@ -96,6 +96,32 @@ def test_outside_P_rejected():
         valuation_deficit(v)
 
 
+def test_unbalanced_rejected_by_every_valuation():
+    v = ExponentVector((1, 0, 0, 0), (0, 1), 0)
+    for val in (lambda w: rtilde_valuation(w, 1), lambda w: norm_valuation(w, 1),
+                valuation_deficit):
+        with pytest.raises(DomainError, match="violates"):
+            val(v)
+
+
+def test_P_membership_is_tested_once_per_vector(monkeypatch):
+    import ebiortho.polytope
+
+    calls = []
+    real = ebiortho.polytope.in_P
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(ebiortho.polytope, "in_P", counted)
+    v = random_P_vector(random.Random(5), den=6)
+    rtilde_valuation(v, 1)
+    norm_valuation(v, 2)
+    valuation_deficit(v)
+    assert calls == [v]
+
+
 def test_known_valuations_at_midpoints():
     # top face: everything balanced at zero valuation
     v = ExponentVector((0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2)), 0)

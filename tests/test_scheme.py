@@ -4,7 +4,7 @@ import hashlib
 import json
 
 from ebiortho import scheme
-from ebiortho.polytope import attach_zeta, face_name, is_system
+from ebiortho.polytope import _TILE_ROWS, TileId, _slacks, attach_zeta, face_name, is_system
 from ebiortho.scheme import (
     EXPECTED_LEVEL_COUNTS,
     EXPECTED_TOTAL,
@@ -112,13 +112,68 @@ def test_flip_partner_consistency():
             assert s.flip_partner == s.name
 
 
-# The scheme derives each orbit's data from its smallest face.  The tests
-# below recompute that data face by face and compare.
+# The scheme derives each orbit's data from its smallest face, and each
+# orbit from one face of one of six representative tiles.  The tests below
+# recompute that data face by face, over all 27 tiles, and compare.
+
+
+def _reference_faces():
+    """Every face of the tiling, enumerated tile by tile over all 27."""
+    return set().union(*(scheme._tile_faces(rows) for rows in _TILE_ROWS.values()))
+
+
+def test_orbits_match_canonical_key_grouping():
+    groups = {}
+    for f in _reference_faces():
+        groups.setdefault(scheme._canon_orbit_key(f), []).append(f)
+    orbits = scheme._face_orbits()
+    assert orbits == [sorted(groups[key]) for key in sorted(groups)]
+    assert len(orbits) == 107
+    sch = build_scheme()
+    assert list(sch.orbit_faces.values()) == [
+        members for members in orbits if members[0] in sch.orbit_of
+    ]
+
+
+def test_representative_tiles_and_their_images_give_every_face():
+    reps = scheme._tile_representatives()
+    assert reps == [
+        TileId("I"), TileId("II", (0,)), TileId("II", (4,)),
+        TileId("III", (0, 1, 2)), TileId("III", (0, 1, 4)),
+        TileId("III", (0, 4, 5)),
+    ]
+    faces = {f for members in scheme._face_orbits() for f in members}
+    assert len(faces) == 1255
+    assert faces == _reference_faces()
+
+
+def test_tile_image_carries_the_tile_vertices():
+    vertices = {
+        tile: {n for n, v in scheme._VERT2.items() if min(_slacks(rows, v, 1)) >= 0}
+        for tile, rows in _TILE_ROWS.items()
+    }
+    for perm, img in zip(scheme._SYMS, scheme._VERTEX_IMAGES):
+        for tile, names in vertices.items():
+            image = scheme._tile_image(perm, tile)
+            assert {img[n] for n in names} == vertices[image]
+
+
+def test_canon_orbit_key_runs_once_per_orbit(monkeypatch):
+    calls = []
+    real = scheme._canon_orbit_key
+
+    def counted(names):
+        calls.append(names)
+        return real(names)
+
+    monkeypatch.setattr(scheme, "_canon_orbit_key", counted)
+    scheme.Scheme()
+    assert len(calls) == 107
 
 
 def test_system_test_is_orbit_invariant():
     sch = build_scheme()
-    faces = scheme._all_faces()
+    faces = _reference_faces()
     assert len(faces) == 1255
     for f in faces:
         assert scheme._is_system(*scheme._midpoint2(f)) == (f in sch.orbit_of)
