@@ -7,8 +7,10 @@ masses), the continuous one a unit-circle quadrature of the
 elliptic-gamma weight (continuous_weight; continuous_gram takes a matrix
 of them from qkernel.circle_gram).  Both are normalized so that
 <1,1> = 1.  rtilde, the point masses, their closing factor and
-norm_formula are ratios of theta Pochhammer symbols, all built by one
-routine, _theta_terms, from their argument lists.  random_discrete_params
+norm_formula are ratios of theta Pochhammer symbols, built from shared
+lists of theta values: each telescoped very-well-poised head is a
+product over one ladder theta(g q^j; p) (_heads), and a list that two
+symbols share is evaluated once.  random_discrete_params
 draws well-conditioned discrete parameters for the verification suites
 and tests.
 """
@@ -19,7 +21,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import mul
 
 from .errors import (
     ContourError,
@@ -38,7 +41,7 @@ from .qkernel import (
     qpoch_factors,
     qpoch_infinite,
     qpoch_log_series,
-    theta,
+    theta_ladder,
     theta_qp_prefix,
 )
 
@@ -130,51 +133,49 @@ class DiscreteSpec:
                 )
 
 
-def _theta_terms(head, nums, dens, q, p, n):
-    """Theta Pochhammer ratios of the terms k = 0..n of a terminating series.
+def _symbols(args, q, p, n):
+    """[theta(a;q;p)_k for k = 0..n] for each a in args: n theta
+    evaluations per argument, one qkernel.theta_qp_prefix each."""
+    return [theta_qp_prefix(a, q, p, n) for a in args]
 
-    Returns ([(head_k, num_k, den_k) for k = 0..n], low): head_k is
-    theta(h;q;p)_2k / theta(g;q;p)_2k for head = (h, g), or 1 when head
-    is None; num_k and den_k are the products of theta(a;q;p)_k over
-    nums and over dens, in list order; low is the least |theta(b;q;p)_k|
-    over dens and 1 <= k <= n, for the callers' pole checks.  Every
-    symbol is entry k of one qkernel.theta_qp_prefix, so the call costs
-    (4 + len(nums) + len(dens)) n theta evaluations, and each product
-    has the factors and the order of the per-term one.
 
-    A head denominator theta(g;q;p)_2k that is exactly 0 is cancelled
-    against nums[0] when that is g and head = (q g, g), as in rtilde and
-    the masses: head_k theta(g;q;p)_k = theta(g q^2k; p) theta(q g;q;p)_(k-1),
-    one more theta evaluation, is returned as head_k, and num_k omits
-    nums[0].  Any other vanishing head denominator is a PoleError.
+def _prefix(factors):
+    """[1, f0, f0 f1, ...], the running products of factors."""
+    return list(accumulate(factors, mul, initial=1.0 + 0.0j))
+
+
+def _column_products(symbols):
+    """[prod over symbols of entry k, in list order, for k = 0..n]."""
+    return [math.prod(col, start=1.0 + 0.0j) for col in zip(*symbols)]
+
+
+def _heads(ladder, n):
+    """The telescoped heads of a very-well-poised series, k = 0..n.
+
+    ladder[j - 1] = theta(g q^j; p) for j = 1..2n.  Entry k is
+    theta(qg;q;p)_2k / theta(g;q;p)_2k times theta(g;q;p)_k, which
+    telescopes to theta(g q^2k; p) prod_{1 <= j < k} theta(g q^j; p):
+    products of the ladder only, with no division, so theta(g;p) never
+    enters and g = 1 (rtilde at t0 = u0) needs no special case.
     """
-    if head is None:
-        heads = [1.0 + 0.0j] * (n + 1)
-    else:
-        h, g = (theta_qp_prefix(a, q, p, 2 * n) for a in head)
-        heads = [h[2 * k] / g[2 * k] if g[2 * k] else None for k in range(n + 1)]
-    num_cols = list(zip(*(theta_qp_prefix(a, q, p, n) for a in nums)))
-    den_cols = list(zip(*(theta_qp_prefix(b, q, p, n) for b in dens)))
-    low = min((abs(x) for col in den_cols[1:] for x in col), default=math.inf)
-    terms = []
-    for k, (head_k, nc, dc) in enumerate(zip(heads, num_cols, den_cols)):
-        if head_k is None:
-            if nums[0] != head[1]:
-                raise PoleError("head denominator theta factor vanishes")
-            head_k, nc = theta(head[1] * q ** (2 * k), p) * h[k - 1], nc[1:]
-        terms.append(
-            (head_k, math.prod(nc, start=1.0 + 0.0j), math.prod(dc, start=1.0 + 0.0j))
-        )
-    return terms, low
+    heads = [1.0 + 0.0j]
+    run = 1.0 + 0.0j
+    for k in range(1, n + 1):
+        heads.append(ladder[2 * k - 1] * run)
+        run *= ladder[k - 1]
+    return heads
 
 
 def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """The degree-n biorthogonal function, normalized to 1 at z = t0.
 
-    The n + 1 terms of the series come from _theta_terms over two head,
-    eight numerator and eight denominator parameters: 20n theta
-    evaluations, where rebuilding each symbol per term costs 10n(n+1).
-    At t0 = u0 the head denominator vanishes and _theta_terms cancels it.
+    Term k is head_k num_k / den_k q^k, with head_k = _heads of
+    g = t0/u0 and num_k, den_k products of theta(a;q;p)_k.  The ladder
+    theta(g q^j; p), j = 1..2n, gives the head and, as entries n+1..n+k,
+    theta(q^(n+1) g;q;p)_k; the ladder theta(q^j; p), j = 1..n, gives
+    theta(q;q;p)_k and, through theta(1/x; p) = -theta(x; p)/x,
+    theta(q^-n;q;p)_k.  So a call costs 15n theta evaluations: 11n that
+    do not depend on z and 4n that do.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -183,16 +184,21 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    terms, low = _theta_terms(
-        (q * t0 / u0, t0 / u0),
-        [t0 / u0, p * q**n / (u0 * u1), q ** (-n), t0 * z, t0 / z,
+    ladder = theta_ladder(q * t0 / u0, q, p, 2 * n)
+    qs = theta_ladder(q, q, p, n)
+    nums = [_prefix(-qs[j - 1] * q**-j for j in range(n, 0, -1))] + _symbols(
+        [p * q**n / (u0 * u1), t0 * z, t0 / z,
          q / (u0 * t1), q / (u0 * t2), q / (u0 * t3)],
-        [q, q ** (1 - n) * t0 * u1 / p, q ** (n + 1) * t0 / u0, q * z / u0,
-         q / (u0 * z), t0 * t1, t0 * t2, t0 * t3],
         q, p, n,
     )
-    if low < 1e-13:
+    dens = [_prefix(qs), _prefix(ladder[n:])] + _symbols(
+        [q ** (1 - n) * t0 * u1 / p, q * z / u0, q / (u0 * z),
+         t0 * t1, t0 * t2, t0 * t3],
+        q, p, n,
+    )
+    if min((abs(x) for d in dens for x in d[1:]), default=math.inf) < 1e-13:
         raise PoleError("rtilde denominator theta factor vanishes")
+    terms = zip(_heads(ladder, n), _column_products(nums), _column_products(dens))
     out = csum([head * num / den * q**k for k, (head, num, den) in enumerate(terms)])
     if not cmath.isfinite(out):
         raise NonFiniteValue("rtilde left the floating-point range")
@@ -240,33 +246,42 @@ def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
     """Factors of the point masses at t0 q^k, 0 <= k <= N, and the closing factor.
 
     Returns ([(head_k, num_k, den_k) for k = 0..N], closing): the mass at
-    t0 q^k is head_k num_k / den_k q^k times closing.  Both come from
-    _theta_terms: the N + 1 masses cost 16N theta evaluations and the
-    closing factor, term N of a headless product, 8N more.
+    t0 q^k is head_k num_k / den_k q^k times closing, with head_k the
+    _heads of g = t0^2 and num_k, den_k products of theta(a;q;p)_k.  The
+    closing factor is a ratio of theta(a;q;p)_N; its numerator symbol
+    theta(q t0/u0;q;p)_N is the last entry of the masses' denominator
+    symbol of the same argument.  The masses cost 13N theta evaluations
+    and the closing factor 7N more.
     """
     spec.validate(params)
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
     N = spec.N
-    closing, _ = _theta_terms(
-        None,
-        [q * t0 / u0, t1 * t2, t1 * t3, t1 * u1 / p],
-        [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)],
-        q, p, N,
+    shared = theta_qp_prefix(q * t0 / u0, q, p, N)
+    closing_num = math.prod(
+        (s[N] for s in _symbols([t1 * t2, t1 * t3, t1 * u1 / p], q, p, N)),
+        start=shared[N],
     )
-    _, closing_num, closing_den = closing[N]
+    closing_den = math.prod(
+        s[N] for s in _symbols(
+            [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)], q, p, N
+        )
+    )
     if abs(closing_den) < 1e-250:
         raise PoleError("discrete measure closing factor hits a pole")
-    masses, _ = _theta_terms(
-        (q * t0 * t0, t0 * t0),
-        [t0 * t0, t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p],
-        [q, q * t0 / t1, q * t0 / t2, q * t0 / t3, q * t0 / u0, p * q * t0 / u1],
-        q, p, N,
+    nums = _column_products(
+        _symbols([t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p], q, p, N)
     )
-    if any(abs(den) < 1e-250 for _, _, den in masses):
+    dens = _column_products(
+        _symbols([q, q * t0 / t1, q * t0 / t2, q * t0 / t3], q, p, N)
+        + [shared]
+        + _symbols([p * q * t0 / u1], q, p, N)
+    )
+    if any(abs(den) < 1e-250 for den in dens):
         raise PoleError("discrete weight hits a pole")
-    return masses, closing_num / closing_den
+    heads = _heads(theta_ladder(q * t0 * t0, q, p, 2 * N), N)
+    return list(zip(heads, nums, dens)), closing_num / closing_den
 
 
 def discrete_gram(
@@ -276,7 +291,7 @@ def discrete_gram(
 
     Entry (i, j) is the finite sum over the point masses at t0 q^k,
     0 <= k <= N, of fs[i] and gs[j].  The masses are built once, by
-    _discrete_masses (24N theta evaluations), and each function is
+    _discrete_masses (20N theta evaluations), and each function is
     evaluated once per mass point; the entries are summed in the order
     of discrete_inner_product, so each equals its value bit for bit.
     """
@@ -307,23 +322,39 @@ def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> 
 
 
 def norm_formula(n: int, params: EllipticParams) -> complex:
-    """Closed-form squared norm of the degree-n pair: term n of
-    _theta_terms, 16n theta evaluations."""
+    """Closed-form squared norm of the degree-n pair, 12n theta evaluations.
+
+    Its head theta(x;q;p)_2n / theta(qx;q;p)_2n, x = p/(u0 u1), over its
+    denominator symbol theta(x;q;p)_n is one over entry n of _heads for
+    g = x, which takes the n ladder values theta(x q^j; p), 1 <= j < n
+    and j = 2n; theta(x;p) cancels and never enters.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    terms, _ = _theta_terms(
-        (p / (u0 * u1), p * q / (u0 * u1)),
-        [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1],
-        [p / (u0 * u1), t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)],
-        q, p, n,
+    num = math.prod(
+        s[n] for s in _symbols(
+            [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1], q, p, n
+        )
     )
-    head, num, den = terms[n]
+    den = math.prod(
+        s[n] for s in _symbols(
+            [t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)], q, p, n
+        )
+    )
+    if n:
+        # theta(x q^2n; p) prod_{1 <= j < n} theta(x q^j; p), from x q as
+        # one quotient, so that x q = 1 gives theta(1; p) = 0 exactly
+        xq = p * q / (u0 * u1)
+        den *= math.prod(
+            theta_ladder(xq, q, p, n - 1),
+            start=theta_ladder(xq * q ** (2 * n - 1), q, p, 1)[0],
+        )
     if abs(den) < 1e-250:
         raise PoleError("norm denominator hits a pole")
-    return head * num / den * q ** (-n)
+    return num / den * q ** (-n)
 
 
 def continuous_weight(params: EllipticParams):

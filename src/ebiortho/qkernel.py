@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError, NonFiniteValue, PoleError, SeriesDivergence
 
@@ -42,6 +44,7 @@ __all__ = [
     "qpoch_finite",
     "qpoch_infinite",
     "theta",
+    "theta_ladder",
     "theta_qp_prefix",
     "elliptic_gamma",
     "gamma_pair_log_series",
@@ -56,6 +59,9 @@ __all__ = [
 
 _TOL = 1e-15
 _MAX_TERMS = 4000
+# theta's pair count is a ratio of two logs; this slack keeps a count
+# that rounding puts just below an integer j at j pairs.
+_COUNT_SLACK = 1e-9
 # grid_log_series sums the orders up to this one at each node by Horner's
 # rule and leaves only the higher ones to the discrete Fourier transform.
 _HEAD_ORDERS = 16
@@ -90,29 +96,62 @@ def qpoch_infinite(x: complex, q: complex) -> complex:
 
 
 def theta(x: complex, p: complex) -> complex:
-    """theta(x;p) = (x;p)_infty (p/x;p)_infty."""
+    """theta(x;p) = (x;p)_infty (p/x;p)_infty, one paired-factor loop.
+
+    Factor k >= 1 of the one product pairs with factor k of the other:
+    theta(x;p) = (1 - x) prod_{k>=1} (1 - p^k s + p^2k), s = x + 1/x.
+    The loop keeps pair k while |p|^k max(|x|, 1/|x|) / (1 - |p|) >= _TOL,
+    the tail rule of each qpoch_infinite side, with the pair count fixed
+    before the loop (at most one pair more than the rule, never one
+    fewer); more than _MAX_TERMS pairs raise SeriesDivergence.  The
+    factor 1 - x stands alone, so theta(1;p) is exactly 0.
+    """
     if x == 0:
         raise DomainError("theta requires x != 0")
-    if abs(p) >= 1:
+    ap = abs(p)
+    if ap >= 1:
         raise DomainError("theta requires |p| < 1")
-    return qpoch_infinite(x, p) * qpoch_infinite(p / x, p)
+    out = 1.0 - complex(x)
+    if ap == 0:
+        return out
+    ax = abs(x)
+    big = ax if ax >= 1.0 else 1.0 / ax
+    # pair k is kept while k <= log(big / (_TOL (1 - |p|))) / -log|p|
+    count = math.log(big / (_TOL * (1.0 - ap))) / -math.log(ap) + _COUNT_SLACK
+    if not count < _MAX_TERMS:
+        raise SeriesDivergence("theta hit max_terms before converging")
+    s = x + 1.0 / x
+    pk = p
+    for _ in range(int(count)):
+        out *= 1.0 - pk * s + pk * pk
+        pk *= p
+    return out
+
+
+def theta_ladder(x: complex, q: complex, p: complex, n: int) -> list:
+    """[theta(x q^r; p) for r = 0..n-1], the factors of theta(x;q;p)_n.
+
+    |q| >= 1 is allowed.  Callers that share factors between theta
+    Pochhammer symbols take them from one ladder.
+    """
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    out = []
+    xq = complex(x)
+    for _ in range(n):
+        out.append(theta(xq, p))
+        xq *= q
+    return out
 
 
 def theta_qp_prefix(x: complex, q: complex, p: complex, n: int) -> list:
-    """[theta(x;q;p)_k for k = 0..n], one running product of n theta values.
+    """[theta(x;q;p)_k for k = 0..n], the running products of theta_ladder.
 
     theta(x;q;p)_k = prod_{r=0}^{k-1} theta(x q^r; p); |q| >= 1 is
     allowed.  A terminating theta series needs every k up to its length,
     at n theta evaluations in all instead of n(n+1)/2.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    out = [1.0 + 0.0j]
-    xq = complex(x)
-    for _ in range(n):
-        out.append(out[-1] * theta(xq, p))
-        xq *= q
-    return out
+    return list(accumulate(theta_ladder(x, q, p, n), mul, initial=1.0 + 0.0j))
 
 
 def elliptic_gamma(x: complex, p: complex, q: complex) -> complex:

@@ -5,12 +5,20 @@ module is skipped.
 """
 
 import cmath
+import math
+import random
 
 import pytest
 
-from ebiortho.biortho import EllipticParams, continuous_prefactor, continuous_weight
+from ebiortho.biortho import (
+    EllipticParams,
+    continuous_prefactor,
+    continuous_weight,
+    random_discrete_params,
+    rtilde,
+)
 from conftest import grid_weight
-from ebiortho.qkernel import grid_log_series, qpoch_infinite
+from ebiortho.qkernel import elliptic_gamma, grid_log_series, qpoch_infinite, theta
 
 mp = pytest.importorskip("mpmath")
 
@@ -41,24 +49,29 @@ def _mp_weight(par, z):
     return complex(num / den)
 
 
-def _mp_gamma_pairs(par):
-    """prod_{r<s} Gamma(t_r t_s) from the double products, cut as in
-    _mp_weight."""
-    p, q = mp.mpc(par.p), mp.mpc(par.q)
-    ts = [mp.mpc(t) for t in par.t + par.u]
-    xs = [ts[r] * ts[s] for r in range(6) for s in range(r + 1, 6)]
+def _mp_elliptic_gamma(x, p, q):
+    """Gamma(x;p,q) from its double product, cut as in _mp_weight."""
+    x, p, q = mp.mpmathify(x), mp.mpmathify(p), mp.mpmathify(q)
     eps = mp.mpf(10) ** -22
     num = den = mp.mpf(1)
     pi = mp.mpf(1)
     while abs(pi) > eps:
         pij = pi
         while abs(pij) > eps:
-            for x in xs:
-                num *= 1 - pij * p * q / x
-                den *= 1 - pij * x
+            num *= 1 - pij * p * q / x
+            den *= 1 - pij * x
             pij *= q
         pi *= p
     return num / den
+
+
+def _mp_gamma_pairs(par):
+    """prod_{r<s} Gamma(t_r t_s) from the double products."""
+    p, q = mp.mpc(par.p), mp.mpc(par.q)
+    ts = [mp.mpc(t) for t in par.t + par.u]
+    return mp.fprod(
+        _mp_elliptic_gamma(ts[r] * ts[s], p, q) for r in range(6) for s in range(r + 1, 6)
+    )
 
 
 def _unit(r, phi):
@@ -119,3 +132,88 @@ def test_continuous_prefactor_against_mpmath(name):
     with mp.workdps(40):
         ref = complex(1 / _mp_gamma_pairs(par))
     assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
+def _mp_theta(x, p):
+    """theta(x;p) = (1 - x) prod_{k>=1} (1 - p^k x)(1 - p^k / x), cut where
+    |p^k| max(|x|, 1/|x|) < 1e-45."""
+    x, p = mp.mpmathify(x), mp.mpmathify(p)
+    big = max(abs(x), 1 / abs(x))
+    out = 1 - x
+    pk = p
+    while abs(pk) * big >= mp.mpf(10) ** -45:
+        out *= (1 - pk * x) * (1 - pk / x)
+        pk *= p
+    return out
+
+
+# At p = 0.9 and |x| near e^5 or e^-5, some 47 factors of theta exceed 1
+# in modulus, each one mostly p^k (x + 1/x), and they share the rounding
+# of p^k and of x + 1/x; the worst of 1000 such draws was 1.4e-14 (2.4e-14
+# for the two-product form of the kernel).
+THETA_BOUND = {0.01: 1e-14, 0.05: 1e-14, 0.2: 1e-14, 0.45: 1e-14, 0.9: 2e-14}
+
+
+@pytest.mark.parametrize("p", sorted(THETA_BOUND))
+def test_theta_against_mpmath(p):
+    # |x| in [e^-5, e^5], away from the zeros p^m on the positive real axis
+    rng = random.Random(int(100 * p))
+    with mp.workdps(40):
+        for _ in range(25):
+            x = cmath.exp(rng.uniform(-5, 5) + 1j * rng.uniform(0.5, 2 * math.pi - 0.5))
+            ref = _mp_theta(x, p)
+            assert abs(theta(x, p) - ref) <= THETA_BOUND[p] * abs(ref)
+
+
+def _mp_rtilde(n, z, par):
+    """rtilde's series term by term at the working precision, each theta
+    Pochhammer symbol from its own theta values: (value, sum of the moduli
+    of the terms)."""
+    t0, t1, t2, t3 = (mp.mpc(t) for t in par.t)
+    u0, u1 = (mp.mpc(u) for u in par.u)
+    q, p, z = mp.mpc(par.q), mp.mpc(par.p), mp.mpc(z)
+
+    thetas = {}
+
+    def symbol(args, k):
+        for a in args:
+            for r in range(k):
+                if (a, r) not in thetas:
+                    thetas[a, r] = _mp_theta(a * q**r, p)
+        return mp.fprod(thetas[a, r] for a in args for r in range(k))
+
+    nums = [t0 / u0, p * q**n / (u0 * u1), q ** (-n), t0 * z, t0 / z,
+            q / (u0 * t1), q / (u0 * t2), q / (u0 * t3)]
+    dens = [q, q ** (1 - n) * t0 * u1 / p, q ** (n + 1) * t0 / u0, q * z / u0,
+            q / (u0 * z), t0 * t1, t0 * t2, t0 * t3]
+    terms = [
+        symbol([q * t0 / u0], 2 * k) / symbol([t0 / u0], 2 * k)
+        * symbol(nums, k) / symbol(dens, k) * q**k
+        for k in range(n + 1)
+    ]
+    return complex(mp.fsum(terms)), float(mp.fsum(abs(term) for term in terms))
+
+
+def test_rtilde_against_mpmath():
+    # at the point masses and off them, complex q, both u orders
+    rng = random.Random(12)
+    par = random_discrete_params(rng, N=4)
+    points = [par.t[0] * par.q**3, 1.1 * cmath.exp(0.7j), 0.4 - 0.9j]
+    with mp.workdps(40):
+        for pr in (par, par.swapped_u()):
+            for n in range(5):
+                for z in points:
+                    ref, gross = _mp_rtilde(n, z, pr)
+                    assert abs(rtilde(n, z, pr) - ref) <= 1e-14 * gross
+
+
+def test_elliptic_gamma_next_to_its_pole():
+    # The input where Gamma(x)Gamma(pq/x) = 1 misses 1e-12: x is 1e-5 from
+    # the pole x = 1, and pq/x as many from the zero pq/x = pq.  Gamma(x)
+    # is accurate to 2.5e-15; Gamma(pq/x) to 5.5e-12, as the kernel forms
+    # 1 - pq/(pq/x) from a rounded quotient, 1e-5 from cancelling.
+    x, p, q = 0.99999, 0.25, 0.0546875
+    with mp.workdps(40):
+        for arg, bound in ((x, 1e-14), (p * q / x, 1e-11)):
+            ref = complex(_mp_elliptic_gamma(arg, p, q))
+            assert abs(elliptic_gamma(arg, p, q) - ref) <= bound * abs(ref)

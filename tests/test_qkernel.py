@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,11 +48,16 @@ complex_annulus = st.builds(
     st.floats(0.3, 2.0),
     st.floats(0.0, 2 * math.pi),
 )
-# x = 1 is a pole of Gamma(x;p,q) and of 1/(x;q)_inf.  The strategies keep
-# |x - 1| above the double-precision epsilon: Hypothesis also draws points
-# such as 1 + 1e-300j, where the kernel raises PoleError (test_gamma_pole).
-EPS = sys.float_info.epsilon
-annulus_off_pole = complex_annulus.filter(lambda x: abs(x - 1) > EPS)
+# x = 1 is a pole of Gamma(x;p,q) and of 1/(x;q)_inf, and x = 1/q one of
+# Gamma(x;0,q).  Near a pole the rounding of the inputs (of pq/x in the
+# reflection) is amplified by about 1/|1 - x|: at x = 0.99999, p = 0.25,
+# q = 0.0546875 the exact product Gamma(x)Gamma(pq/x) at the rounded float
+# arguments is already 1 - 5.6e-12, so no kernel meets 1e-12 there.  The
+# strategies keep x at least POLE_GAP from these poles; the kernel at the
+# pole itself is test_gamma_pole, and next to it the mpmath check of
+# tests/test_oracle.py.
+POLE_GAP = 1e-3
+annulus_off_pole = complex_annulus.filter(lambda x: abs(x - 1) >= POLE_GAP)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +102,7 @@ def test_gamma_reflection(x, p, q):
 @settings(max_examples=40, deadline=None)
 @given(x=annulus_off_pole, q=st.floats(0.05, 0.6))
 def test_gamma_degeneration_p_zero(x, q):
-    assume(abs(x * q - 1) > EPS)  # the pole x = 1/q, in reach for q >= 1/2
+    assume(abs(x * q - 1) >= POLE_GAP)  # the pole x = 1/q, in reach for q >= 1/2
     lhs = elliptic_gamma(x, 0.0, q)
     rhs = 1.0 / qpoch_infinite(x, q)
     assert abs(lhs - rhs) / max(abs(rhs), 1.0) < 1e-12
@@ -163,6 +167,23 @@ def test_series_divergence_guard():
     # |q| this close to 1 needs far more than the fixed 4000-factor cap
     with pytest.raises(SeriesDivergence):
         qpoch_infinite(0.5, 0.999999)
+
+
+def test_theta_pair_count_on_both_sides_of_the_cap():
+    # max(|x|, 1/|x|) = 2 needs 3963 pairs at p = 0.99 and 4047 at p = 0.9902
+    for x in (0.5, 2.0, 0.5j):
+        two_sided = qpoch_infinite(x, 0.99) * qpoch_infinite(0.99 / x, 0.99)
+        assert abs(theta(x, 0.99) - two_sided) <= 1e-11 * abs(two_sided)
+        with pytest.raises(SeriesDivergence):
+            theta(x, 0.9902)
+
+
+def test_theta_at_p_zero_and_at_one():
+    for x in (0.3 + 0.2j, -2.5, 1e-3j):
+        assert theta(x, 0.0) == 1 - x
+        assert theta(x, 0j) == 1 - x
+    for p in (0.0, 0.05, 0.45 + 0.3j, 0.9):
+        assert theta(1.0, p) == 0
 
 
 def test_gamma_pair_log_series_matches_product():
