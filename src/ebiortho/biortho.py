@@ -10,9 +10,10 @@ of them from qkernel.circle_gram).  Both are normalized so that
 norm_formula are ratios of theta Pochhammer symbols, built from shared
 lists of theta values: each telescoped very-well-poised head is a
 product over one ladder theta(g q^j; p) (_heads), and a list that two
-symbols share is evaluated once.  random_discrete_params
-draws well-conditioned discrete parameters for the verification suites
-and tests.
+symbols share is evaluated once.  A BiorthogonalSystem holds two
+families, their Gram routine and their norms, and checks them by the
+one rule gram_residuals; random_discrete_params draws well-conditioned
+discrete parameters for the verification suites and tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, zip_longest
 from operator import mul
 
@@ -49,7 +52,6 @@ __all__ = [
     "EllipticParams",
     "DiscreteSpec",
     "rtilde",
-    "check_symmetries",
     "discrete_inner_product",
     "discrete_gram",
     "norm_formula",
@@ -57,6 +59,10 @@ __all__ = [
     "continuous_prefactor",
     "continuous_gram",
     "continuous_inner_product",
+    "gram_residuals",
+    "BiorthogonalSystem",
+    "elliptic_discrete_system",
+    "elliptic_continuous_system",
     "random_discrete_params",
 ]
 
@@ -205,43 +211,6 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     return out
 
 
-def check_symmetries(n: int, z: complex, params: EllipticParams) -> dict[str, float]:
-    """Residuals of the invariances of rtilde; all should be ~0.
-
-    Checked: p-ellipticity in the t's and u's (with a compensating shift
-    preserving balancing), the half-power-of-p shift identity, the
-    q-inversion identity, and z -> pz, z -> 1/z invariance.
-    """
-    t0, t1, t2, t3 = params.t
-    u0, u1 = params.u
-    q, p = params.q, params.p
-    base = rtilde(n, z, params)
-    out: dict[str, float] = {}
-
-    def resid(val):
-        return abs(val - base) / max(abs(base), 1.0)
-
-    shifted = EllipticParams((t0, t1 * p, t2 / p, t3), (u0, u1), q, p)
-    out["t_ellipticity"] = resid(rtilde(n, z, shifted))
-    shifted = EllipticParams((t0, t1, t2, t3), (u0 * p, u1 / p), q, p)
-    out["u_ellipticity"] = resid(rtilde(n, z, shifted))
-
-    rp = cmath.sqrt(p)
-    shifted = EllipticParams(
-        (t0 * rp, t1 / rp, t2 / rp, t3 / rp), (u0 * rp, u1 * rp), q, p
-    )
-    out["half_shift"] = resid(rtilde(n, z * rp, shifted))
-
-    inverted = EllipticParams(
-        (1 / t0, 1 / t1, 1 / t2, 1 / t3), (p / u0, p / u1), 1 / q, p
-    )
-    out["q_inversion"] = resid(rtilde(n, z, inverted))
-
-    out["z_p_shift"] = resid(rtilde(n, p * z, params))
-    out["z_inversion"] = resid(rtilde(n, 1 / z, params))
-    return out
-
-
 def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
     """Factors of the point masses at t0 q^k, 0 <= k <= N, and the closing factor.
 
@@ -300,19 +269,15 @@ def discrete_gram(
     zs = [t0 * q**k for k in range(len(masses))]
     F = [[f(zk) for zk in zs] for f in fs]
     G = [[g(zk) for zk in zs] for g in gs]
-    return [
-        [
-            csum(
-                [
-                    fk * gk * head * num / den * q**k
-                    for k, (fk, gk, (head, num, den)) in enumerate(zip(Fi, Gj, masses))
-                ]
-            )
-            * closing
-            for Gj in G
-        ]
-        for Fi in F
-    ]
+
+    def entry(Fi, Gj):
+        terms = zip(Fi, Gj, masses)
+        return csum(
+            [fk * gk * head * num / den * q**k
+             for k, (fk, gk, (head, num, den)) in enumerate(terms)]
+        ) * closing
+
+    return [[entry(Fi, Gj) for Gj in G] for Fi in F]
 
 
 def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> complex:
@@ -442,16 +407,90 @@ def continuous_prefactor(params: EllipticParams) -> complex:
     return pref
 
 
+def gram_residuals(M, h) -> tuple[float, float]:
+    """(off, diag), the one residual rule of a Gram matrix M against the
+    norms h: off the largest |M_nm| / sqrt|h_n h_m| over n != m (0.0
+    for a 1 x 1 matrix), diag the largest |M_nn - h_n| / |h_n|.  A zero
+    or non-finite norm raises, never scales to an inf, NaN or vacuous 0.
+    """
+    if not h or any(x == 0 or not cmath.isfinite(x) for x in h):
+        raise DomainError("need one or more norms h_n, all finite and nonzero")
+    ns = range(len(h))
+    off = [abs(M[n][m]) / abs(h[n] * h[m]) ** 0.5 for n in ns for m in ns if n != m]
+    return max(off, default=0.0), max(abs(M[n][n] - h[n]) / abs(h[n]) for n in ns)
+
+
+@dataclass(frozen=True)
+class BiorthogonalSystem:
+    """Families R(n, z), S(m, z), the matrix gram(fs, gs) of their
+    bilinear form over two lists of functions of z, and the norms
+    norm(n) = h_n, with <R_n, S_m> = delta_nm h_n."""
+
+    R: Callable[[int, complex], complex]
+    S: Callable[[int, complex], complex]
+    gram: Callable[[list, list], list]
+    norm: Callable[[int], complex]
+
+    def residuals(self, nmax: int) -> tuple[float, float]:
+        """gram_residuals of one Gram matrix of R_n, S_m, n, m <= nmax."""
+        ns = range(nmax + 1)
+        fs, gs = [partial(self.R, n) for n in ns], [partial(self.S, m) for m in ns]
+        return gram_residuals(self.gram(fs, gs), [self.norm(n) for n in ns])
+
+
+def _rtilde_system(family, params: EllipticParams, gram) -> BiorthogonalSystem:
+    """family(n, z, .) at params and at its swapped_u dual, gram and norm_formula."""
+    return BiorthogonalSystem(
+        partial(family, params=params),
+        partial(family, params=params.swapped_u()),
+        gram,
+        partial(norm_formula, params=params),
+    )
+
+
+def elliptic_discrete_system(params: EllipticParams, spec: DiscreteSpec):
+    """rtilde and its dual under discrete_gram."""
+    gram = partial(discrete_gram, params=params, spec=spec)
+    return _rtilde_system(rtilde, params, gram)
+
+
+def elliptic_continuous_system(params: EllipticParams, quad: int = 512):
+    """rtilde and its dual under continuous_gram, degrees checked by _contour_rtilde."""
+    gram = partial(continuous_gram, params=params, quad=quad)
+    return _rtilde_system(_contour_rtilde, params, gram)
+
+
+def _contour_rtilde(n: int, z: complex, params: EllipticParams) -> complex:
+    """rtilde(n, z, params) if the unit circle separates its poles;
+    ContourError, and no value, otherwise.
+
+    The poles are the zeros of the denominators theta(qz/u0;q;p)_n and
+    theta(q/(u0 z);q;p)_n: the ladder z = u0 q^-j p^i, 1 <= j <= n, i
+    any integer, and its reciprocal.  Those with i <= -1 fall on zeros
+    of Gamma(u0/z) in the weight, at u0/z = p^(a+1) q^(b+1) with
+    a, b >= 0, and cancel.  Those with i >= 0 must lie inside the circle
+    with the weight's poles u0 p^i q^j; as |p|, |q| < 1 the outermost is
+    u0 q^-n, and by z -> 1/z the reciprocal ladder then lies outside.
+    So degree n needs |u0 q^-n| < 1, and the dual, whose u0 is u1,
+    |u1 q^-m| < 1.
+    """
+    if abs(params.u[0] * params.q**-n) >= 1:
+        raise ContourError(f"degree {n} puts poles on or outside the unit circle")
+    return rtilde(n, z, params)
+
+
 def random_discrete_params(
     rng: random.Random,
     N: int = 5,
     p: float = 0.05,
     qmod: float = 0.4,
+    degree: int = 0,
 ) -> EllipticParams:
     """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
 
-    Draws whose point-mass sum is ill conditioned (mass cancellation
-    beyond _MAX_COND) are rejected and redrawn, at most _MAX_DRAWS times.
+    Draws whose pairings <R_n, S_n>, n <= degree, are ill conditioned
+    (cancellation beyond _MAX_COND, _mass_condition) are rejected and
+    redrawn, at most _MAX_DRAWS times; degree 0 bounds <1,1> alone.
     """
 
     def unit(r):
@@ -465,20 +504,30 @@ def random_discrete_params(
         u0 = rng.uniform(0.3, 0.6) * unit(rng)
         try:
             par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
-            if _mass_condition(par, N) <= _MAX_COND:
+            if _mass_condition(par, N, degree) <= _MAX_COND:
                 return par
         except EbiorthoError:
             continue
     raise NonConvergence("no well-conditioned parameter draw found")
 
 
-def _mass_condition(par: EllipticParams, N: int) -> float:
-    """sum_k |mass_k| / |sum_k mass_k|: the cancellation in <1,1>."""
+def _mass_condition(par: EllipticParams, N: int, degree: int = 0) -> float:
+    """The largest cancellation sum_k |term_k| / |sum_k term_k| in the
+    discrete pairings <R_n, S_n>, n <= degree: term_k is the mass at
+    z_k = t0 q^k times rtilde(n, z_k) and its swapped_u dual, and
+    degree 0 is <1,1>, the masses alone."""
     masses, closing = _discrete_masses(par, DiscreteSpec(N))
-    q = par.q
-    terms = [head * num / den * q**k for k, (head, num, den) in enumerate(masses)]
-    total = csum(terms) * closing
-    gross = 0.0
-    for term in terms:
-        gross += abs(term * closing)
-    return gross / max(abs(total), 1e-300)
+    q, sw = par.q, par.swapped_u()
+    weights = [head * num / den * q**k for k, (head, num, den) in enumerate(masses)]
+    worst = 0.0
+    for n in range(degree + 1):
+        terms = [
+            w * rtilde(n, z, par) * rtilde(n, z, sw) if n else w
+            for w, z in zip(weights, (par.t[0] * q**k for k in range(N + 1)))
+        ]
+        total = csum(terms) * closing
+        gross = 0.0
+        for term in terms:
+            gross += abs(term * closing)
+        worst = max(worst, gross / max(abs(total), 1e-300))
+    return worst

@@ -22,13 +22,11 @@ from . import scheme as scheme_mod
 from .biortho import (
     DiscreteSpec,
     EllipticParams,
-    continuous_gram,
     continuous_inner_product,
-    discrete_gram,
     discrete_inner_product,
-    norm_formula,
+    elliptic_continuous_system,
+    elliptic_discrete_system,
     random_discrete_params,
-    rtilde,
 )
 from .errors import EbiorthoError
 from .exponents import ExponentVector, norm_valuation, rtilde_valuation
@@ -37,10 +35,8 @@ from .limits import (
     limit_target,
     limit_value,
     nr_measure,
-    pastro_gram,
-    pastro_norm,
     pastro_p,
-    pastro_q,
+    pastro_system,
     richardson,
     sb_measure,
     sigma2_measure,
@@ -99,16 +95,11 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"input:   {_fmt7(v)}")
-    if word:
-        steps = []
-        for step in word:
-            if step[0] == "flip":
-                steps.append("flip")
-            else:
-                steps.append("translate(" + ", ".join(str(s) for s in step[1]) + ")")
-        print("word:    " + " ; ".join(steps))
-    else:
-        print("word:    (identity)")
+    steps = [
+        "flip" if s[0] == "flip" else "translate(" + ", ".join(map(str, s[1])) + ")"
+        for s in word
+    ]
+    print("word:    " + (" ; ".join(steps) or "(identity)"))
     print(f"reduced: {_fmt7(red)}")
     sig = face_of(red.a6)[0]
     tight = (
@@ -152,30 +143,15 @@ def verify_elliptic_discrete(args) -> int:
     spec = DiscreteSpec(N)
     one = lambda z: 1.0
     rng = random.Random(args.seed)
-    rows = []
     worst = 0.0
     for _ in range(draws):
         par = random_discrete_params(rng, N=N)
         worst = max(worst, abs(discrete_inner_product(one, one, par, spec) - 1))
-    rows.append((f"<1,1> = 1 over {draws} draws", worst))
+    rows = [(f"<1,1> = 1 over {draws} draws", worst)]
+    nmax = min(N, 4)
     for trial in range(2):
-        par = random_discrete_params(rng, N=N)
-        sw = par.swapped_u()
-        off = diag = 0.0
-        nm = min(N, 4) + 1
-        M = discrete_gram(
-            [lambda z, n=n: rtilde(n, z, par) for n in range(nm)],
-            [lambda z, m=m: rtilde(m, z, sw) for m in range(nm)],
-            par,
-            spec,
-        )
-        for n in range(nm):
-            for m in range(nm):
-                if n == m:
-                    h = norm_formula(n, par)
-                    diag = max(diag, abs(M[n][n] - h) / abs(h))
-                else:
-                    off = max(off, abs(M[n][m]) / max(abs(M[n][n]), abs(M[m][m])))
+        par = random_discrete_params(rng, N=N, degree=nmax)
+        off, diag = elliptic_discrete_system(par, spec).residuals(nmax)
         rows.append((f"biorthogonality off-diagonal (draw {trial})", off))
         rows.append((f"diagonal vs norm formula (draw {trial})", diag))
     return _report(rows, tol)
@@ -193,21 +169,7 @@ def verify_elliptic_continuous(args) -> int:
     ]
     # u0 q^-2 = 0.8: the unit circle is admissible for degrees n, m <= 2
     par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
-    sw = par.swapped_u()
-    M = continuous_gram(
-        [lambda z, n=n: rtilde(n, z, par) for n in range(3)],
-        [lambda z, m=m: rtilde(m, z, sw) for m in range(3)],
-        par,
-        quad=args.quad,
-    )
-    h = [norm_formula(n, par) for n in range(3)]
-    off = max(
-        abs(M[n][m]) / abs(h[n] * h[m]) ** 0.5
-        for n in range(3)
-        for m in range(3)
-        if n != m
-    )
-    diag = max(abs(M[n][n] - h[n]) / abs(h[n]) for n in range(3))
+    off, diag = elliptic_continuous_system(par, args.quad).residuals(2)
     rows.append(("biorthogonality off-diagonal, n,m <= 2", off))
     rows.append(("diagonal vs norm formula, n <= 2", diag))
     return _report(rows, tol)
@@ -216,14 +178,7 @@ def verify_elliptic_continuous(args) -> int:
 def verify_pastro(args) -> int:
     tol = args.tol or 1e-8
     A, B, q = 0.55, 0.4, 0.45
-    ns = range(args.nmax + 1)
-    M = pastro_gram(
-        [lambda w, n=n: pastro_p(n, w, A, B, q) for n in ns],
-        [lambda w, m=m: pastro_q(m, w, A, B, q) for m in ns],
-        A, B, q, quad=args.quad,
-    )
-    off = max(abs(M[n][m]) for n in ns for m in ns if n != m)
-    diag = max(abs(M[n][n] - pastro_norm(n, A, B, q)) for n in ns)
+    off, diag = pastro_system(A, B, q, args.quad).residuals(args.nmax)
     # B = q is a removable singularity of the series: its mean over
     # B = q(1 +- 1e-5) must meet the monomial w^n A^n q^(-n/2).
     mono = 0.0
@@ -347,16 +302,12 @@ def cmd_scheme(args) -> int:
 # entry point
 
 
-def _count(least: int):
-    """argparse type: an integer of at least `least`."""
-
-    def count(token: str) -> int:
-        n = int(token)
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}")
-        return n
-
-    return count
+def count(token: str) -> int:
+    """argparse type: an integer of at least 1."""
+    n = int(token)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
 
 
 def tolerance(token: str) -> float:
@@ -398,9 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--tol", type=tolerance, help="tolerance (default: the suite's)")
     vf.add_argument("--quad", type=node_count, default=512, help="quadrature nodes")
     vf.add_argument("--seed", type=int, default=0, help="seed for random draws")
-    vf.add_argument("--N", type=_count(1), default=5, help="discrete measure size")
-    vf.add_argument("--draws", type=_count(1), default=20, help="random draws")
-    vf.add_argument("--nmax", type=_count(1), default=5, help="max degree")
+    vf.add_argument("--N", type=count, default=5, help="discrete measure size")
+    vf.add_argument("--draws", type=count, default=20, help="random draws")
+    vf.add_argument("--nmax", type=count, default=5, help="max degree")
     vf.add_argument("--face", choices=LIMIT_FACES, default="1111pp", help="limit face")
 
     sc = sub.add_parser("scheme", help="emit or check the degeneration scheme")

@@ -30,7 +30,7 @@ from .errors import (
     PoleError,
     SeriesDivergence,
 )
-from .biortho import EllipticParams, rtilde
+from .biortho import BiorthogonalSystem, EllipticParams, rtilde
 from .polytope import _as6, zeta_for
 from .qkernel import (
     check_quad,
@@ -48,6 +48,7 @@ __all__ = [
     "pastro_gram",
     "pastro_inner_product",
     "pastro_norm",
+    "pastro_system",
     "finite_weights",
     "LimitMeasure",
     "nr_measure",
@@ -250,84 +251,14 @@ def pastro_norm(n, A, B, q) -> complex:
     return (A * B / q) ** n * qpoch_finite(q, q, n) / qpoch_finite(A * B / q, q, n)
 
 
-# ---------------------------------------------------------------------------
-# Finite-support limit weights
-
-
-def finite_weights(k, alpha, t, N, q) -> complex:
-    """Weight of the k-th mass point t0 q^k of the finite limit measure:
-    a constant times a basic hypergeometric term in k, with one branch
-    for alpha_0 = 0 and -1/2 and one for -1/2 < alpha_0 < 0."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    if len(t) != 6:
-        raise DomainError("need 6 t parameters")
-    if not 0 <= k <= N:
-        raise DomainError("k must lie in 0..N")
-    a0 = a[0]
-    if a[1] != -a0 or not -Q(1, 2) <= a0 <= 0:
-        raise BranchError("need alpha_0 = -alpha_1 in [-1/2, 0]")
-    if sum(a[2:]) != 1:
-        raise BranchError("need alpha_2 + ... + alpha_5 = 1")
-    for r in range(2, 6):
-        if not a0 <= a[r] <= 1 + a0:
-            raise BranchError("alpha_r outside [alpha_0, 1 + alpha_0]")
-    for r in range(2, 6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] > 1:
-                raise BranchError("alpha_r + alpha_s > 1")
-    if sum(a0 + a[r] for r in range(2, 6) if a[r] < -a0) != 2 * a0:
-        raise BranchError("mass-count constraint on alpha violated")
-    if abs(t[0] * t[1] - q ** (-N)) > 1e-9 * abs(q ** (-N)):
-        raise DomainError("t0 t1 = q^-N violated")
-    if abs(t[2] * t[3] * t[4] * t[5] - q ** (N + 1)) > 1e-9 * abs(q ** (N + 1)):
-        raise DomainError("t2 t3 t4 t5 = q^(N+1) violated")
-
-    t0, t1 = t[0], t[1]
-    const = 1.0 + 0.0j
-    for r in range(2, 6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] == 1:
-                const /= qpoch_finite(q / (t[r] * t[s]), q, N)
-
-    if a0 in (0, Q(-1, 2)):
-        # very-well-poised in t0^2; only the heads of the two endpoints
-        # differ, alpha_r = alpha_0 and 1 + alpha_0 add the same factors
-        low = [r for r in range(2, 6) if a[r] == a0]
-        up = [r for r in range(2, 6) if a[r] == 1 + a0]
-        numer = [q ** (-N), t0**2] + [t0 * t[r] for r in low + up]
-        denom = [q * t0 / t1] + [q * t0 / t[r] for r in low + up]
-        if a0 == 0:
-            z, m = 1.0 / (t1 * t0**3 * q), -2
-        else:
-            z, m = q * t0 / t1, 2
-            const *= (-t1 / t0) ** N * q ** _binom2(N)
-        const /= qpoch_finite(t1 / t0, q, N)
-        for r in low:
-            z, m = -z * q * t0 / t[r], m + 1
-        for r in up:
-            z, m = -z / (t0 * t[r]), m - 1
-            const *= (-t1 * t[r]) ** (-N) * q ** (-_binom2(N))
-        for r in low + up:
-            const *= qpoch_finite(t1 * t[r], q, N)
-        return const * _series_term(k, q, numer, denom, z, m, vwp=t0**2)
-
-    # interior branch, -1/2 < alpha_0 < 0
-    numer = [q ** (-N)] + [t0 * t[r] for r in range(2, 6) if a[r] == -a0]
-    denom = [q * t0 / t[r] for r in range(2, 6) if a[r] in (a0, 1 + a0)]
-    z, m = t0 ** (-2), -2
-    for r in range(2, 6):
-        if a[r] == a0:
-            z *= q * t0**2
-            m += 2
-            const *= qpoch_finite(t1 * t[r], q, N)
-        elif a0 < a[r] < -a0:
-            z *= -t0 * t[r]
-            m += 1
-        elif a[r] == 1 + a0:
-            const *= qpoch_finite(q * t0 / t[r], q, N)
-    return const * _series_term(k, q, numer, denom, z, m)
+def pastro_system(A, B, q, quad: int = 512) -> BiorthogonalSystem:
+    """p_n and q_m under pastro_gram, with pastro_norm."""
+    return BiorthogonalSystem(
+        lambda n, w: pastro_p(n, w, A, B, q),
+        lambda m, w: pastro_q(m, w, A, B, q),
+        lambda fs, gs: pastro_gram(fs, gs, A, B, q, quad),
+        lambda n: pastro_norm(n, A, B, q),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -746,20 +677,96 @@ def sigma_measure(alpha, t, q) -> LimitMeasure:
     )
 
 
+def finite_weights(k, alpha, t, N, q) -> complex:
+    """Weight of the k-th mass point t0 q^k of the finite limit measure:
+    one weight of finite_measure."""
+    if not 0 <= k <= N:
+        raise DomainError("k must lie in 0..N")
+    return finite_measure(alpha, t, N, q).weight(0, k)
+
+
 def finite_measure(alpha, t, N, q) -> LimitMeasure:
-    """Finite limit measure with N+1 masses at t0 q^k."""
+    """Finite limit measure with N+1 masses at t0 q^k.
+
+    Each weight is a constant times a basic hypergeometric term in k,
+    with one branch for alpha_0 = 0 and -1/2 and one for
+    -1/2 < alpha_0 < 0; alpha and t are checked and the constant is
+    built once, here.
+    """
     a = _as6(alpha)
-    tt = tuple(complex(x) for x in t)
+    t = tuple(complex(x) for x in t)
+    q = complex(q)
+    if len(t) != 6:
+        raise DomainError("need 6 t parameters")
+    a0 = a[0]
+    if a[1] != -a0 or not -Q(1, 2) <= a0 <= 0:
+        raise BranchError("need alpha_0 = -alpha_1 in [-1/2, 0]")
+    if sum(a[2:]) != 1:
+        raise BranchError("need alpha_2 + ... + alpha_5 = 1")
+    for r in range(2, 6):
+        if not a0 <= a[r] <= 1 + a0:
+            raise BranchError("alpha_r outside [alpha_0, 1 + alpha_0]")
+    for r in range(2, 6):
+        for s in range(r + 1, 6):
+            if a[r] + a[s] > 1:
+                raise BranchError("alpha_r + alpha_s > 1")
+    if sum(a0 + a[r] for r in range(2, 6) if a[r] < -a0) != 2 * a0:
+        raise BranchError("mass-count constraint on alpha violated")
+    if abs(t[0] * t[1] - q ** (-N)) > 1e-9 * abs(q ** (-N)):
+        raise DomainError("t0 t1 = q^-N violated")
+    if abs(t[2] * t[3] * t[4] * t[5] - q ** (N + 1)) > 1e-9 * abs(q ** (N + 1)):
+        raise DomainError("t2 t3 t4 t5 = q^(N+1) violated")
 
-    def weight(i, k):
-        return finite_weights(k, a, tt, N, q)
+    t0, t1 = t[0], t[1]
+    const = 1.0 + 0.0j
+    for r in range(2, 6):
+        for s in range(r + 1, 6):
+            if a[r] + a[s] == 1:
+                const /= qpoch_finite(q / (t[r] * t[s]), q, N)
 
+    if a0 in (0, Q(-1, 2)):
+        # very-well-poised in t0^2; only the heads of the two endpoints
+        # differ, alpha_r = alpha_0 and 1 + alpha_0 add the same factors
+        low = [r for r in range(2, 6) if a[r] == a0]
+        up = [r for r in range(2, 6) if a[r] == 1 + a0]
+        numer = [q ** (-N), t0**2] + [t0 * t[r] for r in low + up]
+        denom = [q * t0 / t1] + [q * t0 / t[r] for r in low + up]
+        if a0 == 0:
+            z, m = 1.0 / (t1 * t0**3 * q), -2
+        else:
+            z, m = q * t0 / t1, 2
+            const *= (-t1 / t0) ** N * q ** _binom2(N)
+        const /= qpoch_finite(t1 / t0, q, N)
+        for r in low:
+            z, m = -z * q * t0 / t[r], m + 1
+        for r in up:
+            z, m = -z / (t0 * t[r]), m - 1
+            const *= (-t1 * t[r]) ** (-N) * q ** (-_binom2(N))
+        for r in low + up:
+            const *= qpoch_finite(t1 * t[r], q, N)
+        vwp = t0**2
+    else:
+        # interior branch, -1/2 < alpha_0 < 0
+        numer = [q ** (-N)] + [t0 * t[r] for r in range(2, 6) if a[r] == -a0]
+        denom = [q * t0 / t[r] for r in range(2, 6) if a[r] in (a0, 1 + a0)]
+        z, m, vwp = t0 ** (-2), -2, None
+        for r in range(2, 6):
+            if a[r] == a0:
+                z *= q * t0**2
+                m += 2
+                const *= qpoch_finite(t1 * t[r], q, N)
+            elif a0 < a[r] < -a0:
+                z *= -t0 * t[r]
+                m += 1
+            elif a[r] == 1 + a0:
+                const *= qpoch_finite(q * t0 / t[r], q, N)
+    args = (numer, denom, z, m, vwp)
     return LimitMeasure(
         "FINITE_DISCRETE",
         (1.0,),
-        weight,
-        complex(q),
-        bases=(tt[0],),
+        lambda i, k: const * _series_term(k, q, *args),
+        q,
+        bases=(t0,),
         n_masses=N + 1,
     )
 
@@ -802,19 +809,12 @@ def numeric_limit(fn, v, p_seq) -> tuple[complex, float]:
     if any(abs(x) == 0 for x in vals):
         raise NonConvergence("fn vanished along the sequence")
     slopes = [
-        (math.log(abs(v2)) - math.log(abs(v1)))
-        / (math.log(p2) - math.log(p1))
-        for (p1, v1), (p2, v2) in zip(
-            zip(ps, vals), zip(ps[1:], vals[1:])
-        )
+        (math.log(abs(v2)) - math.log(abs(v1))) / (math.log(p2) - math.log(p1))
+        for p1, p2, v1, v2 in zip(ps, ps[1:], vals, vals[1:])
     ]
-    if len(slopes) > 1:
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if abs(s1 - s2) > 0.1:
-                raise NonConvergence("log-slope estimates did not stabilize")
-    den = 1
-    for x in v.as7():
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    if any(abs(s1 - s2) > 0.1 for s1, s2 in zip(slopes, slopes[1:])):
+        raise NonConvergence("log-slope estimates did not stabilize")
+    den = math.lcm(*(x.denominator for x in v.as7()))
     val_exact = Q(round(slopes[-1] * den), den)
     scaled = [val * p ** (-float(val_exact)) for p, val in zip(ps, vals)]
     return richardson(scaled, ps, 1.0 / den), float(val_exact)

@@ -12,11 +12,13 @@ from ebiortho.biortho import (
     DiscreteSpec,
     EllipticParams,
     _mass_condition,
-    check_symmetries,
     continuous_gram,
     continuous_inner_product,
     discrete_gram,
     discrete_inner_product,
+    elliptic_continuous_system,
+    elliptic_discrete_system,
+    gram_residuals,
     norm_formula,
     random_discrete_params,
     rtilde,
@@ -68,6 +70,43 @@ def test_normalization_at_t0():
         par = random_discrete_params(rng)
         for n in range(9):
             assert abs(rtilde(n, par.t[0], par) - 1.0) < 1e-10
+
+
+def check_symmetries(n: int, z: complex, params: EllipticParams) -> dict[str, float]:
+    """Residuals of the invariances of rtilde; all should be ~0.
+
+    Checked: p-ellipticity in the t's and u's (with a compensating shift
+    preserving balancing), the half-power-of-p shift identity, the
+    q-inversion identity, and z -> pz, z -> 1/z invariance.
+    """
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    base = rtilde(n, z, params)
+    out: dict[str, float] = {}
+
+    def resid(val):
+        return abs(val - base) / max(abs(base), 1.0)
+
+    shifted = EllipticParams((t0, t1 * p, t2 / p, t3), (u0, u1), q, p)
+    out["t_ellipticity"] = resid(rtilde(n, z, shifted))
+    shifted = EllipticParams((t0, t1, t2, t3), (u0 * p, u1 / p), q, p)
+    out["u_ellipticity"] = resid(rtilde(n, z, shifted))
+
+    rp = cmath.sqrt(p)
+    shifted = EllipticParams(
+        (t0 * rp, t1 / rp, t2 / rp, t3 / rp), (u0 * rp, u1 * rp), q, p
+    )
+    out["half_shift"] = resid(rtilde(n, z * rp, shifted))
+
+    inverted = EllipticParams(
+        (1 / t0, 1 / t1, 1 / t2, 1 / t3), (p / u0, p / u1), 1 / q, p
+    )
+    out["q_inversion"] = resid(rtilde(n, z, inverted))
+
+    out["z_p_shift"] = resid(rtilde(n, p * z, params))
+    out["z_inversion"] = resid(rtilde(n, 1 / z, params))
+    return out
 
 
 def test_symmetry_residuals():
@@ -525,3 +564,96 @@ def test_vanishing_theta_factors_raise_pole_error():
     par = EllipticParams((0.5, 8.0, 0.5, 0.7), (0.5, None), 0.25, 0.05)
     with pytest.raises(PoleError):
         discrete_inner_product(ONE, ONE, par, DiscreteSpec(1))
+
+
+# ---------------------------------------------------------------------------
+# The biorthogonal-system record and its one residual rule
+
+
+def test_gram_residuals_on_a_hand_built_matrix():
+    # sqrt|h_0 h_1| = 4 scales both off-diagonals; the diagonals are
+    # relative to |h_n|, whatever the sign or phase of h_n
+    M = [[-2.0, 0.5], [-1j, 9.0]]
+    assert gram_residuals(M, [-2.0, 8.0 + 0j]) == (0.25, 0.125)
+
+
+def test_gram_residuals_of_a_1x1_matrix_has_no_off_diagonal():
+    assert gram_residuals([[3.0]], [2.0]) == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, 0j, math.nan, math.inf, complex(1, math.nan)])
+def test_gram_residuals_reject_a_zero_or_non_finite_norm(bad):
+    with pytest.raises(DomainError):
+        gram_residuals([[1.0, 0.0], [0.0, 1.0]], [1.0, bad])
+
+
+def test_gram_residuals_reject_an_empty_matrix():
+    with pytest.raises(DomainError):
+        gram_residuals([], [])
+
+
+def test_discrete_system_residuals_are_the_scaled_loop():
+    # the loop of test_elliptic_biorthogonality_matrix_10_seeds, seed 100
+    spec = DiscreteSpec(5)
+    par = random_discrete_params(random.Random(100), N=5, p=0.05, qmod=0.4)
+    sw = par.swapped_u()
+    h = [norm_formula(n, par) for n in range(5)]
+    off = diag = 0.0
+    for n in range(5):
+        for m in range(5):
+            v = discrete_inner_product(
+                lambda z: rtilde(n, z, par), lambda z: rtilde(m, z, sw), par, spec
+            )
+            if n == m:
+                diag = max(diag, abs(v - h[n]) / abs(h[n]))
+            else:
+                off = max(off, abs(v) / abs(h[n] * h[m]) ** 0.5)
+    assert elliptic_discrete_system(par, spec).residuals(4) == (off, diag)
+
+
+def test_degree_bound_redraws_what_rounding_alone_would_fail():
+    # the draws of `verify elliptic-discrete --seed 58`: after its 20
+    # <1,1> draws, a draw bounded at degree 0 only has <R_n, S_n>
+    # cancelling by about 1.9e7 at n = 4
+    rng = random.Random(58)
+    for _ in range(20):
+        random_discrete_params(rng, N=5)
+    state = rng.getstate()
+    loose = random_discrete_params(rng, N=5)
+    assert _mass_condition(loose, 5) <= 1e4 < _mass_condition(loose, 5, 4)
+    rng.setstate(state)
+    par = random_discrete_params(rng, N=5, degree=4)
+    assert par != loose
+    assert _mass_condition(par, 5, 4) <= 1e4
+    off, diag = elliptic_discrete_system(par, DiscreteSpec(5)).residuals(4)
+    assert max(off, diag) < 1e-11
+
+
+def test_continuous_system_contour_rule_at_the_unity_parameters():
+    # u0 q^-1 = 2.3 and u1 q^-1 = 1.7: only degree 0 pairs on the circle
+    par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
+    system = elliptic_continuous_system(par, quad=512)
+    assert system.R(0, 0.3 + 0.9j) == rtilde(0, 0.3 + 0.9j, par)
+    for n in range(1, 4):
+        for family in (system.R, system.S):
+            with pytest.raises(ContourError):
+                family(n, 0.3 + 0.9j)
+    off, diag = system.residuals(0)
+    assert off == 0.0 and diag < 1e-15
+    with pytest.raises(ContourError):
+        elliptic_continuous_system(par, quad=16).residuals(1)
+
+
+def test_continuous_system_contour_rule_at_the_row_parameters():
+    # u0 q^-2 = 0.8 < 1 <= u0 q^-3 = 1.6, and u1 = 0.2004
+    par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
+    system = elliptic_continuous_system(par, quad=16)
+    z = 0.6 - 0.8j
+    for n in range(3):
+        assert system.R(n, z) == rtilde(n, z, par)
+        assert system.S(n, z) == rtilde(n, z, par.swapped_u())
+    for family in (system.R, system.S):
+        with pytest.raises(ContourError):
+            family(3, z)
+    with pytest.raises(ContourError):
+        system.residuals(3)

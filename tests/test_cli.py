@@ -219,6 +219,13 @@ def test_verify_discrete_small(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_discrete_seed_58_bounds_every_degree(capsys):
+    # its first biorthogonality draw bounded at degree 0 only failed the
+    # 1e-9 gate on rounding alone (diagonal 1.4e-8)
+    assert main(["verify", "elliptic-discrete", "--seed", "58"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_discrete_builds_the_masses_once_per_matrix(capsys, monkeypatch):
     # one mass build per <1,1> draw and one per biorthogonality matrix;
     # the draws' own condition checks (_mass_condition) build theirs too

@@ -639,6 +639,25 @@ FW_BRANCH_ALPHAS = (
 )
 
 
+def test_finite_measure_weights_are_finite_weights():
+    # one constant per measure; each weight is that constant times one
+    # series term, bit for bit the weight of finite_weights
+    for a in FW_BRANCH_ALPHAS:
+        for N in (1, 3):
+            q = 0.3 * cmath.exp(0.4j)
+            t0, t2, t3, t4 = 0.9, 0.3 + 0.1j, 0.4, 0.35
+            t = (t0, q ** (-N) / t0, t2, t3, t4, q ** (N + 1) / (t2 * t3 * t4))
+            m = finite_measure(a, t, N, q)
+            assert [m.weight(0, k) for k in range(N + 1)] == [
+                finite_weights(k, a, t, N, q) for k in range(N + 1)
+            ]
+
+
+def test_finite_measure_checks_alpha_at_construction():
+    with pytest.raises(BranchError):
+        finite_measure((Q4, -Q4, 1, 0, 0, 0), _fw_params(), FW_N, FW_Q)
+
+
 def test_finite_weights_match_branch_reference():
     worst = 0.0
     for a in FW_BRANCH_ALPHAS:
