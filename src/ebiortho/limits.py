@@ -4,13 +4,16 @@ Pastro polynomials with their circle measure, the finite-support limit
 weights, the four infinite-support limit bilinear forms (beta-integral
 type, symmetry-broken integral, double series, single series), and
 numeric limit extraction: log-slope valuation estimates and the one
-Richardson routine in p -> 0.  Every measure is built from lists of its
-factors: the circle weights (Pastro, NR, SB, Sigma2 integral) by one
-builder, _circle_weight, which also holds the one contour rule, and the
-series weights (Sigma, Sigma2 series, finite) from one basic
-hypergeometric term, _series_term.  The `verify limit` family also lives
-here: limit_value evaluates rtilde along the p-dependent parameters of
-face 1111pp or 40as, limit_target the closed-form limit it tends to.
+Richardson routine in p -> 0.  Every measure is a LimitMeasure, whose
+one Gram routine is LimitMeasure.gram, and is built from lists of its
+factors: the 1 / Gamma(t_r t_s) limits in the NR, SB, Sigma and Sigma2
+integral constants by one rule, _gamma_constants, the circle weights
+(Pastro, NR, SB, Sigma2 integral) by one builder, _circle_weight, which
+also holds the one contour rule, and the series weights (Sigma, Sigma2
+series, finite) from one basic hypergeometric term, _series_term.  The
+`verify limit` family also lives here: limit_value evaluates rtilde
+along the p-dependent parameters of face 1111pp or 40as, limit_target
+the closed-form limit it tends to.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .errors import (
@@ -45,7 +49,7 @@ __all__ = [
     "pastro_P",
     "pastro_p",
     "pastro_q",
-    "pastro_gram",
+    "pastro_measure",
     "pastro_inner_product",
     "pastro_norm",
     "pastro_system",
@@ -67,7 +71,7 @@ __all__ = [
 
 Q = Fraction
 
-# LimitMeasure.apply sums a series until ten successive terms fall below
+# LimitMeasure.gram sums a series until ten successive terms fall below
 # _SERIES_TOL relative to the running sum, within _SERIES_MAX_TERMS terms.
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 400
@@ -168,11 +172,11 @@ def pastro_P(n, z, t, u, q) -> complex:
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if z == 0:
-        raise DomainError("pastro_P requires z != 0")
     t0, t1, t2, t3 = (complex(x) for x in t)
     u0, u1 = (complex(x) for x in u)
     q = complex(q)
+    if 0 in (z, t1, t2, t3, u0, u1):
+        raise DomainError("pastro_P requires z, t1, t2, t3, u0, u1 != 0")
     # 3phi2(q^-n, t0/z, q/(u0 t1); t0 t2, 0; q, q)
     v1 = _phi([q ** (-n), t0 / z, q / (u0 * t1)], [q, t0 * t2], q, q, n + 1)
     # (1/(t3 u1);q)_n / (t0 t2;q)_n (q/(t1 u0))^n
@@ -220,30 +224,27 @@ def pastro_q(n, w, A, B, q) -> complex:
     return pastro_p(n, 1.0 / complex(w), B, A, q)
 
 
-def pastro_gram(fs, gs, A, B, q, quad: int = 512) -> list[list[complex]]:
-    """The matrix of Pastro inner products <f, g> for f in fs, g in gs.
+def pastro_measure(A, B, q) -> LimitMeasure:
+    """The unit-circle bilinear form making p_n and q_m biorthogonal.
 
-    The unit-circle bilinear form making p_n and q_m biorthogonal, with
-    its weight built once: theta(rq w; q) / ((A w / rq; q)_infty
-    (B / (w rq); q)_infty), rq = q^(1/2), times the constant
-    (q;q)(AB/q;q) / ((A;q)(B;q)).
+    Its weight is theta(rq w; q) / ((A w / rq; q)_infty (B / (w rq); q)_infty),
+    rq = q^(1/2), times the constant (q;q)(AB/q;q) / ((A;q)(B;q)).
     """
     A, B, q = complex(A), complex(B), complex(q)
     if not 0 < abs(q) < 1:
         raise DomainError("0 < |q| < 1 required")
-    check_quad(quad)
     rq = q**0.5
     pref, weight, log_weight = _circle_weight(
         [(q, 1, q), (A * B / q, 1, q), (A, -1, q), (B, -1, q)],
         [(rq, 1, 1, q), (rq, -1, 1, q), (A / rq, 1, -1, q), (B / rq, -1, -1, q)],
     )
-    means = circle_gram(fs, gs, quad, weight, log_weight)
-    return [[pref * mean for mean in row] for row in means]
+    return LimitMeasure("SB_INTEGRAL", (pref,), weight, q, log_weight=log_weight)
 
 
 def pastro_inner_product(f, g, A, B, q, quad: int = 512) -> complex:
-    """The 1 x 1 case of pastro_gram."""
-    return pastro_gram([f], [g], A, B, q, quad)[0][0]
+    """<f, g> under pastro_measure, with quad checked before the weight is built."""
+    check_quad(quad)
+    return pastro_measure(A, B, q).apply(f, g, quad)
 
 
 def pastro_norm(n, A, B, q) -> complex:
@@ -252,11 +253,11 @@ def pastro_norm(n, A, B, q) -> complex:
 
 
 def pastro_system(A, B, q, quad: int = 512) -> BiorthogonalSystem:
-    """p_n and q_m under pastro_gram, with pastro_norm."""
+    """p_n and q_m under pastro_measure, with pastro_norm."""
     return BiorthogonalSystem(
         lambda n, w: pastro_p(n, w, A, B, q),
         lambda m, w: pastro_q(m, w, A, B, q),
-        lambda fs, gs: pastro_gram(fs, gs, A, B, q, quad),
+        partial(pastro_measure(A, B, q).gram, quad=quad),
         lambda n: pastro_norm(n, A, B, q),
     )
 
@@ -283,8 +284,9 @@ class LimitMeasure:
     FINITE_DISCRETE.  For integral kinds the weight on the circle is
     weight(z), times exp(L(z)) when log_weight holds the Laurent
     coefficients (pos, neg) of a log series L (qkernel.circle_gram); an
-    NR_INTEGRAL weight must satisfy w(1/z) = w(z), because apply averages
-    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle.  For
+    NR_INTEGRAL weight must satisfy w(1/z) = w(z), because gram averages
+    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle, and
+    SB_INTEGRAL is any other circle weight (SB, Sigma2 integral, Pastro).  For
     series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the i-th
     base point b of bases: one for SIGMA_SERIES and FINITE_DISCRETE, two
     for SIGMA2_SERIES, none for the integral kinds.  prefactors holds one
@@ -316,69 +318,92 @@ class LimitMeasure:
         ):
             raise DomainError("a finite measure needs an integer n_masses >= 1")
 
-    def apply(self, f, g, quad: int = 512) -> complex:
-        q = self.q
+    def gram(self, fs, gs, quad: int = 512) -> list[list[complex]]:
+        """The matrix of <f, g> for f in fs, g in gs.
+
+        The integral kinds scale one circle_gram call by the prefactor.
+        The series kinds sum each entry over their base points: a finite
+        series its n_masses terms, an infinite one until ten successive
+        terms fall below _SERIES_TOL of the running sum.
+        """
         if self.kind in ("NR_INTEGRAL", "SB_INTEGRAL"):
             symmetric = self.kind == "NR_INTEGRAL"
-            gram = circle_gram([f], [g], quad, self.weight, self.log_weight, symmetric)
-            return self.prefactors[0] * gram[0][0]
-        if self.kind == "FINITE_DISCRETE":
-            total = 0.0 + 0.0j
-            for k in range(self.n_masses):
-                zk = self.bases[0] * q**k
-                total += self.weight(0, k) * f(zk) * g(zk)
-            return self.prefactors[0] * total
-        # one or two infinite series
+            means = circle_gram(fs, gs, quad, self.weight, self.log_weight, symmetric)
+            return [[self.prefactors[0] * mean for mean in row] for row in means]
+        return [[self._series(f, g) for g in gs] for f in fs]
+
+    def apply(self, f, g, quad: int = 512) -> complex:
+        """The 1 x 1 case of gram."""
+        return self.gram([f], [g], quad)[0][0]
+
+    def _series(self, f, g) -> complex:
+        """One entry of gram for the series kinds."""
+        q = self.q
+        finite = self.kind == "FINITE_DISCRETE"
         out = 0.0 + 0.0j
         for i, base in enumerate(self.bases):
-            run_max = 0.0
-            small = 0
-            tot = 0.0 + 0.0j
-            for k in range(_SERIES_MAX_TERMS):
-                term = self.weight(i, k) * f(base * q**k) * g(base * q**k)
+            tot, run_max, small = 0.0 + 0.0j, 0.0, 0
+            for k in range(self.n_masses if finite else _SERIES_MAX_TERMS):
+                zk = base * q**k
+                term = self.weight(i, k) * f(zk) * g(zk)
                 tot += term
+                if finite:
+                    continue
                 run_max = max(run_max, abs(tot))
-                if abs(term) < _SERIES_TOL * max(run_max, 1.0):
-                    small += 1
-                    if small >= 10:
-                        break
-                else:
-                    small = 0
+                small = small + 1 if abs(term) < _SERIES_TOL * max(run_max, 1.0) else 0
+                if small == 10:
+                    break
             else:
-                raise SeriesDivergence("limit-measure series did not converge")
+                if not finite:
+                    raise SeriesDivergence("limit-measure series did not converge")
             out += self.prefactors[i] * tot
         return out
 
 
-def _check_sum1(a):
+def _measure_args(alpha, t, q):
+    """(a, t, q) of a measure constructor: six exponents summing to 1 as
+    Fractions, six complex t with the balancing prod t_r = q, complex q."""
+    a = _as6(alpha)
+    t = tuple(complex(x) for x in t)
+    q = complex(q)
+    if len(t) != 6:
+        raise DomainError("need 6 t parameters")
     if sum(a) != 1:
         raise HypothesisError("exponents must sum to 1")
-
-
-def _check_balance(t, prod_target):
     prod = 1.0 + 0.0j
     for x in t:
         prod *= x
-    if abs(prod - prod_target) > 1e-9 * abs(prod_target):
+    if abs(prod - q) > 1e-9 * abs(q):
         raise DomainError("parameter balancing violated")
+    return a, t, q
+
+
+def _gamma_constants(a, t, q, inside=()):
+    """The p -> 0 limits of the factors 1 / Gamma(t_r t_s), r < s, of the
+    measure constant, with t_r = c_r p^alpha_r, as factors (x, e, q) of
+    _qpoch_constant (Rains, Ann. Math. 2010).
+
+    The exponent of t_r t_s is alpha_r + alpha_s, plus 1 when r and s both
+    lie in inside (the SB triple or the Sigma2 pair).  1 / Gamma(t_r t_s)
+    tends to (t_r t_s; q)_infty at exponent 0, to 1 / (q / (t_r t_s); q)_infty
+    at exponent 1 and to 1 in between.
+    """
+    consts = []
+    for r, s in combinations(range(6), 2):
+        e = a[r] + a[s] + (1 if r in inside and s in inside else 0)
+        if e == 0:
+            consts.append((t[r] * t[s], 1, q))
+        elif e == 1:
+            consts.append((q / (t[r] * t[s]), -1, q))
+    return consts
 
 
 def nr_measure(alpha, t, q) -> LimitMeasure:
     """Beta-integral-type limit measure (all alpha_r >= 0)."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    _check_sum1(a)
+    a, t, q = _measure_args(alpha, t, q)
     if any(x < 0 for x in a):
         raise HypothesisError("all alpha_r must be >= 0")
-    _check_balance(t, q)
-    consts = [(q, 1, q)]
-    for r in range(6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] == 0:
-                consts.append((t[r] * t[s], 1, q))
-            elif a[r] + a[s] == 1:
-                consts.append((q / (t[r] * t[s]), -1, q))
+    consts = [(q, 1, q)] + _gamma_constants(a, t, q)
     # (z^2; q)(z^-2; q) = (1 - z^2)(1 - z^-2)(q z^2; q)(q z^-2; q); then
     # (q z^+-1 / t_r; q) for alpha_r = 1 and 1 / (t_r z^+-1; q) for alpha_r = 0
     factors = [(q, 2, 1, q), (q, -2, 1, q)]
@@ -409,30 +434,12 @@ def sb_measure(alpha, t, q) -> LimitMeasure:
     """Symmetry-broken integral limit measure, on the first triple (a,b,c)
     with alpha_a + alpha_b + alpha_c = zeta and the band conditions, which
     the measure records as triple; HypothesisError when there is none."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    _check_sum1(a)
+    a, t, q = _measure_args(alpha, t, q)
     zeta = _negative_zeta(a)
     trip = _find_sb_triple(a, zeta)
     if trip is None:
         raise HypothesisError("no triple with alpha_a+alpha_b+alpha_c = zeta")
-    _check_balance(t, q)
-
-    inside = set(trip)
-    consts = [(q, 1, q)]
-    for r in range(6):
-        for s in range(r + 1, 6):
-            both_in = r in inside and s in inside
-            mixed = (r in inside) != (s in inside)
-            if both_in and a[r] + a[s] == -1:
-                consts.append((t[r] * t[s], 1, q))
-            if mixed and a[r] + a[s] == 0:
-                consts.append((t[r] * t[s], 1, q))
-            if both_in and a[r] + a[s] == 0:
-                consts.append((q / (t[r] * t[s]), -1, q))
-            if a[r] + a[s] == 1:
-                consts.append((q / (t[r] * t[s]), -1, q))
+    consts = [(q, 1, q)] + _gamma_constants(a, t, q, trip)
     tprod = 1.0 + 0.0j
     for i in trip:
         tprod *= t[i]
@@ -443,7 +450,7 @@ def sb_measure(alpha, t, q) -> LimitMeasure:
     # (q z / t_r; q) and 1 / (t_r z; q) off it, by the roles of alpha_r
     factors = [(q / tprod, 1, 1, q), (tprod, -1, 1, q)]
     for r in range(6):
-        if r in inside:
+        if r in trip:
             up, down, s = a[r] == -zeta, a[r] == zeta, -1
         else:
             up, down, s = a[r] == 1 + zeta, a[r] == -zeta, 1
@@ -495,30 +502,15 @@ def _sigma2_pair(a, limit4):
 def sigma2_measure(alpha, t, q, w) -> LimitMeasure:
     """Integral form of the double-series limit measure with free w, on
     the pair of _sigma2_pair, which the measure records."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
+    a, t, q = _measure_args(alpha, t, q)
     w = complex(w)
     if w == 0:
         raise DomainError("sigma2_measure requires w != 0")
-    _check_sum1(a)
     zeta, pair = _sigma2_pair(a, limit4=False)
     ia, ib = pair
-    _check_balance(t, q)
     ta, tb = t[ia], t[ib]
     half = zeta == Q(-1, 2)
-
-    consts = [(q, 1, q)]
-    if half:
-        consts.append((ta * tb, 1, q))
-    for r in range(6):
-        if r not in (ia, ib) and a[r] == -zeta:
-            consts.append((t[r] * ta, 1, q))
-            consts.append((t[r] * tb, 1, q))
-    for r in range(6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] == 1:
-                consts.append((q / (t[r] * t[s]), -1, q))
+    consts = [(q, 1, q)] + _gamma_constants(a, t, q, pair)
 
     # off the pair, in r order: (q z / t_r; q) for alpha_r = 1 + zeta and
     # 1 / (t_r z; q) for alpha_r = -zeta; then 1 / (t_a / z; q)(t_b / z; q),
@@ -558,13 +550,9 @@ def sigma2_measure(alpha, t, q, w) -> LimitMeasure:
 def sigma2_series(alpha, t, q) -> LimitMeasure:
     """Double-series form of the same limit measure, based at t_a q^k and
     t_b q^k on the pair a, b <= 3 of _sigma2_pair, which it records."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    _check_sum1(a)
+    a, t, q = _measure_args(alpha, t, q)
     zeta, pair = _sigma2_pair(a, limit4=True)
     ia, ib = pair
-    _check_balance(t, q)
     half = zeta == Q(-1, 2)
     low = [r for r in range(6) if r not in pair and a[r] == -zeta]
     up = [r for r in range(6) if r not in pair and a[r] == 1 + zeta]
@@ -612,10 +600,7 @@ def sigma_measure(alpha, t, q) -> LimitMeasure:
     """Single-series limit measure based at t_a q^k, a the first index
     <= 3 with alpha_a in [-1/2, 0) below every other alpha_r, which the
     measure records as base_index."""
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    _check_sum1(a)
+    a, t, q = _measure_args(alpha, t, q)
     ia = next(
         (r for r in range(4)
          if -Q(1, 2) <= a[r] < 0 and all(a[s] > a[r] for s in range(6) if s != r)),
@@ -635,18 +620,11 @@ def sigma_measure(alpha, t, q) -> LimitMeasure:
                 raise HypothesisError("pair sums must lie in (0, 1]")
     if sum(aa + a[r] for r in range(6) if r != ia and a[r] + aa < 0) != 2 * aa:
         raise HypothesisError("mass-count constraint on alpha violated")
-    _check_balance(t, q)
     ta = t[ia]
     half = aa == Q(-1, 2)
     Ncount = sum(1 for r in range(6) if r != ia and a[r] < -aa)
 
-    consts = []
-    for r in range(6):
-        for s in range(r + 1, 6):
-            if a[r] + a[s] == 0:
-                consts.append((t[r] * t[s], 1, q))
-            if a[r] + a[s] == 1:
-                consts.append((q / (t[r] * t[s]), -1, q))
+    consts = _gamma_constants(a, t, q)
     for r in range(6):
         if r != ia and a[r] == 1 + aa:
             consts.append((q * ta / t[r], 1, q))
@@ -693,11 +671,7 @@ def finite_measure(alpha, t, N, q) -> LimitMeasure:
     -1/2 < alpha_0 < 0; alpha and t are checked and the constant is
     built once, here.
     """
-    a = _as6(alpha)
-    t = tuple(complex(x) for x in t)
-    q = complex(q)
-    if len(t) != 6:
-        raise DomainError("need 6 t parameters")
+    a, t, q = _measure_args(alpha, t, q)
     a0 = a[0]
     if a[1] != -a0 or not -Q(1, 2) <= a0 <= 0:
         raise BranchError("need alpha_0 = -alpha_1 in [-1/2, 0]")
@@ -778,10 +752,10 @@ def finite_measure(alpha, t, N, q) -> LimitMeasure:
 def aw_phi43(n, z, t, u, q) -> complex:
     """Terminating 4phi3 limit family at the top orthogonal-polynomial
     point, normalized to 1 at z = t0."""
-    if z == 0:
-        raise DomainError("aw_phi43 requires z != 0")
     t0, t1, t2, t3 = (complex(x) for x in t)
     q = complex(q)
+    if z == 0 or t0 == 0:
+        raise DomainError("aw_phi43 requires z != 0 and t0 != 0")
 
     def phi(zz):
         return _phi(

@@ -267,12 +267,15 @@ def qpoch_log_series(factors, tol: float = _TOL):
 
 
 def qpoch_factors(factors, z: complex = 1.0) -> complex:
-    """prod (c z^s; b)_infty^e over factors (c, s, e, b), in product form."""
+    """prod (c z^s; b)_infty^e over factors (c, s, e, b), in product form;
+    PoleError when a denominator factor (e < 0) vanishes."""
     out = 1.0 + 0.0j
     for c, s, e, b in factors:
         val = qpoch_infinite(c * z**s, b)
         if e > 0:
             out *= val
+        elif val == 0:
+            raise PoleError("a q-Pochhammer denominator factor vanishes")
         else:
             out /= val
     return out

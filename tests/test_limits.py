@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import ebiortho.limits
 import ebiortho.qkernel
+from conftest import random_P0_point
 from ebiortho.biortho import EllipticParams, continuous_inner_product, rtilde
 from ebiortho.errors import (
     BranchError,
@@ -17,10 +19,15 @@ from ebiortho.errors import (
     HypothesisError,
     NonConvergence,
     NonFiniteValue,
+    PoleError,
     SeriesDivergence,
 )
 from ebiortho.limits import (
     LimitMeasure,
+    _find_sb_triple,
+    _gamma_constants,
+    _negative_zeta,
+    _sigma2_pair,
     aw_phi43,
     finite_measure,
     finite_weights,
@@ -28,8 +35,8 @@ from ebiortho.limits import (
     nr_measure,
     numeric_limit,
     pastro_P,
-    pastro_gram,
     pastro_inner_product,
+    pastro_measure,
     pastro_norm,
     pastro_p,
     pastro_q,
@@ -73,7 +80,7 @@ def test_pastro_gram_equals_per_entry_inner_products():
     A, B, q = 0.55, 0.4, 0.45
     fs = [lambda w, n=n: pastro_p(n, w, A, B, q) for n in range(6)]
     gs = [lambda w, m=m: pastro_q(m, w, A, B, q) for m in range(6)]
-    M = pastro_gram(fs, gs, A, B, q)
+    M = pastro_measure(A, B, q).gram(fs, gs)
     assert M == [[pastro_inner_product(f, g, A, B, q) for g in gs] for f in fs]
 
 
@@ -95,11 +102,15 @@ _GOOD_T = (0.7, 0.6, 0.5, 0.4)
         lambda: pastro_q(2, 0, 0.55, 0.4, 0.45),
         lambda: pastro_P(2, 0, _GOOD_T, (0.3, 0.5), 0.45),
         lambda: aw_phi43(2, 0, _GOOD_T, (0.3, 0.5), 0.45),
+        lambda: aw_phi43(2, 1.3, (0.0, 0.6, 0.5, 0.4), (0.3, 0.5), 0.45),
+        lambda: pastro_P(2, 1.3, (0.7, 0.0, 0.5, 0.4), (0.3, 0.5), 0.45),
+        lambda: pastro_P(2, 1.3, _GOOD_T, (0.3, 0.0), 0.45),
     ],
     ids=[
         "t1=0", "u0=0", "p=0", "q=0", "rtilde-z=0",
         "pastro_p-q=0", "pastro_p-B=0", "pastro_q-q=0", "pastro_inner-q=0",
         "pastro_q-w=0", "pastro_P-z=0", "aw_phi43-z=0",
+        "aw_phi43-t0=0", "pastro_P-t1=0", "pastro_P-u1=0",
     ],
 )
 def test_zero_parameters_are_domain_errors(call):
@@ -234,13 +245,13 @@ def test_sb_measure_normalization():
 
 def test_sb_measure_half_branch_normalization():
     # zeta = -1/2: the weight carries (1 - z^2) and the triple's
-    # alpha_r = +-1/2 factors; t1 = 2.40 from balancing
+    # alpha_r = +-1/2 factors; t1 = 2.40 and 2.13 from balancing
     a = (-H, H, -H, H, H, H)
-    t = [0.7, None, 0.7, 0.9, 0.6, 0.55]
-    t[1] = _solved_last([0.7, 0.7, 0.9, 0.6, 0.55])[-1]
-    m = sb_measure(a, t, Q_MEAS)
-    assert m.triple == (0, 1, 2)
-    assert abs(m.apply(ONE, ONE, quad=512) - 1.0) < 1e-12
+    for rest in ([0.7, 0.7, 0.9, 0.6, 0.55], [0.6, 0.7, 0.7, 0.8, 0.7]):
+        t = rest[:1] + _solved_last(rest)[-1:] + rest[1:]
+        m = sb_measure(a, t, Q_MEAS)
+        assert m.triple == (0, 1, 2)
+        assert abs(m.apply(ONE, ONE, quad=512) - 1.0) < 1e-12, rest
 
 
 def test_sigma_measure_normalization():
@@ -330,6 +341,149 @@ def test_directly_built_measures_apply():
     flat = LimitMeasure("SIGMA_SERIES", (1.0,), lambda i, k: 1.0, q, bases=(0.5,))
     with pytest.raises(SeriesDivergence):
         flat.apply(ONE, ONE)
+
+
+def test_limit_measure_gram_equals_per_entry_apply():
+    # one measure of each kind, the Sigma2 integral as an SB_INTEGRAL
+    nr_t = [0.4, 0.5, 0.7, 0.45, 0.55]
+    s2_a = (-Q4, -Q4, Q4, Q4, Q4, Fraction(3, 4))
+    s2_t = _solved_last([0.75, 0.65, 0.5, 0.6, 0.55])
+    measures = [
+        nr_measure((0, 0, H, H, 0, 0), nr_t[:3] + _solved_last(nr_t)[-1:] + nr_t[3:], Q_MEAS),
+        sb_measure(
+            tuple(Fraction(x, 12) for x in (-1, -1, 5, 5, -1, 5)),
+            _solved_last([0.8, 0.7, 0.5, 0.6, 0.75]),
+            Q_MEAS,
+        ),
+        sigma2_measure(s2_a, s2_t, Q_MEAS, 0.9),
+        sigma_measure((-H, Q4, Q4, Q4, Q4, H), _solved_last([0.8, 0.5, 0.6, 0.7, 0.45]), Q_MEAS),
+        sigma2_series(s2_a, s2_t, Q_MEAS),
+        finite_measure(FW_ALPHA, _fw_params(), FW_N, FW_Q),
+    ]
+    fs = [ONE, lambda z: z**3 + 0.3 * z, lambda z: z]
+    gs = [ONE, lambda z: 1 + 0.2 * z * z]
+    for m in measures:
+        M = m.gram(fs, gs, quad=64)
+        assert M == [[m.apply(f, g, quad=64) for g in gs] for f in fs], m.kind
+
+
+def _nr_sigma_hand_loop(a, t, q):
+    """The NR and Sigma constant factors written out pair by pair."""
+    consts = []
+    for r in range(6):
+        for s in range(r + 1, 6):
+            if a[r] + a[s] == 0:
+                consts.append((t[r] * t[s], 1, q))
+            elif a[r] + a[s] == 1:
+                consts.append((q / (t[r] * t[s]), -1, q))
+    return consts
+
+
+def _sb_hand_loop(a, t, q, trip):
+    """The SB constant factors written out by the roles of the triple."""
+    inside = set(trip)
+    consts = []
+    for r in range(6):
+        for s in range(r + 1, 6):
+            both_in = r in inside and s in inside
+            mixed = (r in inside) != (s in inside)
+            if both_in and a[r] + a[s] == -1:
+                consts.append((t[r] * t[s], 1, q))
+            if mixed and a[r] + a[s] == 0:
+                consts.append((t[r] * t[s], 1, q))
+            if both_in and a[r] + a[s] == 0:
+                consts.append((q / (t[r] * t[s]), -1, q))
+            if a[r] + a[s] == 1:
+                consts.append((q / (t[r] * t[s]), -1, q))
+    return consts
+
+
+def _sigma2_hand_loop(a, t, q, pair):
+    """The Sigma2 integral constant factors written out from the pair."""
+    ia, ib = pair
+    ta, tb = t[ia], t[ib]
+    zeta = a[ia]
+    consts = []
+    if zeta == -H:
+        consts.append((ta * tb, 1, q))
+    for r in range(6):
+        if r not in pair and a[r] == -zeta:
+            consts.append((t[r] * ta, 1, q))
+            consts.append((t[r] * tb, 1, q))
+    for r in range(6):
+        for s in range(r + 1, 6):
+            if a[r] + a[s] == 1:
+                consts.append((q / (t[r] * t[s]), -1, q))
+    return consts
+
+
+def test_gamma_constants_match_the_hand_loops():
+    # the same factors in the same order, except that Sigma2 lists them
+    # in another order, on seeded points of P^(0) admissible for each kind
+    rng = random.Random(21)
+    q = 0.35 * cmath.exp(0.3j)
+    counts = dict.fromkeys(("NR", "SB", "Sigma", "Sigma2"), 0)
+    for _ in range(1000):
+        a = random_P0_point(rng, den=rng.choice((4, 6, 12)))
+        t = _solved_last([_draw(rng, 0.3, 0.9) for _ in range(5)])
+        if all(x >= 0 for x in a):
+            assert _gamma_constants(a, t, q) == _nr_sigma_hand_loop(a, t, q)
+            counts["NR"] += 1
+        try:
+            sigma_measure(a, t, Q_MEAS)
+        except HypothesisError:
+            pass
+        else:
+            assert _gamma_constants(a, t, q) == _nr_sigma_hand_loop(a, t, q)
+            counts["Sigma"] += 1
+        try:
+            zeta = _negative_zeta(a)
+        except HypothesisError:
+            continue
+        trip = _find_sb_triple(a, zeta)
+        if trip is not None:
+            assert _gamma_constants(a, t, q, trip) == _sb_hand_loop(a, t, q, trip)
+            counts["SB"] += 1
+        try:
+            _, pair = _sigma2_pair(a, limit4=False)
+        except HypothesisError:
+            continue
+        got = Counter(_gamma_constants(a, t, q, pair))
+        assert got == Counter(_sigma2_hand_loop(a, t, q, pair))
+        counts["Sigma2"] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["5t", "7t"])
+def test_measures_need_six_t_parameters(extra):
+    # five t's used to build an SB measure and send the others into an
+    # IndexError; a seventh t of 1 keeps the product balanced
+    t6 = _solved_last([0.8, 0.7, 0.5, 0.6, 0.75])
+    t = t6[:-1] if extra < 0 else t6 + [1.0]
+    ft = list(_fw_params())
+    ft = ft[:-1] if extra < 0 else ft + [1.0]
+    s2_a = (-Q4, -Q4, Q4, Q4, Q4, Fraction(3, 4))
+    calls = [
+        lambda: nr_measure((0, 0, H, H, 0, 0), t, Q_MEAS),
+        lambda: sb_measure(tuple(Fraction(x, 12) for x in (-1, -1, 5, 5, -1, 5)), t, Q_MEAS),
+        lambda: sigma_measure((-H, Q4, Q4, Q4, Q4, H), t, Q_MEAS),
+        lambda: sigma2_measure(s2_a, t, Q_MEAS, 0.9),
+        lambda: sigma2_series(s2_a, t, Q_MEAS),
+        lambda: finite_measure(FW_ALPHA, ft, FW_N, FW_Q),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="need 6 t parameters"):
+            call()
+
+
+def test_vanishing_constant_denominator_is_a_pole_error():
+    # t3 t5 = q exactly, on a pair with exponent 1: the constant divides
+    # by (q / (t3 t5); q)_infty = (1; q)_infty = 0
+    rest = [0.3, 0.3, 0.5, 0.5, 0.7]
+    t = rest[:1] + _solved_last(rest)[-1:] + rest[1:]
+    assert Q_MEAS / (t[3] * t[5]) == 1.0
+    with pytest.raises(PoleError):
+        sb_measure((-H, H, -H, H, H, H), t, Q_MEAS)
 
 
 def test_bad_node_count_is_a_domain_error(monkeypatch):
