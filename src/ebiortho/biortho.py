@@ -1,19 +1,19 @@
-"""Elliptic biorthogonal rational functions and their two inner products.
+"""Elliptic biorthogonal rational functions and their bilinear forms.
 
-rtilde evaluates the terminating very-well-poised theta series; the
-discrete inner product is a finite point-mass sum valid when t0*t1 is a
-negative q-power (discrete_gram takes a matrix of them over one set of
-masses), the continuous one a unit-circle quadrature of the
-elliptic-gamma weight (continuous_weight; continuous_gram takes a matrix
-of them from qkernel.circle_gram).  Both are normalized so that
-<1,1> = 1.  rtilde, the point masses, their closing factor and
-norm_formula are ratios of theta Pochhammer symbols, built from shared
-lists of theta values: each telescoped very-well-poised head is a
-product over one ladder theta(g q^j; p) (_heads), and a list that two
-symbols share is evaluated once.  A BiorthogonalSystem holds two
-families, their Gram routine and their norms, and checks them by the
-one rule gram_residuals; random_discrete_params draws well-conditioned
-discrete parameters for the verification suites and tests.
+rtilde evaluates the terminating very-well-poised theta series.  Every
+bilinear form of the package is a LimitMeasure, whose one Gram routine
+LimitMeasure.gram sums a circle weight by qkernel.circle_gram, or masses
+on q-lattices b q^k by one lattice sum that evaluates each point once.
+continuous_measure is the elliptic-gamma circle weight
+(continuous_weight), discrete_measure the point masses at t0 q^k when
+t0 t1 = q^-N; both have <1,1> = 1.  rtilde, the point masses, their
+closing factor and norm_formula are ratios of theta Pochhammer symbols,
+built from shared lists of theta values: each telescoped
+very-well-poised head is a product over one ladder theta(g q^j; p)
+(_heads), and a list that two symbols share is evaluated once.  A
+BiorthogonalSystem holds two families, their Gram routine and their
+norms, and checks them by the one rule gram_residuals;
+random_discrete_params draws well-conditioned discrete parameters.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     NonConvergence,
     NonFiniteValue,
     PoleError,
+    SeriesDivergence,
 )
 from .qkernel import (
     check_quad,
@@ -51,13 +52,14 @@ from .qkernel import (
 __all__ = [
     "EllipticParams",
     "DiscreteSpec",
+    "LimitMeasure",
     "rtilde",
+    "discrete_measure",
     "discrete_inner_product",
-    "discrete_gram",
     "norm_formula",
     "continuous_weight",
     "continuous_prefactor",
-    "continuous_gram",
+    "continuous_measure",
     "continuous_inner_product",
     "gram_residuals",
     "BiorthogonalSystem",
@@ -69,6 +71,10 @@ __all__ = [
 BALANCE_TOL = 1e-12
 _MAX_COND = 1e4
 _MAX_DRAWS = 50
+# LimitMeasure.gram sums a series until ten successive terms fall below
+# _SERIES_TOL relative to the running sum, within _SERIES_MAX_TERMS terms.
+_SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,111 @@ class DiscreteSpec:
                 raise DomainError(
                     "q^k coincides with a power of p; point mass diverges"
                 )
+
+
+# Number of series base points of each measure kind.
+_KIND_BASES = {
+    "NR_INTEGRAL": 0,
+    "SB_INTEGRAL": 0,
+    "SIGMA_SERIES": 1,
+    "SIGMA2_SERIES": 2,
+    "FINITE_DISCRETE": 1,
+}
+
+
+@dataclass(frozen=True)
+class LimitMeasure:
+    """A bilinear form at base q: a circle integral or a series.
+
+    kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
+    FINITE_DISCRETE.  For integral kinds the weight on the circle is
+    weight(z), times exp(L(z)) when log_weight holds the Laurent
+    coefficients (pos, neg) of a log series L (qkernel.circle_gram).
+    NR_INTEGRAL is any weight with w(1/z) = w(z), the elliptic one of
+    continuous_measure included, because gram averages
+    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle;
+    SB_INTEGRAL is any other circle weight (SB, Sigma2 integral, Pastro).
+    For series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the
+    i-th base point b of bases: one for SIGMA_SERIES and FINITE_DISCRETE,
+    two for SIGMA2_SERIES, none for the integral kinds; FINITE_DISCRETE
+    includes the elliptic point masses of discrete_measure.  prefactors
+    holds one factor per base point (a single one for the integral
+    kinds).  n_masses, an integer >= 1, is the length of the finite
+    series; triple, pair and base_index record the exponent indices the
+    SB, Sigma2 and Sigma measures were built on.
+    """
+
+    kind: str
+    prefactors: tuple
+    weight: object
+    q: complex
+    bases: tuple = ()
+    n_masses: int | None = None
+    triple: tuple | None = None
+    pair: tuple | None = None
+    base_index: int | None = None
+    log_weight: tuple | None = None
+
+    def __post_init__(self) -> None:
+        nbases = _KIND_BASES.get(self.kind)
+        if nbases is None:
+            raise DomainError(f"unknown limit-measure kind {self.kind!r}")
+        if (len(self.bases), len(self.prefactors)) != (nbases, max(nbases, 1)):
+            raise DomainError(f"{self.kind} needs {nbases} bases and a prefactor each")
+        if self.kind == "FINITE_DISCRETE" and not (
+            isinstance(self.n_masses, int) and self.n_masses >= 1
+        ):
+            raise DomainError("a finite measure needs an integer n_masses >= 1")
+
+    def gram(self, fs, gs, quad: int = 512) -> list[list[complex]]:
+        """The matrix of <f, g> for f in fs, g in gs: the prefactor times one
+        circle_gram call, or the sum over base points of prefactor times _lattice."""
+        if self.kind in ("NR_INTEGRAL", "SB_INTEGRAL"):
+            symmetric = self.kind == "NR_INTEGRAL"
+            means = circle_gram(fs, gs, quad, self.weight, self.log_weight, symmetric)
+            return [[self.prefactors[0] * mean for mean in row] for row in means]
+        sums = [self._lattice(i, fs, gs) for i in range(len(self.bases))]
+        return [[sum(map(mul, self.prefactors, entries)) for entries in zip(*rows)]
+                for rows in zip(*sums)]
+
+    def apply(self, f, g, quad: int = 512) -> complex:
+        """The 1 x 1 case of gram."""
+        return self.gram([f], [g], quad)[0][0]
+
+    def _lattice(self, i, fs, gs) -> list[list[complex]]:
+        """The matrix of csum_k weight(i, k) f(z_k) g(z_k), z_k = b q^k for
+        the i-th base point b, with the weight and every f and g evaluated
+        once per point for all entries.  Each entry sums on its own: a
+        finite series its n_masses terms, an infinite one until ten
+        successive terms fall below _SERIES_TOL of its running sum, so each
+        equals its 1 x 1 apply."""
+        b, q = self.bases[i], self.q
+        if self.kind == "FINITE_DISCRETE":
+            zs = [b * q**k for k in range(self.n_masses)]
+            ws = [self.weight(i, k) for k in range(self.n_masses)]
+            F, G = [[f(z) for z in zs] for f in fs], [[g(z) for z in zs] for g in gs]
+            return [[csum([w * x * y for w, x, y in zip(ws, Fa, Gb)]) for Gb in G] for Fa in F]
+        ws, F, G = [], [[] for _ in fs], [[] for _ in gs]
+        columns = list(zip([*fs, *gs], F + G))
+
+        def entry(Fa, Gb):
+            terms, tot, run_max, small = [], 0.0 + 0.0j, 0.0, 0
+            for k in range(_SERIES_MAX_TERMS):
+                if k == len(ws):
+                    z = b * q**k
+                    ws.append(self.weight(i, k))
+                    for h, vals in columns:
+                        vals.append(h(z))
+                term = ws[k] * Fa[k] * Gb[k]
+                terms.append(term)
+                tot += term
+                run_max = max(run_max, abs(tot))
+                small = small + 1 if abs(term) < _SERIES_TOL * max(run_max, 1.0) else 0
+                if small == 10:
+                    return csum(terms)
+            raise SeriesDivergence("limit-measure series did not converge")
+
+        return [[entry(Fa, Gb) for Gb in G] for Fa in F]
 
 
 def _symbols(args, q, p, n):
@@ -211,13 +322,13 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     return out
 
 
-def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
-    """Factors of the point masses at t0 q^k, 0 <= k <= N, and the closing factor.
+def discrete_measure(params: EllipticParams, spec: DiscreteSpec) -> LimitMeasure:
+    """The discrete bilinear form: N + 1 point masses at t0 q^k, 0 <= k <= N.
 
-    Returns ([(head_k, num_k, den_k) for k = 0..N], closing): the mass at
-    t0 q^k is head_k num_k / den_k q^k times closing, with head_k the
-    _heads of g = t0^2 and num_k, den_k products of theta(a;q;p)_k.  The
-    closing factor is a ratio of theta(a;q;p)_N; its numerator symbol
+    A FINITE_DISCRETE LimitMeasure whose weight(0, k) is
+    head_k num_k / den_k q^k, with head_k the _heads of g = t0^2 and
+    num_k, den_k products of theta(a;q;p)_k, and whose prefactor is the
+    closing factor, a ratio of theta(a;q;p)_N; its numerator symbol
     theta(q t0/u0;q;p)_N is the last entry of the masses' denominator
     symbol of the same argument.  The masses cost 13N theta evaluations
     and the closing factor 7N more.
@@ -250,40 +361,16 @@ def _discrete_masses(params: EllipticParams, spec: DiscreteSpec):
     if any(abs(den) < 1e-250 for den in dens):
         raise PoleError("discrete weight hits a pole")
     heads = _heads(theta_ladder(q * t0 * t0, q, p, 2 * N), N)
-    return list(zip(heads, nums, dens)), closing_num / closing_den
-
-
-def discrete_gram(
-    fs, gs, params: EllipticParams, spec: DiscreteSpec
-) -> list[list[complex]]:
-    """The matrix of discrete inner products <f, g> for f in fs, g in gs.
-
-    Entry (i, j) is the finite sum over the point masses at t0 q^k,
-    0 <= k <= N, of fs[i] and gs[j].  The masses are built once, by
-    _discrete_masses (20N theta evaluations), and each function is
-    evaluated once per mass point; the entries are summed in the order
-    of discrete_inner_product, so each equals its value bit for bit.
-    """
-    masses, closing = _discrete_masses(params, spec)
-    t0, q = params.t[0], params.q
-    zs = [t0 * q**k for k in range(len(masses))]
-    F = [[f(zk) for zk in zs] for f in fs]
-    G = [[g(zk) for zk in zs] for g in gs]
-
-    def entry(Fi, Gj):
-        terms = zip(Fi, Gj, masses)
-        return csum(
-            [fk * gk * head * num / den * q**k
-             for k, (fk, gk, (head, num, den)) in enumerate(terms)]
-        ) * closing
-
-    return [[entry(Fi, Gj) for Gj in G] for Fi in F]
+    weights = [head * num / den * q**k
+               for k, (head, num, den) in enumerate(zip(heads, nums, dens))]
+    closing = closing_num / closing_den
+    return LimitMeasure("FINITE_DISCRETE", (closing,), lambda i, k: weights[k], q,
+                        bases=(t0,), n_masses=N + 1)
 
 
 def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> complex:
-    """Finite sum over the point masses at t0 q^k, 0 <= k <= N: the 1 x 1
-    case of discrete_gram."""
-    return discrete_gram([f], [g], params, spec)[0][0]
+    """<f, g> under discrete_measure: its 1 x 1 apply."""
+    return discrete_measure(params, spec).apply(f, g)
 
 
 def norm_formula(n: int, params: EllipticParams) -> complex:
@@ -292,7 +379,11 @@ def norm_formula(n: int, params: EllipticParams) -> complex:
     Its head theta(x;q;p)_2n / theta(qx;q;p)_2n, x = p/(u0 u1), over its
     denominator symbol theta(x;q;p)_n is one over entry n of _heads for
     g = x, which takes the n ladder values theta(x q^j; p), 1 <= j < n
-    and j = 2n; theta(x;p) cancels and never enters.
+    and j = 2n; theta(x;p) cancels and never enters.  t0 t1 = 1 is a true
+    pole for n >= 1: the denominator's theta(t0 t1;q;p)_n holds
+    theta(1; p) = 0, which no numerator factor cancels for generic other
+    parameters.  PoleError is raised there; near it |h_n| grows like
+    1/|t0 t1 - 1|, as does rtilde, whose denominator holds the same symbol.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -360,31 +451,30 @@ def _plus(a, b) -> list:
     return [x + y for x, y in zip_longest(a, b, fillvalue=0.0j)]
 
 
-def continuous_gram(
-    fs, gs, params: EllipticParams, quad: int = 512
-) -> list[list[complex]]:
-    """The matrix of continuous inner products <f, g> for f in fs, g in gs.
+def continuous_measure(params: EllipticParams) -> LimitMeasure:
+    """The continuous bilinear form: the elliptic-gamma weight on |z| = 1.
 
-    Unit-circle quadrature of the elliptic-gamma bilinear form; the
-    circle must contain all pole ladders p^i q^j t_r of t0..t3, u0, u1.
-    The weight (continuous_weight) is built once, and it is unchanged
-    under z -> 1/z, so circle_gram takes it on the upper half circle.
-    quad is checked before any weight work.
+    An NR_INTEGRAL LimitMeasure of continuous_weight, unchanged under
+    z -> 1/z, with prefactor continuous_prefactor.  The circle must
+    contain all pole ladders p^i q^j t_r of t0..t3, u0, u1 (ContourError
+    unless every |t_r| < 1), and |q| < 1.  A function with poles between
+    the circle and those ladders, such as rtilde of a degree n with
+    |u0 q^-n| >= 1, gives a wrong value and no error: only
+    elliptic_continuous_system checks rtilde's degrees (_contour_rtilde).
     """
     if abs(params.q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
     if any(abs(tr) >= 1 for tr in params.t + params.u):
         raise ContourError("a parameter has modulus >= 1; unit circle inadmissible")
-    check_quad(quad)
     log_weight, remainder = continuous_weight(params)
-    means = circle_gram(fs, gs, quad, remainder, log_weight, inversion_symmetric=True)
     pref = continuous_prefactor(params)
-    return [[mean * pref for mean in row] for row in means]
+    return LimitMeasure("NR_INTEGRAL", (pref,), remainder, params.q, log_weight=log_weight)
 
 
 def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
-    """The 1 x 1 case of continuous_gram."""
-    return continuous_gram([f], [g], params, quad)[0][0]
+    """<f, g> under continuous_measure, with quad checked before the weight is built."""
+    check_quad(quad)
+    return continuous_measure(params).apply(f, g, quad)
 
 
 def continuous_prefactor(params: EllipticParams) -> complex:
@@ -449,14 +539,13 @@ def _rtilde_system(family, params: EllipticParams, gram) -> BiorthogonalSystem:
 
 
 def elliptic_discrete_system(params: EllipticParams, spec: DiscreteSpec):
-    """rtilde and its dual under discrete_gram."""
-    gram = partial(discrete_gram, params=params, spec=spec)
-    return _rtilde_system(rtilde, params, gram)
+    """rtilde and its dual under discrete_measure."""
+    return _rtilde_system(rtilde, params, discrete_measure(params, spec).gram)
 
 
 def elliptic_continuous_system(params: EllipticParams, quad: int = 512):
-    """rtilde and its dual under continuous_gram, degrees checked by _contour_rtilde."""
-    gram = partial(continuous_gram, params=params, quad=quad)
+    """rtilde and its dual under continuous_measure, degrees checked by _contour_rtilde."""
+    gram = partial(continuous_measure(params).gram, quad=quad)
     return _rtilde_system(_contour_rtilde, params, gram)
 
 
@@ -516,9 +605,9 @@ def _mass_condition(par: EllipticParams, N: int, degree: int = 0) -> float:
     discrete pairings <R_n, S_n>, n <= degree: term_k is the mass at
     z_k = t0 q^k times rtilde(n, z_k) and its swapped_u dual, and
     degree 0 is <1,1>, the masses alone."""
-    masses, closing = _discrete_masses(par, DiscreteSpec(N))
-    q, sw = par.q, par.swapped_u()
-    weights = [head * num / den * q**k for k, (head, num, den) in enumerate(masses)]
+    measure = discrete_measure(par, DiscreteSpec(N))
+    closing, q, sw = measure.prefactors[0], par.q, par.swapped_u()
+    weights = [measure.weight(0, k) for k in range(N + 1)]
     worst = 0.0
     for n in range(degree + 1):
         terms = [

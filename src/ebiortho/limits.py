@@ -1,26 +1,25 @@
 """Limiting families and measures of the elliptic biorthogonal functions.
 
 Pastro polynomials with their circle measure, the finite-support limit
-weights, the four infinite-support limit bilinear forms (beta-integral
+measure, the four infinite-support limit bilinear forms (beta-integral
 type, symmetry-broken integral, double series, single series), and
 numeric limit extraction: log-slope valuation estimates and the one
-Richardson routine in p -> 0.  Every measure is a LimitMeasure, whose
-one Gram routine is LimitMeasure.gram, and is built from lists of its
-factors: the 1 / Gamma(t_r t_s) limits in the NR, SB, Sigma and Sigma2
-integral constants by one rule, _gamma_constants, the circle weights
-(Pastro, NR, SB, Sigma2 integral) by one builder, _circle_weight, which
-also holds the one contour rule, and the series weights (Sigma, Sigma2
-series, finite) from one basic hypergeometric term, _series_term.  The
-`verify limit` family also lives here: limit_value evaluates rtilde
-along the p-dependent parameters of face 1111pp or 40as, limit_target
-the closed-form limit it tends to.
+Richardson routine in p -> 0.  Every measure is a biortho.LimitMeasure,
+whose one Gram routine is LimitMeasure.gram, and is built from lists of
+its factors: the 1 / Gamma(t_r t_s) limits in the NR, SB, Sigma and
+Sigma2 integral constants by one rule, _gamma_constants, the circle
+weights (Pastro, NR, SB, Sigma2 integral) by one builder,
+_circle_weight, which also holds the one contour rule, and the series
+weights (Sigma, Sigma2 series, finite) from one basic hypergeometric
+term, _series_term.  The `verify limit` family also lives here:
+limit_value evaluates rtilde along the p-dependent parameters of face
+1111pp or 40as, limit_target the closed-form limit it tends to.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -32,13 +31,11 @@ from .errors import (
     HypothesisError,
     NonConvergence,
     PoleError,
-    SeriesDivergence,
 )
-from .biortho import BiorthogonalSystem, EllipticParams, rtilde
+from .biortho import BiorthogonalSystem, EllipticParams, LimitMeasure, rtilde
 from .polytope import _as6, zeta_for
 from .qkernel import (
     check_quad,
-    circle_gram,
     csum,
     qpoch_factors,
     qpoch_finite,
@@ -53,7 +50,6 @@ __all__ = [
     "pastro_inner_product",
     "pastro_norm",
     "pastro_system",
-    "finite_weights",
     "LimitMeasure",
     "nr_measure",
     "sb_measure",
@@ -71,10 +67,6 @@ __all__ = [
 
 Q = Fraction
 
-# LimitMeasure.gram sums a series until ten successive terms fall below
-# _SERIES_TOL relative to the running sum, within _SERIES_MAX_TERMS terms.
-_SERIES_TOL = 1e-14
-_SERIES_MAX_TERMS = 400
 # The q-Pochhammer constants of the measures take their log series to a
 # tail bound of _CONST_TOL.  At z = 1 the tails of all factors add up,
 # where on the circle they average out over the nodes, so the cut of the
@@ -264,100 +256,6 @@ def pastro_system(A, B, q, quad: int = 512) -> BiorthogonalSystem:
 
 # ---------------------------------------------------------------------------
 # Limit measures
-
-
-# Number of series base points of each limit-measure kind.
-_KIND_BASES = {
-    "NR_INTEGRAL": 0,
-    "SB_INTEGRAL": 0,
-    "SIGMA_SERIES": 1,
-    "SIGMA2_SERIES": 2,
-    "FINITE_DISCRETE": 1,
-}
-
-
-@dataclass(frozen=True)
-class LimitMeasure:
-    """A limit bilinear form at base q: a circle integral or a series.
-
-    kind is one of NR_INTEGRAL, SB_INTEGRAL, SIGMA_SERIES, SIGMA2_SERIES,
-    FINITE_DISCRETE.  For integral kinds the weight on the circle is
-    weight(z), times exp(L(z)) when log_weight holds the Laurent
-    coefficients (pos, neg) of a log series L (qkernel.circle_gram); an
-    NR_INTEGRAL weight must satisfy w(1/z) = w(z), because gram averages
-    w(z) (f(z) g(z) + f(1/z) g(1/z)) / 2 over the upper half circle, and
-    SB_INTEGRAL is any other circle weight (SB, Sigma2 integral, Pastro).  For
-    series kinds weight(i, k) multiplies f(b q^k) g(b q^k) for the i-th
-    base point b of bases: one for SIGMA_SERIES and FINITE_DISCRETE, two
-    for SIGMA2_SERIES, none for the integral kinds.  prefactors holds one
-    factor per base point (a single one for the integral kinds).
-    n_masses, an integer >= 1, is the length of the finite series;
-    triple, pair and base_index record the exponent indices the SB,
-    Sigma2 and Sigma measures were built on.
-    """
-
-    kind: str
-    prefactors: tuple
-    weight: object
-    q: complex
-    bases: tuple = ()
-    n_masses: int | None = None
-    triple: tuple | None = None
-    pair: tuple | None = None
-    base_index: int | None = None
-    log_weight: tuple | None = None
-
-    def __post_init__(self) -> None:
-        nbases = _KIND_BASES.get(self.kind)
-        if nbases is None:
-            raise DomainError(f"unknown limit-measure kind {self.kind!r}")
-        if (len(self.bases), len(self.prefactors)) != (nbases, max(nbases, 1)):
-            raise DomainError(f"{self.kind} needs {nbases} bases and a prefactor each")
-        if self.kind == "FINITE_DISCRETE" and not (
-            isinstance(self.n_masses, int) and self.n_masses >= 1
-        ):
-            raise DomainError("a finite measure needs an integer n_masses >= 1")
-
-    def gram(self, fs, gs, quad: int = 512) -> list[list[complex]]:
-        """The matrix of <f, g> for f in fs, g in gs.
-
-        The integral kinds scale one circle_gram call by the prefactor.
-        The series kinds sum each entry over their base points: a finite
-        series its n_masses terms, an infinite one until ten successive
-        terms fall below _SERIES_TOL of the running sum.
-        """
-        if self.kind in ("NR_INTEGRAL", "SB_INTEGRAL"):
-            symmetric = self.kind == "NR_INTEGRAL"
-            means = circle_gram(fs, gs, quad, self.weight, self.log_weight, symmetric)
-            return [[self.prefactors[0] * mean for mean in row] for row in means]
-        return [[self._series(f, g) for g in gs] for f in fs]
-
-    def apply(self, f, g, quad: int = 512) -> complex:
-        """The 1 x 1 case of gram."""
-        return self.gram([f], [g], quad)[0][0]
-
-    def _series(self, f, g) -> complex:
-        """One entry of gram for the series kinds."""
-        q = self.q
-        finite = self.kind == "FINITE_DISCRETE"
-        out = 0.0 + 0.0j
-        for i, base in enumerate(self.bases):
-            tot, run_max, small = 0.0 + 0.0j, 0.0, 0
-            for k in range(self.n_masses if finite else _SERIES_MAX_TERMS):
-                zk = base * q**k
-                term = self.weight(i, k) * f(zk) * g(zk)
-                tot += term
-                if finite:
-                    continue
-                run_max = max(run_max, abs(tot))
-                small = small + 1 if abs(term) < _SERIES_TOL * max(run_max, 1.0) else 0
-                if small == 10:
-                    break
-            else:
-                if not finite:
-                    raise SeriesDivergence("limit-measure series did not converge")
-            out += self.prefactors[i] * tot
-        return out
 
 
 def _measure_args(alpha, t, q):
@@ -653,14 +551,6 @@ def sigma_measure(alpha, t, q) -> LimitMeasure:
         bases=(ta,),
         base_index=ia,
     )
-
-
-def finite_weights(k, alpha, t, N, q) -> complex:
-    """Weight of the k-th mass point t0 q^k of the finite limit measure:
-    one weight of finite_measure."""
-    if not 0 <= k <= N:
-        raise DomainError("k must lie in 0..N")
-    return finite_measure(alpha, t, N, q).weight(0, k)
 
 
 def finite_measure(alpha, t, N, q) -> LimitMeasure:

@@ -27,7 +27,7 @@ from ebiortho.biortho import (
 from ebiortho.exponents import norm_valuation, rtilde_valuation, valuation_deficit
 from ebiortho.limits import (
     aw_phi43,
-    finite_weights,
+    finite_measure,
     limit_target,
     limit_value,
     numeric_limit,
@@ -328,8 +328,9 @@ def test_finite_weights_integer_branch():
     t6 = (t0, t1, t2, t3, t4, t5)
     alpha = (0, 0, 1, 0, 0, 0)
     w = _ell_weights(alpha, t6, N, q, 1e-4)
+    m = finite_measure(alpha, t6, N, q)
     for k in range(N + 1):
-        assert abs(w[k] - finite_weights(k, alpha, t6, N, q)) < 1e-5
+        assert abs(w[k] - m.weight(0, k)) < 1e-5
 
 
 @pytest.mark.xfail(
@@ -341,8 +342,9 @@ def test_finite_weights_half_integer_branch_raw():
     q, N, t6 = _branch_constants()
     alpha = (-H, H, 0, 0, H, H)
     w = _ell_weights(alpha, t6, N, q, 1e-4)
+    m = finite_measure(alpha, t6, N, q)
     for k in range(N + 1):
-        assert abs(w[k] - finite_weights(k, alpha, t6, N, q)) < 1e-5
+        assert abs(w[k] - m.weight(0, k)) < 1e-5
 
 
 def test_finite_weights_half_integer_branch_extrapolated():
@@ -350,9 +352,10 @@ def test_finite_weights_half_integer_branch_extrapolated():
     alpha = (-H, H, 0, 0, H, H)
     ps = [10 ** (-2 - 0.5 * i) for i in range(5)]
     cols = [_ell_weights(alpha, t6, N, q, p) for p in ps]
+    m = finite_measure(alpha, t6, N, q)
     for k in range(N + 1):
         lim = richardson([c[k] for c in cols], ps, 0.5)
-        assert abs(lim - finite_weights(k, alpha, t6, N, q)) < 1e-5
+        assert abs(lim - m.weight(0, k)) < 1e-5
 
 
 @pytest.mark.xfail(
@@ -364,8 +367,9 @@ def test_finite_weights_interior_branch_raw():
     q, N, t6 = _branch_constants()
     alpha = (Fraction(-1, 3), Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(2, 3))
     w = _ell_weights(alpha, t6, N, q, 1e-4)
+    m = finite_measure(alpha, t6, N, q)
     for k in range(N + 1):
-        assert abs(w[k] - finite_weights(k, alpha, t6, N, q)) < 1e-5
+        assert abs(w[k] - m.weight(0, k)) < 1e-5
 
 
 def test_finite_weights_interior_branch_extrapolated():
@@ -373,9 +377,10 @@ def test_finite_weights_interior_branch_extrapolated():
     alpha = (Fraction(-1, 3), Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(2, 3))
     ps = [10 ** (-9 - i) for i in range(5)]
     cols = [_ell_weights(alpha, t6, N, q, p) for p in ps]
+    m = finite_measure(alpha, t6, N, q)
     for k in range(N + 1):
         lim = richardson([c[k] for c in cols], ps, 1 / 3)
-        assert abs(lim - finite_weights(k, alpha, t6, N, q)) < 1e-5
+        assert abs(lim - m.weight(0, k)) < 1e-5
 
 
 def test_finite_weight_biorthogonality_matrix():
@@ -395,7 +400,8 @@ def test_finite_weight_biorthogonality_matrix():
             vals.append(rtilde(n, t0 * q**k, par))
         return richardson(vals, ps, 1.0)
 
-    w = [finite_weights(k, alpha, t6, N, q) for k in range(N + 1)]
+    weight = finite_measure(alpha, t6, N, q).weight
+    w = [weight(0, k) for k in range(N + 1)]
     R = [[lim_R(n, k, False) for k in range(N + 1)] for n in range(4)]
     S = [[lim_R(m, k, True) for k in range(N + 1)] for m in range(4)]
     M = [

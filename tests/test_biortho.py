@@ -12,10 +12,10 @@ from ebiortho.biortho import (
     DiscreteSpec,
     EllipticParams,
     _mass_condition,
-    continuous_gram,
     continuous_inner_product,
-    discrete_gram,
+    continuous_measure,
     discrete_inner_product,
+    discrete_measure,
     elliptic_continuous_system,
     elliptic_discrete_system,
     gram_residuals,
@@ -248,10 +248,9 @@ def test_continuous_rtilde_block():
     # u0 q^-2 = 0.8: the unit circle stays admissible for degrees n, m <= 2
     par = EllipticParams((0.9, 0.89, 0.885, 0.88), (0.2, None), 0.5, 0.05)
     sw = par.swapped_u()
-    M = continuous_gram(
+    M = continuous_measure(par).gram(
         [lambda z, n=n: rtilde(n, z, par) for n in range(3)],
         [lambda z, m=m: rtilde(m, z, sw) for m in range(3)],
-        par,
         quad=512,
     )
     for n in range(3):
@@ -269,7 +268,7 @@ def test_continuous_gram_equals_per_entry_inner_products():
     fs = [ONE, lambda z: z**3 + 0.3 / z, lambda z: rtilde(1, z, NEAR_CIRCLE)]
     gs = [ONE, lambda z: 1 + 0.2 * z * z]
     for par in (NEAR_CIRCLE, FALLBACK):
-        M = continuous_gram(fs, gs, par, quad=64)
+        M = continuous_measure(par).gram(fs, gs, quad=64)
         assert M == [
             [continuous_inner_product(f, g, par, quad=64) for g in gs] for f in fs
         ]
@@ -511,7 +510,7 @@ def test_discrete_gram_equals_per_entry_inner_products():
         fs = [lambda z, n=n: rtilde(n, z, par) for n in range(min(N, 4) + 1)]
         gs = [lambda z, m=m: rtilde(m, z, sw) for m in range(min(N, 4) + 1)]
         gs.append(lambda z: z**3 + 0.3 / z)
-        M = discrete_gram(fs, gs, par, spec)
+        M = discrete_measure(par, spec).gram(fs, gs)
         assert M == [
             [discrete_inner_product(f, g, par, spec) for g in gs] for f in fs
         ]
@@ -532,6 +531,18 @@ def test_norm_formula_where_pq_equals_u0u1():
     assert abs(norm_formula(1, par) - norm_formula(1, near)) < 1e-7
     with pytest.raises(PoleError):
         norm_formula(2, par)
+
+
+def test_norm_formula_pole_at_t0t1_equal_to_one():
+    # theta(t0 t1;q;p)_1 = theta(1; p) = 0 at t1 = 1/t0 is a true pole:
+    # |h_1| grows like 0.8/eps, 100 times per two decades of eps
+    def h1(eps):
+        par = EllipticParams((2.0, 0.5 * (1 + eps), 0.9, 0.8), (0.3, None), 0.35, 0.05)
+        return abs(norm_formula(1, par))
+
+    assert abs(h1(1e-7) / h1(1e-5) - 100) <= 1.0
+    with pytest.raises(PoleError):
+        h1(0)
 
 
 def test_mass_condition_equals_indicator_sums():

@@ -227,10 +227,10 @@ def test_verify_discrete_seed_58_bounds_every_degree(capsys):
 
 
 def test_verify_discrete_builds_the_masses_once_per_matrix(capsys, monkeypatch):
-    # one mass build per <1,1> draw and one per biorthogonality matrix;
-    # the draws' own condition checks (_mass_condition) build theirs too
+    # one discrete_measure build per <1,1> draw and one per biorthogonality
+    # matrix; the draws' own condition checks (_mass_condition) build theirs too
     calls = {"masses": 0, "condition": 0}
-    real_masses = ebiortho.biortho._discrete_masses
+    real_masses = ebiortho.biortho.discrete_measure
     real_condition = ebiortho.biortho._mass_condition
 
     def masses(*args):
@@ -241,7 +241,7 @@ def test_verify_discrete_builds_the_masses_once_per_matrix(capsys, monkeypatch):
         calls["condition"] += 1
         return real_condition(*args)
 
-    monkeypatch.setattr(ebiortho.biortho, "_discrete_masses", masses)
+    monkeypatch.setattr(ebiortho.biortho, "discrete_measure", masses)
     monkeypatch.setattr(ebiortho.biortho, "_mass_condition", condition)
     assert main(["verify", "elliptic-discrete", "--N", "3", "--draws", "4"]) == 0
     assert "PASS" in capsys.readouterr().out

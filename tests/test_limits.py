@@ -1,6 +1,7 @@
 """Limit families: Pastro suite, limit measures, finite weights."""
 
 import cmath
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -30,7 +31,6 @@ from ebiortho.limits import (
     _sigma2_pair,
     aw_phi43,
     finite_measure,
-    finite_weights,
     limit_value,
     nr_measure,
     numeric_limit,
@@ -365,6 +365,32 @@ def test_limit_measure_gram_equals_per_entry_apply():
     for m in measures:
         M = m.gram(fs, gs, quad=64)
         assert M == [[m.apply(f, g, quad=64) for g in gs] for f in fs], m.kind
+
+
+def test_series_gram_evaluates_each_point_once():
+    # the `verify measures` Sigma measure: every entry of a 4 x 4 Gram
+    # shares the weight and function values of the points b q^k, so the
+    # matrix costs the longest entry's 15 points, as one 1 x 1 apply does
+    m = sigma_measure((-H, Q4, Q4, Q4, Q4, H), _solved_last([0.8, 0.5, 0.6, 0.7, 0.45]), Q_MEAS)
+    calls = Counter()
+
+    def weight(i, k):
+        calls["weight"] += 1
+        return m.weight(i, k)
+
+    def power(n):
+        def f(z):
+            calls["function"] += 1
+            return z**n
+
+        return f
+
+    counted = dataclasses.replace(m, weight=weight)
+    counted.gram([power(n) for n in range(4)], [power(n) for n in range(4)])
+    assert calls == {"weight": 15, "function": 8 * 15}
+    calls.clear()
+    counted.apply(power(0), power(0))
+    assert calls == {"weight": 15, "function": 2 * 15}
 
 
 def _nr_sigma_hand_loop(a, t, q):
@@ -711,7 +737,8 @@ def _fw_params():
 
 def test_finite_weights_sum_to_one():
     t = _fw_params()
-    total = sum(finite_weights(k, FW_ALPHA, t, FW_N, FW_Q) for k in range(FW_N + 1))
+    m = finite_measure(FW_ALPHA, t, FW_N, FW_Q)
+    total = sum(m.weight(0, k) for k in range(FW_N + 1))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -724,12 +751,10 @@ def test_finite_measure_normalization():
 def test_finite_weights_branch_guards():
     t = _fw_params()
     with pytest.raises(BranchError):
-        finite_weights(0, (Q4, -Q4, 1, 0, 0, 0), t, FW_N, FW_Q)
-    with pytest.raises(DomainError):
-        finite_weights(2, FW_ALPHA, t, FW_N, FW_Q)
+        finite_measure((Q4, -Q4, 1, 0, 0, 0), t, FW_N, FW_Q)
     bad_t = (0.9, 0.9, 0.3, 0.4, 0.35, 0.5)
     with pytest.raises(DomainError):
-        finite_weights(0, FW_ALPHA, bad_t, FW_N, FW_Q)
+        finite_measure(FW_ALPHA, bad_t, FW_N, FW_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +762,8 @@ def test_finite_weights_branch_guards():
 
 
 def _finite_weights_reference(k, a, t, N, q):
-    """finite_weights written out branch by branch, past the validation."""
+    """The weights of finite_measure written out branch by branch, past
+    the validation."""
     b2 = lambda n: n * (n - 1) // 2
     qf = qpoch_finite
     t0, t1, a0 = t[0], t[1], a[0]
@@ -794,8 +820,9 @@ FW_BRANCH_ALPHAS = (
 
 
 def test_finite_measure_weights_are_finite_weights():
-    # one constant per measure; each weight is that constant times one
-    # series term, bit for bit the weight of finite_weights
+    # one constant per measure, built at construction; each weight is that
+    # constant times one series term, bit for bit the weight that a fresh
+    # measure of the same arguments gives
     for a in FW_BRANCH_ALPHAS:
         for N in (1, 3):
             q = 0.3 * cmath.exp(0.4j)
@@ -803,7 +830,7 @@ def test_finite_measure_weights_are_finite_weights():
             t = (t0, q ** (-N) / t0, t2, t3, t4, q ** (N + 1) / (t2 * t3 * t4))
             m = finite_measure(a, t, N, q)
             assert [m.weight(0, k) for k in range(N + 1)] == [
-                finite_weights(k, a, t, N, q) for k in range(N + 1)
+                finite_measure(a, t, N, q).weight(0, k) for k in range(N + 1)
             ]
 
 
@@ -819,8 +846,9 @@ def test_finite_weights_match_branch_reference():
             for q in (0.3, 0.45, 0.3 * cmath.exp(0.4j)):
                 t0, t2, t3, t4 = 0.9, 0.3 + 0.1j, 0.4, 0.35
                 t = (t0, q ** (-N) / t0, t2, t3, t4, q ** (N + 1) / (t2 * t3 * t4))
+                m = finite_measure(a, t, N, q)
                 for k in range(N + 1):
-                    got = finite_weights(k, a, t, N, q)
+                    got = m.weight(0, k)
                     ref = _finite_weights_reference(k, a, t, N, complex(q))
                     worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-14, worst
