@@ -4,8 +4,9 @@ rtilde evaluates the terminating very-well-poised theta series.  Every
 bilinear form of the package is a LimitMeasure, whose one Gram routine
 LimitMeasure.gram sums a circle weight by qkernel.circle_gram, or masses
 on q-lattices b q^k by one lattice sum that evaluates each point once.
-continuous_measure is the elliptic-gamma circle weight
-(continuous_weight), discrete_measure the point masses at t0 q^k when
+continuous_measure is the elliptic-gamma circle weight, built like
+every circle weight by qkernel._circle_weight from lists of
+q-Pochhammer factors, discrete_measure the point masses at t0 q^k when
 t0 t1 = q^-N; both have <1,1> = 1.  rtilde, the point masses, their
 closing factor and norm_formula are ratios of theta Pochhammer symbols,
 built from shared lists of theta values: each telescoped
@@ -24,7 +25,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate, combinations
 from operator import mul
 
 from .errors import (
@@ -37,14 +38,11 @@ from .errors import (
     SeriesDivergence,
 )
 from .qkernel import (
+    _circle_weight,
     check_quad,
     circle_gram,
     csum,
-    elliptic_gamma,
-    gamma_pair_log_series,
-    qpoch_factors,
     qpoch_infinite,
-    qpoch_log_series,
     theta_ladder,
     theta_qp_prefix,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "discrete_measure",
     "discrete_inner_product",
     "norm_formula",
-    "continuous_weight",
-    "continuous_prefactor",
     "continuous_measure",
     "continuous_inner_product",
     "gram_residuals",
@@ -413,88 +409,44 @@ def norm_formula(n: int, params: EllipticParams) -> complex:
     return num / den * q ** (-n)
 
 
-def continuous_weight(params: EllipticParams):
-    """The weight w(z) = prod_r Gamma(t_r z^+-1) / Gamma(z^+-2) on |z| = 1.
-
-    Returns (log_weight, remainder), with w(z) = exp(L(z)) remainder(z)
-    at every node of a qkernel.circle_gram grid, L the Laurent series
-    log_weight = (pos, neg).  The Gamma(z^+-2) factors come from
-    1/Gamma(x^+-1) = theta(x;p) theta(1/x;q): theta(z^2;p) theta(z^-2;q)
-    is (1 - z^2)(1 - z^-2) times four q-Pochhammer factors, whose series
-    qkernel.qpoch_log_series gives.  The six parameters t0..t3, u0, u1
-    with |pq| < |t_r| < 1 enter through the series of
-    qkernel.gamma_pair_log_series.  The remainder is (1 - z^2)(1 - z^-2)
-    times the product forms the series leave out: Gamma(t_r z)
-    Gamma(t_r / z) for a parameter outside that annulus or past the
-    4000-term cap, and any theta factor past the cap.  Both parts are
-    unchanged under z -> 1/z.
-    """
-    p, q = params.p, params.q
-    coeffs, rest = gamma_pair_log_series(params.t + params.u, p, q)
-    pos, neg, theta_rest = qpoch_log_series(
-        [(p, 2, 1, p), (p, -2, 1, p), (q, 2, 1, q), (q, -2, 1, q)]
-    )
-    log_weight = (_plus(coeffs, pos), _plus(coeffs, neg))
-
-    def remainder(zv):
-        z2 = zv * zv
-        val = (1.0 - z2) * (1.0 - 1.0 / z2) * qpoch_factors(theta_rest, zv)
-        for tr in rest:
-            val *= elliptic_gamma(tr * zv, p, q) * elliptic_gamma(tr / zv, p, q)
-        return val
-
-    return log_weight, remainder
-
-
-def _plus(a, b) -> list:
-    """Termwise sum of two coefficient lists of any lengths."""
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0.0j)]
-
-
 def continuous_measure(params: EllipticParams) -> LimitMeasure:
     """The continuous bilinear form: the elliptic-gamma weight on |z| = 1.
 
-    An NR_INTEGRAL LimitMeasure of continuous_weight, unchanged under
-    z -> 1/z, with prefactor continuous_prefactor.  The circle must
-    contain all pole ladders p^i q^j t_r of t0..t3, u0, u1 (ContourError
-    unless every |t_r| < 1), and |q| < 1.  A function with poles between
-    the circle and those ladders, such as rtilde of a degree n with
-    |u0 q^-n| >= 1, gives a wrong value and no error: only
-    elliptic_continuous_system checks rtilde's degrees (_contour_rtilde).
+    An NR_INTEGRAL LimitMeasure of the weight prod_r Gamma(t_r z^+-1) /
+    Gamma(z^+-2) over t0..t3, u0, u1, unchanged under z -> 1/z, with the
+    prefactor (q;q)(p;p) / (2 prod_{r<s} Gamma(t_r t_s)).  Both are
+    factor lists of qkernel._circle_weight on the pair (p, q), by
+    Gamma(x) = (pq/x; p, q) / (x; p, q); 1 / Gamma(z^+-2) =
+    theta(z^2;p) theta(z^-2;q) is (1 - z^2)(1 - z^-2) times four
+    one-base factors; (q;q)(p;p) stays in product form.  The circle
+    must contain all pole ladders p^i q^j t_r (the contour rule of
+    _circle_weight: ContourError unless every |t_r| < 1), and |q| < 1.
+    A function with poles between the circle and those ladders, such as
+    rtilde of a degree n with |u0 q^-n| >= 1, gives a wrong value and no
+    error: only elliptic_continuous_system checks rtilde's degrees
+    (_contour_rtilde).
     """
-    if abs(params.q) >= 1:
+    p, q = params.p, params.q
+    if abs(q) >= 1:
         raise DomainError("continuous measure requires |q| < 1")
-    if any(abs(tr) >= 1 for tr in params.t + params.u):
-        raise ContourError("a parameter has modulus >= 1; unit circle inadmissible")
-    log_weight, remainder = continuous_weight(params)
-    pref = continuous_prefactor(params)
-    return LimitMeasure("NR_INTEGRAL", (pref,), remainder, params.q, log_weight=log_weight)
+    pq, ts = (p, q), params.t + params.u
+    factors = [(p, 2, 1, p), (p, -2, 1, p), (q, 2, 1, q), (q, -2, 1, q)]
+    for t in ts:
+        for s in (1, -1):
+            factors += [(t, s, -1, pq), (p * q / t, -s, 1, pq)]
+    consts = []
+    for r, s in combinations(range(6), 2):
+        x = ts[r] * ts[s]
+        consts += [(x, 1, pq), (p * q / x, -1, pq)]
+    pref, weight, log_weight = _circle_weight(consts, factors, zeros=(2, -2))
+    pref = qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0 * pref
+    return LimitMeasure("NR_INTEGRAL", (pref,), weight, q, log_weight=log_weight)
 
 
 def continuous_inner_product(f, g, params: EllipticParams, quad: int = 512) -> complex:
     """<f, g> under continuous_measure, with quad checked before the weight is built."""
     check_quad(quad)
     return continuous_measure(params).apply(f, g, quad)
-
-
-def continuous_prefactor(params: EllipticParams) -> complex:
-    """(q;q)(p;p) / (2 prod_{r<s} Gamma(t_r t_s)) over the six parameters.
-
-    Balancing with every |t_r| < 1 puts all 15 products t_r t_s in
-    |pq| < |x| < 1, where log Gamma(x) = sum_n c_n(x) is the series of
-    qkernel.gamma_pair_log_series at z = 1; the product is exp(-sum_n c_n)
-    from one compensated sum.  A product the series leaves to the
-    product form is divided out with elliptic_gamma.
-    """
-    ts = params.t + params.u
-    p, q = params.p, params.q
-    coeffs, rest = gamma_pair_log_series(
-        [ts[r] * ts[s] for r in range(6) for s in range(r + 1, 6)], p, q
-    )
-    pref = qpoch_infinite(q, q) * qpoch_infinite(p, p) / 2.0 * cmath.exp(-csum(coeffs))
-    for x in rest:
-        pref /= elliptic_gamma(x, p, q)
-    return pref
 
 
 def gram_residuals(M, h) -> tuple[float, float]:

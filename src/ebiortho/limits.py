@@ -8,8 +8,8 @@ Richardson routine in p -> 0.  Every measure is a biortho.LimitMeasure,
 whose one Gram routine is LimitMeasure.gram, and is built from lists of
 its factors: the 1 / Gamma(t_r t_s) limits in the NR, SB, Sigma and
 Sigma2 integral constants by one rule, _gamma_constants, the circle
-weights (Pastro, NR, SB, Sigma2 integral) by one builder,
-_circle_weight, which also holds the one contour rule, and the series
+weights (Pastro, NR, SB, Sigma2 integral) by the kernel's one builder,
+qkernel._circle_weight, which also holds the one contour rule, and the series
 weights (Sigma, Sigma2 series, finite) from one basic hypergeometric
 term, _series_term.  The `verify limit` family also lives here:
 limit_value evaluates rtilde along the p-dependent parameters of face
@@ -18,7 +18,6 @@ limit_value evaluates rtilde along the p-dependent parameters of face
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import partial
@@ -26,7 +25,6 @@ from itertools import combinations
 
 from .errors import (
     BranchError,
-    ContourError,
     DomainError,
     HypothesisError,
     NonConvergence,
@@ -34,13 +32,7 @@ from .errors import (
 )
 from .biortho import BiorthogonalSystem, EllipticParams, LimitMeasure, rtilde
 from .polytope import _as6, zeta_for
-from .qkernel import (
-    check_quad,
-    csum,
-    qpoch_factors,
-    qpoch_finite,
-    qpoch_log_series,
-)
+from .qkernel import _circle_weight, _qpoch_constant, check_quad, qpoch_finite
 
 __all__ = [
     "pastro_P",
@@ -67,53 +59,8 @@ __all__ = [
 
 Q = Fraction
 
-# The q-Pochhammer constants of the measures take their log series to a
-# tail bound of _CONST_TOL.  At z = 1 the tails of all factors add up,
-# where on the circle they average out over the nodes, so the cut of the
-# circle weights (qkernel._TOL = 1e-15) would show in the constants.
-_CONST_TOL = 1e-17
-
-
 def _binom2(k: int) -> int:
     return k * (k - 1) // 2
-
-
-def _qpoch_constant(factors) -> complex:
-    """prod (x; b)_infty^e over factors (x, e, b).
-
-    The log series of qkernel.qpoch_log_series at z = 1, cut at
-    _CONST_TOL and summed in one compensated sum:
-    exp(-sum_n e x^n / (n (1 - b^n))) over all factors.  A factor the
-    series leaves out is multiplied in by its product form.
-    """
-    pos, _, rest = qpoch_log_series(
-        [(x, 1, e, b) for x, e, b in factors], tol=_CONST_TOL
-    )
-    return cmath.exp(csum(pos)) * qpoch_factors(rest)
-
-
-def _circle_weight(consts, factors, zeros=()):
-    """(prefactor, weight, log_weight) of a measure on the unit circle.
-
-    The constant is prod (x; b)_infty^e over consts (x, e, b); the weight
-    is prod (c z^s; b)_infty^e over factors (c, s, e, b) as a log series
-    (pos, neg), times weight(z): prod (1 - z^s) over zeros and the factors
-    the series leaves out.  The contour rule: the poles z^s = c^-1 q^-j of
-    a denominator factor stay off the circle, on their own side of it,
-    only while |c| < 1; ContourError otherwise.
-    """
-    if any(e < 0 and abs(c) >= 1 for c, _, e, _ in factors):
-        raise ContourError("a weight-denominator pole family meets the unit circle")
-    pref = _qpoch_constant(consts)
-    pos, neg, rest = qpoch_log_series(factors)
-
-    def weight(z):
-        val = 1.0 + 0.0j
-        for s in zeros:
-            val *= 1.0 - z**s
-        return val * qpoch_factors(rest, z)
-
-    return pref, weight, (pos, neg)
 
 
 def _series_term(k, q, numer, denom, z, m, vwp=None) -> complex:

@@ -1,26 +1,25 @@
 """Numeric kernel: q-symbols, theta functions, elliptic gamma, the
-log series of circle weights, and the shared circle quadrature.
+circle weights as log series, and the shared circle quadrature.
 
 All infinite products are truncated once their geometric tail bound
 drops below the fixed tolerance _TOL = 1e-15; a product still above it
 after _MAX_TERMS = 4000 factors raises SeriesDivergence instead of
 returning a silently inaccurate value.
 
-Every circle weight of the package is exp(L(z)) times a small per-node
-remainder, L a Laurent series whose coefficients are built once per
-integral.  Two builders give the coefficients.  gamma_pair_log_series
-serves the elliptic-gamma pairs: for |pq| < |t| < 1 and |z| = 1,
-
-    log Gamma(t z; p, q) Gamma(t / z; p, q) = sum_{n>=1} c_n(t) (z^n + z^-n),
-    c_n(t) = (t^n - (pq/t)^n) / (n (1 - p^n)(1 - q^n)),
-
-from log Gamma(x) = sum_n (x^n - (pq/x)^n) / (n (1 - p^n)(1 - q^n)),
-valid for |pq| < |x| < 1.  qpoch_log_series serves q-Pochhammer
-factors (c z^s; b)_infty^e, from log (x; b)_infty = -sum_n x^n / (n (1 - b^n)).
-Both cut their series by a tail bound at _TOL and cap them at
-_MAX_TERMS terms; a parameter outside the region of convergence, or one
-whose terms do not fall below _TOL within the cap, is returned to the
-caller for the product form.
+Every circle weight of the package is a product of q-Pochhammer factors
+(c z^s; b)_infty^e, b one base or the pair (p, q), where
+(x; p, q)_infty = prod_{i,j>=0} (1 - x p^i q^j).  The elliptic gamma
+function is the ratio Gamma(x; p, q) = (pq/x; p, q)_infty / (x; p, q)_infty
+(Rains, Ann. Math. 2010), so the elliptic weight is such a product too.
+_circle_weight builds every weight and its constant from factor lists:
+the weight is exp(L(z)) times a small per-node remainder, L a Laurent
+series whose coefficients come from the one builder qpoch_log_series,
+by log (x; b)_infty = -sum_n x^n / (n prod_b (1 - b^n)).  It cuts each
+factor's series by a tail bound at _TOL and caps it at _MAX_TERMS terms;
+a factor outside the region of convergence, or one whose terms do not
+fall below _TOL within the cap, is left to the product form
+(qpoch_factors).  A constant is the same series at z = 1, cut at
+_CONST_TOL (_qpoch_constant).
 
 circle_gram is the one unit-circle quadrature of the package: the
 continuous elliptic and Pastro bilinear forms and the integral limit
@@ -35,10 +34,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import DomainError, NonFiniteValue, PoleError, SeriesDivergence
+from .errors import (
+    ContourError,
+    DomainError,
+    NonFiniteValue,
+    PoleError,
+    SeriesDivergence,
+)
 
 __all__ = [
     "qpoch_finite",
@@ -47,7 +52,6 @@ __all__ = [
     "theta_ladder",
     "theta_qp_prefix",
     "elliptic_gamma",
-    "gamma_pair_log_series",
     "qpoch_log_series",
     "qpoch_factors",
     "grid_log_series",
@@ -65,6 +69,11 @@ _COUNT_SLACK = 1e-9
 # grid_log_series sums the orders up to this one at each node by Horner's
 # rule and leaves only the higher ones to the discrete Fourier transform.
 _HEAD_ORDERS = 16
+# The constants of the circle weights take their log series to a tail
+# bound of _CONST_TOL.  At z = 1 the tails of all factors add up, where
+# on the circle they average out over the nodes, so the cut of the
+# weights (_TOL) would show in the constants.
+_CONST_TOL = 1e-17
 
 
 def qpoch_finite(x: complex, q: complex, n: int) -> complex:
@@ -176,102 +185,95 @@ def elliptic_gamma(x: complex, p: complex, q: complex) -> complex:
     raise SeriesDivergence("elliptic_gamma hit max_terms before converging")
 
 
-def gamma_pair_log_series(ts, p: complex, q: complex):
-    """Series of sum_r log Gamma(t_r z) Gamma(t_r / z) on |z| = 1.
-
-    Returns (coeffs, rest).  coeffs[n - 1] = sum_r c_n(t_r) over the
-    parameters the series serves (see the module docstring), so that
-    their log-product is grid_log_series(coeffs, coeffs, quad) on the
-    circle_gram grid.  rest lists
-    the parameters left to the product form: those outside
-    |pq| < |t| < 1, and those whose tail bound
-    4 rho^(m+1) / ((m+1)(1-rho)(1-|p|)(1-|q|)), rho = max(|t|, |pq/t|),
-    stays at or above _TOL for every m <= _MAX_TERMS.  The choice rests
-    on the moduli alone.
-    """
-    pq = p * q
-    ap, aq, apq = abs(p), abs(q), abs(pq)
-    series, rest, n_terms = [], [], 0
-    for t in ts:
-        at = abs(t)
-        if not apq < at < 1:
-            rest.append(t)
-            continue
-        rho = max(at, apq / at)
-        scale = 4.0 / ((1.0 - rho) * (1.0 - ap) * (1.0 - aq))
-        m = 1
-        while m <= _MAX_TERMS and scale * rho ** (m + 1) / (m + 1) >= _TOL:
-            m += 1
-        if m > _MAX_TERMS:
-            rest.append(t)
-            continue
-        series.append(t)
-        n_terms = max(n_terms, m)
-    duals = [pq / t for t in series]
-    tn = [1.0 + 0.0j] * len(series)
-    rn = [1.0 + 0.0j] * len(series)
-    pn = qn = 1.0 + 0.0j
-    coeffs = []
-    for n in range(1, n_terms + 1):
-        pn *= p
-        qn *= q
-        total = 0.0 + 0.0j
-        for i in range(len(series)):
-            tn[i] *= series[i]
-            rn[i] *= duals[i]
-            total += tn[i] - rn[i]
-        coeffs.append(total / (n * (1.0 - pn) * (1.0 - qn)))
-    return coeffs, rest
-
-
 def qpoch_log_series(factors, tol: float = _TOL):
     """Laurent series of the log of a product of q-Pochhammer factors.
 
     factors lists (c, s, e, b), each meaning (c z^s; b)_infty^e with
-    s in {1, -1, 2, -2} and e in {1, -1}.  A factor adds
-    -e c^n / (n (1 - b^n)) to the coefficient of z^(s n), n >= 1.
-    Returns (pos, neg, rest): pos[k - 1] and neg[k - 1] are the
-    coefficients of z^k and z^-k summed over the factors the series
-    serves, each series cut at the first m whose tail bound
-    |c|^(m+1) / ((m+1)(1-|c|)(1-|b|)) falls below tol.  rest lists the
-    factors left to the product form (qpoch_factors): those with
-    |c| >= 1 or |b| >= 1, and those whose bound stays at or above tol
-    for every m <= _MAX_TERMS.  The choice rests on the moduli alone.
+    s in {1, -1, 2, -2}, e in {1, -1} and b one base or the pair (p, q).
+    A factor adds -e c^n / (n prod_b (1 - b^n)) to the coefficient of
+    z^(s n), n >= 1.  Returns (pos, neg, rest): pos[k - 1] and
+    neg[k - 1] are the coefficients of z^k and z^-k summed over the
+    factors the series serves, each series cut at the first m whose tail
+    bound |c|^(m+1) / ((m+1)(1-|c|) prod_b (1-|b|)) falls below tol.
+    rest lists the factors left to the product form (qpoch_factors):
+    those with |c| >= 1 or a |b| >= 1, and those whose bound stays at or
+    above tol for every m <= _MAX_TERMS.  The choice rests on the moduli
+    alone.
     """
-    pos, neg, rest = [], [], []
-    for factor in factors:
-        c, s, e, b = factor
-        if s not in (1, -1, 2, -2) or e not in (1, -1):
-            raise DomainError("a q-Pochhammer factor needs s in +-1, +-2 and e = +-1")
-        ac, ab = abs(c), abs(b)
-        if not (ac < 1 and ab < 1):
-            rest.append(factor)
-            continue
-        scale = 1.0 / ((1.0 - ac) * (1.0 - ab))
-        m = 1
-        while m <= _MAX_TERMS and scale * ac ** (m + 1) / (m + 1) >= tol:
-            m += 1
-        if m > _MAX_TERMS:
-            rest.append(factor)
-            continue
-        out = pos if s > 0 else neg
-        step = abs(s)
-        if len(out) < step * m:
-            out.extend([0.0j] * (step * m - len(out)))
-        cn = bn = 1.0 + 0.0j
-        for n in range(1, m + 1):
-            cn *= c
-            bn *= b
-            out[step * n - 1] -= e * cn / (n * (1.0 - bn))
+    served, rest = _series_terms(factors, tol)
+    pos, neg = [], []
+    for s, terms in served:
+        out, step = (pos, s) if s > 0 else (neg, -s)
+        end = step * len(terms)
+        out.extend([0.0j] * (end - len(out)))
+        out[step - 1:end:step] = [x - t for x, t in zip(out[step - 1:end:step], terms)]
     return pos, neg, rest
 
 
+def _series_terms(factors, tol):
+    """(served, rest) of qpoch_log_series: served holds (s, terms) for
+    each factor (c, s, e, b) the series serves, terms[n - 1] =
+    e c^n / (n prod_b (1 - b^n)) up to its cut.  Factors of equal
+    (c, e, b) share their terms, and factors on equal bases their
+    denominators."""
+    cuts = {}
+    for c, s, e, b in factors:
+        if s not in (1, -1, 2, -2) or e not in (1, -1):
+            raise DomainError("a q-Pochhammer factor needs s in +-1, +-2 and e = +-1")
+        cuts.setdefault((c, e, b), _cut(c, b, tol))
+    need = {}
+    for (c, e, b), m in cuts.items():
+        need[b] = max(need.get(b, 0), m)
+    dens = {b: _denominators(b, m) for b, m in need.items()}
+    terms = {}
+    for (c, e, b), m in cuts.items():
+        powers = accumulate(repeat(c, m), mul, initial=1.0 + 0.0j)
+        next(powers)
+        terms[c, e, b] = [e * cn / d for cn, d in zip(powers, dens[b])]
+    served = [(s, terms[c, e, b]) for c, s, e, b in factors if cuts[c, e, b]]
+    return served, [f for f in factors if not cuts[f[0], f[2], f[3]]]
+
+
+def _cut(c, b, tol) -> int:
+    """Series terms of a factor (c z^s; b)^e (qpoch_log_series), 0 for
+    the product form."""
+    ac, bases = abs(c), b if isinstance(b, tuple) else (b,)
+    if not (ac < 1 and all(abs(x) < 1 for x in bases)):
+        return 0
+    scale = 1.0 / ((1.0 - ac) * math.prod(1.0 - abs(x) for x in bases))
+    # the bound falls with m: bisect for the first m <= _MAX_TERMS below tol
+    lo, hi = 1, _MAX_TERMS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if scale * ac ** (mid + 1) / (mid + 1) < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if lo <= _MAX_TERMS else 0
+
+
+def _denominators(b, m) -> list:
+    """[n prod_b (1 - b^n) for n = 1..m], b one base or the pair (p, q)."""
+    bases = b if isinstance(b, tuple) else (b,)
+    powers = [1.0 + 0.0j] * len(bases)
+    out = []
+    for n in range(1, m + 1):
+        d = n
+        for i, x in enumerate(bases):
+            powers[i] *= x
+            d *= 1.0 - powers[i]
+        out.append(d)
+    return out
+
+
 def qpoch_factors(factors, z: complex = 1.0) -> complex:
-    """prod (c z^s; b)_infty^e over factors (c, s, e, b), in product form;
+    """prod (c z^s; b)_infty^e over factors (c, s, e, b), in product form,
+    a two-base factor as prod_i (c z^s p^i; q)_infty for b = (p, q);
     PoleError when a denominator factor (e < 0) vanishes."""
     out = 1.0 + 0.0j
     for c, s, e, b in factors:
-        val = qpoch_infinite(c * z**s, b)
+        x = c * z**s
+        val = _qpoch_pair(x, *b) if isinstance(b, tuple) else qpoch_infinite(x, b)
         if e > 0:
             out *= val
         elif val == 0:
@@ -279,6 +281,58 @@ def qpoch_factors(factors, z: complex = 1.0) -> complex:
         else:
             out /= val
     return out
+
+
+def _qpoch_pair(x: complex, p: complex, q: complex) -> complex:
+    """(x; p, q)_infty = prod_i (x p^i; q)_infty, cut at the first i whose
+    tail bound |x p^i| / ((1 - |p|)(1 - |q|)) is below _TOL."""
+    if abs(p) >= 1 or abs(q) >= 1:
+        raise DomainError("(x; p, q)_infty requires |p|, |q| < 1")
+    scale = 1.0 / ((1.0 - abs(p)) * (1.0 - abs(q)))
+    out = 1.0 + 0.0j
+    for _ in range(_MAX_TERMS):
+        if abs(x) * scale < _TOL:
+            return out
+        out *= qpoch_infinite(x, q)
+        x *= p
+    raise SeriesDivergence("(x; p, q)_infty hit max_terms before converging")
+
+
+def _qpoch_constant(factors) -> complex:
+    """prod (x; b)_infty^e over factors (x, e, b).
+
+    The log series of qpoch_log_series at z = 1, cut at _CONST_TOL, with
+    every term of every factor in one compensated sum:
+    exp(-sum_n e x^n / (n prod_b (1 - b^n))) over all factors.  A factor
+    the series leaves out is multiplied in by its product form.
+    """
+    served, rest = _series_terms([(x, 1, e, b) for x, e, b in factors], _CONST_TOL)
+    return cmath.exp(-csum([t for _, terms in served for t in terms])) * qpoch_factors(rest)
+
+
+def _circle_weight(consts, factors, zeros=()):
+    """(prefactor, weight, log_weight) of a measure on the unit circle.
+
+    The constant is prod (x; b)_infty^e over consts (x, e, b); the weight
+    is prod (c z^s; b)_infty^e over factors (c, s, e, b) as a log series
+    (pos, neg), times weight(z): prod (1 - z^s) over zeros and the factors
+    the series leaves out.  The contour rule: the poles z^s = c^-1 b^-j
+    (c^-1 p^-i q^-j on the pair) of a denominator factor stay off the
+    circle, on their own side of it, only while |c| < 1; ContourError
+    otherwise.
+    """
+    if any(e < 0 and abs(c) >= 1 for c, _, e, _ in factors):
+        raise ContourError("a weight-denominator pole family meets the unit circle")
+    pref = _qpoch_constant(consts)
+    pos, neg, rest = qpoch_log_series(factors)
+
+    def weight(z):
+        val = 1.0 + 0.0j
+        for s in zeros:
+            val *= 1.0 - z**s
+        return val * qpoch_factors(rest, z)
+
+    return pref, weight, (pos, neg)
 
 
 def _nodes(quad: int, count: int) -> list:

@@ -43,7 +43,6 @@ __all__ = [
     "SystemRecord",
     "DegenerationGraph",
     "enumerate_vertices",
-    "build_graph",
     "build_scheme",
     "measure_tag",
     "check_appendix",
@@ -425,10 +424,6 @@ class Scheme:
 @lru_cache(maxsize=1)
 def build_scheme() -> Scheme:
     return Scheme()
-
-
-def build_graph() -> DegenerationGraph:
-    return build_scheme().graph
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ continuous weight on the circle_gram grid."""
 import cmath
 from fractions import Fraction
 
-from ebiortho.biortho import continuous_weight
+from ebiortho.biortho import continuous_measure
 from ebiortho.polytope import attach_zeta, in_P, in_P0
 from ebiortho.qkernel import grid_log_series
 
@@ -36,8 +36,8 @@ def random_P_vector(rng, den=4, max_tries=100000):
 
 
 def grid_weight(par, quad):
-    """continuous_weight at the circle_gram nodes: [(z_j, w(z_j)) for j < quad]."""
-    (pos, neg), remainder = continuous_weight(par)
-    logs = grid_log_series(pos, neg, quad)
+    """The continuous_measure weight at the circle_gram nodes: [(z_j, w(z_j)) for j < quad]."""
+    measure = continuous_measure(par)
+    logs = grid_log_series(*measure.log_weight, quad)
     nodes = [cmath.exp(2j * cmath.pi * (j + 0.5) / quad) for j in range(quad)]
-    return [(z, cmath.exp(x) * remainder(z)) for z, x in zip(nodes, logs)]
+    return [(z, cmath.exp(x) * measure.weight(z)) for z, x in zip(nodes, logs)]

@@ -230,10 +230,8 @@ def test_continuous_matches_product_reference(par, f):
 
 
 def test_continuous_weight_matches_product_form():
-    # |u1| = 0.0045 <= |pq| and |t0|, |u0| >= 1 keep the product form
-    outside = EllipticParams((1.5, 0.9, 0.8, 0.8), (1.3, None), 0.1, 0.05)
-    assert abs(outside.u[1]) <= abs(outside.p * outside.q)
-    for par in (outside, FALLBACK, NEAR_CIRCLE):
+    # |t0| = 0.995 keeps its factors in product form past the series cap
+    for par in (FALLBACK, NEAR_CIRCLE):
         ref = _product_weight(par)
         grid = grid_weight(par, 512)
         # phi = 0.006, 0.9, 2.0 and pi - 0.006; node 511 - j is 1/z_j

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import ebiortho.biortho
 import ebiortho.limits
 import ebiortho.qkernel
 from conftest import random_P0_point
@@ -513,20 +514,17 @@ def test_vanishing_constant_denominator_is_a_pole_error():
 
 
 def test_bad_node_count_is_a_domain_error(monkeypatch):
-    import ebiortho.biortho
-
-    weight_calls = []
-    for name in ("elliptic_gamma", "gamma_pair_log_series"):
-        real = getattr(ebiortho.biortho, name)
-
-        def counted(*args, real=real):
-            weight_calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(ebiortho.biortho, name, counted)
     t = [0.4, 0.5, 0.7, 0.45, 0.55]
     nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
     par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
+    weight_calls = []
+    real = ebiortho.qkernel.qpoch_log_series
+
+    def counted(*args, **kwargs):
+        weight_calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ebiortho.qkernel, "qpoch_log_series", counted)
     for quad in (0, 7):
         with pytest.raises(DomainError):
             pastro_inner_product(ONE, ONE, 0.55, 0.4, 0.45, quad=quad)
@@ -534,7 +532,7 @@ def test_bad_node_count_is_a_domain_error(monkeypatch):
             nr.apply(ONE, ONE, quad=quad)
         with pytest.raises(DomainError):
             continuous_inner_product(ONE, ONE, par, quad=quad)
-    # the quad check comes before any elliptic-gamma or series work
+    # the quad check comes before any weight series work
     assert weight_calls == []
     continuous_inner_product(ONE, ONE, par, quad=8)
     assert weight_calls, "the counters must see the weight work"
@@ -693,8 +691,9 @@ def test_integral_measures_match_product_form():
 
 
 def test_circle_weights_cost_no_products_per_node(monkeypatch):
-    # every factor of the Pastro and NR weights at these parameters is a
-    # series factor, so no count of qpoch_infinite calls grows with quad
+    # every factor of the Pastro, NR and elliptic continuous weights at
+    # these parameters is a series factor, so no count of qpoch_infinite
+    # calls grows with quad
     calls = []
     real = ebiortho.qkernel.qpoch_infinite
 
@@ -702,13 +701,16 @@ def test_circle_weights_cost_no_products_per_node(monkeypatch):
         calls.append(x)
         return real(x, q)
 
-    for mod in (ebiortho.qkernel, ebiortho.limits):
+    for mod in (ebiortho.qkernel, ebiortho.limits, ebiortho.biortho):
         monkeypatch.setattr(mod, "qpoch_infinite", counted, raising=False)
     t = [0.4, 0.5, 0.7, 0.45, 0.55]
     nr = nr_measure((0, 0, H, H, 0, 0), t[:3] + _solved_last(t)[-1:] + t[3:], Q_MEAS)
+    # the <1,1> parameters of `verify elliptic-continuous`
+    par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
     runs = {
         "pastro": lambda quad: pastro_inner_product(ONE, ONE, 0.55, 0.4, 0.45, quad=quad),
         "NR": lambda quad: nr.apply(ONE, ONE, quad=quad),
+        "continuous": lambda quad: continuous_inner_product(ONE, ONE, par, quad=quad),
     }
     for name, run in runs.items():
         counts = []

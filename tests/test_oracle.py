@@ -12,8 +12,7 @@ import pytest
 
 from ebiortho.biortho import (
     EllipticParams,
-    continuous_prefactor,
-    continuous_weight,
+    continuous_measure,
     random_discrete_params,
     rtilde,
 )
@@ -110,7 +109,7 @@ def test_weighted_log_error_at_the_cli_parameters():
     # correlated rounding into the mean (4e-15); the Horner head keeps
     # the mean near 1e-16.
     par = WEIGHT_CASES["cli"]
-    (pos, neg), _ = continuous_weight(par)
+    pos, neg = continuous_measure(par).log_weight
     logs = grid_log_series(pos, neg, 512)
     grid = grid_weight(par, 512)
     with mp.workdps(40):
@@ -128,7 +127,7 @@ def test_continuous_prefactor_against_mpmath(name):
     # the 1/prod Gamma(t_r t_s) part; (q;q)(p;p)/2 is the product form
     par = WEIGHT_CASES[name]
     qq = qpoch_infinite(par.q, par.q) * qpoch_infinite(par.p, par.p) / 2.0
-    got = continuous_prefactor(par) / qq
+    got = continuous_measure(par).prefactors[0] / qq
     with mp.workdps(40):
         ref = complex(1 / _mp_gamma_pairs(par))
     assert abs(got - ref) <= 1e-15 * abs(ref)

@@ -12,7 +12,6 @@ from ebiortho.errors import DomainError, NonFiniteValue, PoleError, SeriesDiverg
 from ebiortho.qkernel import (
     circle_gram,
     elliptic_gamma,
-    gamma_pair_log_series,
     grid_log_series,
     qpoch_factors,
     qpoch_finite,
@@ -161,6 +160,8 @@ def test_domain_errors():
         qpoch_finite(0.5, 0.4, -1)
     with pytest.raises(PoleError):
         elliptic_gamma(1.0 + 0j, 0.3, 0.3)
+    with pytest.raises(DomainError):
+        qpoch_factors([(0.5, 1, 1, (1.1, 0.1))])
 
 
 def test_series_divergence_guard():
@@ -186,15 +187,22 @@ def test_theta_at_p_zero_and_at_one():
         assert theta(1.0, p) == 0
 
 
+def _gamma_pair_factors(t, p, q):
+    """Gamma(t z) Gamma(t / z) = (pq/(t z); p, q)(pq z/t; p, q) / ((t z; p, q)(t/z; p, q))
+    as two-base factors (c, s, e, (p, q))."""
+    return [(t, s, -1, (p, q)) for s in (1, -1)] + [(p * q / t, s, 1, (p, q)) for s in (1, -1)]
+
+
 def test_gamma_pair_log_series_matches_product():
+    # elliptic-gamma pairs as two-base factors of qpoch_log_series
     rng = random.Random(1)
     for _ in range(20):
         p = _rand_annulus(rng, 0.02, 0.3)
         q = _rand_annulus(rng, 0.02, 0.3)
         ts = [_rand_annulus(rng, 0.3, 0.95) for _ in range(3)]
-        coeffs, rest = gamma_pair_log_series(ts, p, q)
+        pos, neg, rest = qpoch_log_series([f for t in ts for f in _gamma_pair_factors(t, p, q)])
         assert rest == []
-        logs = grid_log_series(coeffs, coeffs, 64)
+        logs = grid_log_series(pos, neg, 64)
         j = rng.randrange(64)
         z = _grid(64)[j]
         prod = 1.0
@@ -205,13 +213,20 @@ def test_gamma_pair_log_series_matches_product():
 
 
 def test_gamma_pair_log_series_fallback_rule():
+    # per factor: |c| >= 1 (pq/t for t = 0.004, and t = 1.2) and a modulus
+    # whose terms need more than the 4000-term cap (0.995 needs about
+    # 6600) keep the product form; the other factor of the pair stays in
+    # the series, and series times product form is the Gamma pair
     p, q = 0.05, 0.1
-    # |t| <= |pq|, |t| >= 1, and a modulus whose terms need more than
-    # the 4000-term cap (0.995 needs about 6600) keep the product form
-    for t in (0.004, 1.2, 0.995):
-        assert gamma_pair_log_series([t], p, q) == ([], [t])
-    coeffs, rest = gamma_pair_log_series([0.99, 0.004], p, q)
-    assert rest == [0.004] and 0 < len(coeffs) <= 4000
+    j, z = 3, _grid(16)[3]
+    for t, left in ((0.004, p * q / 0.004), (1.2, 1.2), (0.995, 0.995)):
+        factors = _gamma_pair_factors(t, p, q)
+        pos, neg, rest = qpoch_log_series(factors)
+        assert rest == [f for f in factors if f[0] == left] and len(rest) == 2
+        assert 0 < len(pos) == len(neg) <= 4000
+        got = cmath.exp(grid_log_series(pos, neg, 16)[j]) * qpoch_factors(rest, z)
+        ref = elliptic_gamma(t * z, p, q) * elliptic_gamma(t / z, p, q)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_grid_log_series_long_and_near_the_real_axis():

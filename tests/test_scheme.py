@@ -8,7 +8,6 @@ from ebiortho.polytope import _TILE_ROWS, TileId, _slacks, attach_zeta, face_nam
 from ebiortho.scheme import (
     EXPECTED_LEVEL_COUNTS,
     EXPECTED_TOTAL,
-    build_graph,
     build_scheme,
     check_appendix,
     check_askey,
@@ -71,7 +70,7 @@ def test_askey_table_shape():
 
 def test_graph_edges_drop_one_level():
     systems = _by_name()
-    graph = build_graph()
+    graph = build_scheme().graph
     assert set(graph.nodes) == set(systems)
     for a, b in graph.edges:
         assert systems[b].level == systems[a].level + 1
