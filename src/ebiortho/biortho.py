@@ -1,6 +1,8 @@
 """Elliptic biorthogonal rational functions and their bilinear forms.
 
-rtilde evaluates the terminating very-well-poised theta series.  Every
+rtilde evaluates the terminating very-well-poised theta series, and
+rtilde_family(n, params) the function z -> rtilde(n, z, params), which
+builds the 11n theta values free of z once and costs 4n per point.  Every
 bilinear form of the package is a LimitMeasure, whose one Gram routine
 LimitMeasure.gram sums a circle weight by qkernel.circle_gram, or masses
 on q-lattices b q^k by one lattice sum that evaluates each point once.
@@ -8,13 +10,16 @@ continuous_measure is the elliptic-gamma circle weight, built like
 every circle weight by qkernel._circle_weight from lists of
 q-Pochhammer factors, discrete_measure the point masses at t0 q^k when
 t0 t1 = q^-N; both have <1,1> = 1.  rtilde, the point masses, their
-closing factor and norm_formula are ratios of theta Pochhammer symbols,
-built from shared lists of theta values: each telescoped
+closing factor and norm_formula are ratios of theta Pochhammer symbols
+whose theta values come from qkernel.theta_ladders, one pass for the
+masses, one for norm_formula, and for rtilde one free of z and one per
+point.  Each telescoped
 very-well-poised head is a product over one ladder theta(g q^j; p)
-(_heads), and a list that two symbols share is evaluated once.  A
-BiorthogonalSystem holds two families, their Gram routine and their
-norms, and checks them by the one rule gram_residuals;
-random_discrete_params draws well-conditioned discrete parameters.
+(_heads), and a ladder that two symbols share is evaluated once.  A
+BiorthogonalSystem holds two families, each a map from a degree to a
+function of z, their Gram routine and their norms, and checks them by
+the one rule gram_residuals; random_discrete_draw draws well-conditioned
+discrete parameters with their point masses.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from .qkernel import (
     circle_gram,
     csum,
     qpoch_infinite,
-    theta_ladder,
-    theta_qp_prefix,
+    theta_ladders,
 )
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "DiscreteSpec",
     "LimitMeasure",
     "rtilde",
+    "rtilde_family",
     "discrete_measure",
     "discrete_inner_product",
     "norm_formula",
@@ -61,7 +66,7 @@ __all__ = [
     "BiorthogonalSystem",
     "elliptic_discrete_system",
     "elliptic_continuous_system",
-    "random_discrete_params",
+    "random_discrete_draw",
 ]
 
 BALANCE_TOL = 1e-12
@@ -246,12 +251,6 @@ class LimitMeasure:
         return [[entry(Fa, Gb) for Gb in G] for Fa in F]
 
 
-def _symbols(args, q, p, n):
-    """[theta(a;q;p)_k for k = 0..n] for each a in args: n theta
-    evaluations per argument, one qkernel.theta_qp_prefix each."""
-    return [theta_qp_prefix(a, q, p, n) for a in args]
-
-
 def _prefix(factors):
     """[1, f0, f0 f1, ...], the running products of factors."""
     return list(accumulate(factors, mul, initial=1.0 + 0.0j))
@@ -279,6 +278,77 @@ def _heads(ladder, n):
     return heads
 
 
+def _check_rtilde_poles(dens) -> None:
+    """PoleError when an entry k >= 1 of a denominator symbol of rtilde
+    is below 1e-13 in modulus."""
+    if min((abs(x) for d in dens for x in d[1:]), default=math.inf) < 1e-13:
+        raise PoleError("rtilde denominator theta factor vanishes")
+
+
+def rtilde_family(n: int, params: EllipticParams) -> Callable[[complex], complex]:
+    """z -> rtilde(n, z, params), with everything free of z built once.
+
+    Term k of rtilde is head_k num_k / den_k q^k; num_k and den_k are
+    column products of theta(a;q;p)_k, in rtilde's order, and four of
+    their fifteen symbols hold z: theta(t0 z), theta(t0/z) in num_k and
+    theta(qz/u0), theta(q/(u0 z)) in den_k.  The family takes the 11n
+    z-free theta values from one theta_ladders pass, with the heads, the
+    powers q^k and the partial products of each column up to its first
+    z symbol, and checks their denominators for poles (PoleError) once.
+    Each point then costs 4n theta values, one pass, and multiplies the
+    rest of each column in order, one factor at a time, so every value
+    is rtilde's bit for bit; its z denominators and NonFiniteValue are
+    checked at each point.  At n = 0 every symbol is empty and R_0 = 1.
+    """
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    if n == 0:
+        def one(z: complex) -> complex:
+            if z == 0:
+                raise DomainError("rtilde requires z != 0")
+            return 1.0 + 0.0j
+
+        return one
+    t0, t1, t2, t3 = params.t
+    u0, u1 = params.u
+    q, p = params.q, params.p
+    ladder, qs, *rows = theta_ladders(
+        [(q * t0 / u0, 2 * n), (q, n)]
+        + [(a, n) for a in (p * q**n / (u0 * u1), q / (u0 * t1), q / (u0 * t2),
+                            q / (u0 * t3), q ** (1 - n) * t0 * u1 / p,
+                            t0 * t1, t0 * t2, t0 * t3)],
+        q, p,
+    )
+    symbols = [_prefix(row) for row in rows]
+    qinv = _prefix(-qs[j - 1] * q**-j for j in range(n, 0, -1))
+    den_free = [_prefix(qs), _prefix(ladder[n:])] + symbols[4:]
+    _check_rtilde_poles(den_free)
+    # rtilde's column order: z-free symbols (pre), the two z symbols, z-free (post)
+    num_pre, num_post = _column_products([qinv, symbols[0]]), symbols[1:4]
+    den_pre, den_post = _column_products(den_free[:3]), den_free[3:]
+    heads = _heads(ladder, n)
+    qk = [q**k for k in range(n + 1)]
+
+    def at(z: complex) -> complex:
+        if z == 0:
+            raise DomainError("rtilde requires z != 0")
+        zs = [_prefix(row) for row in theta_ladders(
+            [(t0 * z, n), (t0 / z, n), (q * z / u0, n), (q / (u0 * z), n)], q, p)]
+        num_z, den_z = zs[:2], zs[2:]
+        _check_rtilde_poles(den_z)
+        nums = [math.prod(col[1:], start=col[0])
+                for col in zip(num_pre, *num_z, *num_post)]
+        dens = [math.prod(col[1:], start=col[0])
+                for col in zip(den_pre, *den_z, *den_post)]
+        out = csum([head * num / den * qq
+                    for head, num, den, qq in zip(heads, nums, dens, qk)])
+        if not cmath.isfinite(out):
+            raise NonFiniteValue("rtilde left the floating-point range")
+        return out
+
+    return at
+
+
 def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """The degree-n biorthogonal function, normalized to 1 at z = t0.
 
@@ -287,35 +357,11 @@ def rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     theta(g q^j; p), j = 1..2n, gives the head and, as entries n+1..n+k,
     theta(q^(n+1) g;q;p)_k; the ladder theta(q^j; p), j = 1..n, gives
     theta(q;q;p)_k and, through theta(1/x; p) = -theta(x; p)/x,
-    theta(q^-n;q;p)_k.  So a call costs 15n theta evaluations: 11n that
-    do not depend on z and 4n that do.
+    theta(q^-n;q;p)_k.  So a call costs 15n theta values: the 11n that
+    do not depend on z and the 4n that do.  It is the one-point case of
+    rtilde_family, which builds the 11n once for any number of points.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if z == 0:
-        raise DomainError("rtilde requires z != 0")
-    t0, t1, t2, t3 = params.t
-    u0, u1 = params.u
-    q, p = params.q, params.p
-    ladder = theta_ladder(q * t0 / u0, q, p, 2 * n)
-    qs = theta_ladder(q, q, p, n)
-    nums = [_prefix(-qs[j - 1] * q**-j for j in range(n, 0, -1))] + _symbols(
-        [p * q**n / (u0 * u1), t0 * z, t0 / z,
-         q / (u0 * t1), q / (u0 * t2), q / (u0 * t3)],
-        q, p, n,
-    )
-    dens = [_prefix(qs), _prefix(ladder[n:])] + _symbols(
-        [q ** (1 - n) * t0 * u1 / p, q * z / u0, q / (u0 * z),
-         t0 * t1, t0 * t2, t0 * t3],
-        q, p, n,
-    )
-    if min((abs(x) for d in dens for x in d[1:]), default=math.inf) < 1e-13:
-        raise PoleError("rtilde denominator theta factor vanishes")
-    terms = zip(_heads(ladder, n), _column_products(nums), _column_products(dens))
-    out = csum([head * num / den * q**k for k, (head, num, den) in enumerate(terms)])
-    if not cmath.isfinite(out):
-        raise NonFiniteValue("rtilde left the floating-point range")
-    return out
+    return rtilde_family(n, params)(z)
 
 
 def discrete_measure(params: EllipticParams, spec: DiscreteSpec) -> LimitMeasure:
@@ -326,37 +372,34 @@ def discrete_measure(params: EllipticParams, spec: DiscreteSpec) -> LimitMeasure
     num_k, den_k products of theta(a;q;p)_k, and whose prefactor is the
     closing factor, a ratio of theta(a;q;p)_N; its numerator symbol
     theta(q t0/u0;q;p)_N is the last entry of the masses' denominator
-    symbol of the same argument.  The masses cost 13N theta evaluations
-    and the closing factor 7N more.
+    symbol of the same argument.  The masses take 13N theta values and
+    the closing factor 7N more, all from one theta_ladders pass.
     """
     spec.validate(params)
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
     N = spec.N
-    shared = theta_qp_prefix(q * t0 / u0, q, p, N)
-    closing_num = math.prod(
-        (s[N] for s in _symbols([t1 * t2, t1 * t3, t1 * u1 / p], q, p, N)),
-        start=shared[N],
+    *rows, ladder = theta_ladders(
+        [(a, N) for a in (
+            q * t0 / u0,  # shared by the closing factor and the masses
+            t1 * t2, t1 * t3, t1 * u1 / p,  # closing numerator
+            t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1),  # its denominator
+            t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p,  # mass numerators
+            q, q * t0 / t1, q * t0 / t2, q * t0 / t3, p * q * t0 / u1,  # mass denominators
+        )] + [(q * t0 * t0, 2 * N)],
+        q, p,
     )
-    closing_den = math.prod(
-        s[N] for s in _symbols(
-            [t1 / t0, q / (u0 * t2), q / (u0 * t3), p * q / (u0 * u1)], q, p, N
-        )
-    )
+    shared, *symbols = [_prefix(row) for row in rows]
+    closing_num = math.prod((s[N] for s in symbols[0:3]), start=shared[N])
+    closing_den = math.prod(s[N] for s in symbols[3:7])
     if abs(closing_den) < 1e-250:
         raise PoleError("discrete measure closing factor hits a pole")
-    nums = _column_products(
-        _symbols([t0 * t1, t0 * t2, t0 * t3, t0 * u0, t0 * u1 / p], q, p, N)
-    )
-    dens = _column_products(
-        _symbols([q, q * t0 / t1, q * t0 / t2, q * t0 / t3], q, p, N)
-        + [shared]
-        + _symbols([p * q * t0 / u1], q, p, N)
-    )
+    nums = _column_products(symbols[7:12])
+    dens = _column_products(symbols[12:16] + [shared] + symbols[16:])
     if any(abs(den) < 1e-250 for den in dens):
         raise PoleError("discrete weight hits a pole")
-    heads = _heads(theta_ladder(q * t0 * t0, q, p, 2 * N), N)
+    heads = _heads(ladder, N)
     weights = [head * num / den * q**k
                for k, (head, num, den) in enumerate(zip(heads, nums, dens))]
     closing = closing_num / closing_den
@@ -370,7 +413,8 @@ def discrete_inner_product(f, g, params: EllipticParams, spec: DiscreteSpec) -> 
 
 
 def norm_formula(n: int, params: EllipticParams) -> complex:
-    """Closed-form squared norm of the degree-n pair, 12n theta evaluations.
+    """Closed-form squared norm of the degree-n pair, 12n theta values
+    from one theta_ladders pass.
 
     Its head theta(x;q;p)_2n / theta(qx;q;p)_2n, x = p/(u0 u1), over its
     denominator symbol theta(x;q;p)_n is one over entry n of _heads for
@@ -386,24 +430,19 @@ def norm_formula(n: int, params: EllipticParams) -> complex:
     t0, t1, t2, t3 = params.t
     u0, u1 = params.u
     q, p = params.q, params.p
-    num = math.prod(
-        s[n] for s in _symbols(
-            [q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1], q, p, n
-        )
-    )
-    den = math.prod(
-        s[n] for s in _symbols(
-            [t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0)], q, p, n
-        )
-    )
+    ladders = [(a, n) for a in (q, t2 * t3, t1 * t2, t1 * t3, q * t0 / u0, p * q * t0 / u1,
+                                t0 * t1, t0 * t3, t0 * t2, p / (t0 * u1), 1 / (t0 * u0))]
     if n:
         # theta(x q^2n; p) prod_{1 <= j < n} theta(x q^j; p), from x q as
         # one quotient, so that x q = 1 gives theta(1; p) = 0 exactly
         xq = p * q / (u0 * u1)
-        den *= math.prod(
-            theta_ladder(xq, q, p, n - 1),
-            start=theta_ladder(xq * q ** (2 * n - 1), q, p, 1)[0],
-        )
+        ladders += [(xq, n - 1), (xq * q ** (2 * n - 1), 1)]
+    rows = theta_ladders(ladders, q, p)
+    symbols = [math.prod(row, start=1.0 + 0.0j) for row in rows[:11]]
+    num = math.prod(symbols[:6])
+    den = math.prod(symbols[6:])
+    if n:
+        den *= math.prod(rows[11], start=rows[12][0])
     if abs(den) < 1e-250:
         raise PoleError("norm denominator hits a pole")
     return num / den * q ** (-n)
@@ -464,24 +503,25 @@ def gram_residuals(M, h) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
-    """Families R(n, z), S(m, z), the matrix gram(fs, gs) of their
-    bilinear form over two lists of functions of z, and the norms
-    norm(n) = h_n, with <R_n, S_m> = delta_nm h_n."""
+    """Families R(n), S(m), each degree -> function of z, the matrix
+    gram(fs, gs) of their bilinear form over two lists of functions of z,
+    and the norms norm(n) = h_n, with <R_n, S_m> = delta_nm h_n."""
 
-    R: Callable[[int, complex], complex]
-    S: Callable[[int, complex], complex]
+    R: Callable[[int], Callable[[complex], complex]]
+    S: Callable[[int], Callable[[complex], complex]]
     gram: Callable[[list, list], list]
     norm: Callable[[int], complex]
 
     def residuals(self, nmax: int) -> tuple[float, float]:
-        """gram_residuals of one Gram matrix of R_n, S_m, n, m <= nmax."""
+        """gram_residuals of one Gram matrix of R_n, S_m, n, m <= nmax,
+        each family built once per degree."""
         ns = range(nmax + 1)
-        fs, gs = [partial(self.R, n) for n in ns], [partial(self.S, m) for m in ns]
+        fs, gs = [self.R(n) for n in ns], [self.S(m) for m in ns]
         return gram_residuals(self.gram(fs, gs), [self.norm(n) for n in ns])
 
 
 def _rtilde_system(family, params: EllipticParams, gram) -> BiorthogonalSystem:
-    """family(n, z, .) at params and at its swapped_u dual, gram and norm_formula."""
+    """family(n, .) at params and at its swapped_u dual, gram and norm_formula."""
     return BiorthogonalSystem(
         partial(family, params=params),
         partial(family, params=params.swapped_u()),
@@ -490,9 +530,9 @@ def _rtilde_system(family, params: EllipticParams, gram) -> BiorthogonalSystem:
     )
 
 
-def elliptic_discrete_system(params: EllipticParams, spec: DiscreteSpec):
-    """rtilde and its dual under discrete_measure."""
-    return _rtilde_system(rtilde, params, discrete_measure(params, spec).gram)
+def elliptic_discrete_system(params: EllipticParams, masses: LimitMeasure):
+    """rtilde and its dual under masses, the discrete_measure of params."""
+    return _rtilde_system(rtilde_family, params, masses.gram)
 
 
 def elliptic_continuous_system(params: EllipticParams, quad: int = 512):
@@ -501,9 +541,9 @@ def elliptic_continuous_system(params: EllipticParams, quad: int = 512):
     return _rtilde_system(_contour_rtilde, params, gram)
 
 
-def _contour_rtilde(n: int, z: complex, params: EllipticParams) -> complex:
-    """rtilde(n, z, params) if the unit circle separates its poles;
-    ContourError, and no value, otherwise.
+def _contour_rtilde(n: int, params: EllipticParams) -> Callable[[complex], complex]:
+    """rtilde_family(n, params) if the unit circle separates its poles;
+    ContourError, and no family, otherwise.
 
     The poles are the zeros of the denominators theta(qz/u0;q;p)_n and
     theta(q/(u0 z);q;p)_n: the ladder z = u0 q^-j p^i, 1 <= j <= n, i
@@ -517,21 +557,23 @@ def _contour_rtilde(n: int, z: complex, params: EllipticParams) -> complex:
     """
     if abs(params.u[0] * params.q**-n) >= 1:
         raise ContourError(f"degree {n} puts poles on or outside the unit circle")
-    return rtilde(n, z, params)
+    return rtilde_family(n, params)
 
 
-def random_discrete_params(
+def random_discrete_draw(
     rng: random.Random,
     N: int = 5,
     p: float = 0.05,
     qmod: float = 0.4,
     degree: int = 0,
-) -> EllipticParams:
-    """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N.
+) -> tuple[EllipticParams, LimitMeasure]:
+    """Generic discrete-measure parameters with |q| = qmod and t0 t1 = q^-N,
+    with their discrete_measure.
 
     Draws whose pairings <R_n, S_n>, n <= degree, are ill conditioned
     (cancellation beyond _MAX_COND, _mass_condition) are rejected and
-    redrawn, at most _MAX_DRAWS times; degree 0 bounds <1,1> alone.
+    redrawn, at most _MAX_DRAWS times; degree 0 bounds <1,1> alone.  The
+    masses returned are the ones the condition was measured on.
     """
 
     def unit(r):
@@ -545,27 +587,30 @@ def random_discrete_params(
         u0 = rng.uniform(0.3, 0.6) * unit(rng)
         try:
             par = EllipticParams((t0, q ** (-N) / t0, t2, t3), (u0, None), q, p)
-            if _mass_condition(par, N, degree) <= _MAX_COND:
-                return par
+            masses = discrete_measure(par, DiscreteSpec(N))
+            if _mass_condition(par, masses, degree) <= _MAX_COND:
+                return par, masses
         except EbiorthoError:
             continue
     raise NonConvergence("no well-conditioned parameter draw found")
 
 
-def _mass_condition(par: EllipticParams, N: int, degree: int = 0) -> float:
+def _mass_condition(par: EllipticParams, masses: LimitMeasure, degree: int = 0) -> float:
     """The largest cancellation sum_k |term_k| / |sum_k term_k| in the
-    discrete pairings <R_n, S_n>, n <= degree: term_k is the mass at
-    z_k = t0 q^k times rtilde(n, z_k) and its swapped_u dual, and
-    degree 0 is <1,1>, the masses alone."""
-    measure = discrete_measure(par, DiscreteSpec(N))
-    closing, q, sw = measure.prefactors[0], par.q, par.swapped_u()
-    weights = [measure.weight(0, k) for k in range(N + 1)]
+    discrete pairings <R_n, S_n>, n <= degree, under masses, the
+    discrete_measure of par: term_k is the mass at z_k = t0 q^k times
+    R_n(z_k) and its swapped_u dual S_n(z_k), and degree 0 is <1,1>, the
+    masses alone."""
+    closing, q = masses.prefactors[0], par.q
+    weights = [masses.weight(0, k) for k in range(masses.n_masses)]
+    points = [par.t[0] * q**k for k in range(masses.n_masses)]
     worst = 0.0
     for n in range(degree + 1):
-        terms = [
-            w * rtilde(n, z, par) * rtilde(n, z, sw) if n else w
-            for w, z in zip(weights, (par.t[0] * q**k for k in range(N + 1)))
-        ]
+        if n:
+            R, S = rtilde_family(n, par), rtilde_family(n, par.swapped_u())
+            terms = [w * R(z) * S(z) for w, z in zip(weights, points)]
+        else:
+            terms = weights
         total = csum(terms) * closing
         gross = 0.0
         for term in terms:

@@ -20,13 +20,11 @@ from fractions import Fraction
 
 from . import scheme as scheme_mod
 from .biortho import (
-    DiscreteSpec,
     EllipticParams,
     continuous_inner_product,
-    discrete_inner_product,
     elliptic_continuous_system,
     elliptic_discrete_system,
-    random_discrete_params,
+    random_discrete_draw,
 )
 from .errors import EbiorthoError
 from .exponents import ExponentVector, norm_valuation, rtilde_valuation
@@ -140,18 +138,17 @@ def _report(rows, tol: float) -> int:
 def verify_elliptic_discrete(args) -> int:
     tol = args.tol or 1e-9
     N, draws = args.N, args.draws
-    spec = DiscreteSpec(N)
     one = lambda z: 1.0
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(draws):
-        par = random_discrete_params(rng, N=N)
-        worst = max(worst, abs(discrete_inner_product(one, one, par, spec) - 1))
+        _, masses = random_discrete_draw(rng, N=N)
+        worst = max(worst, abs(masses.apply(one, one) - 1))
     rows = [(f"<1,1> = 1 over {draws} draws", worst)]
     nmax = min(N, 4)
     for trial in range(2):
-        par = random_discrete_params(rng, N=N, degree=nmax)
-        off, diag = elliptic_discrete_system(par, spec).residuals(nmax)
+        par, masses = random_discrete_draw(rng, N=N, degree=nmax)
+        off, diag = elliptic_discrete_system(par, masses).residuals(nmax)
         rows.append((f"biorthogonality off-diagonal (draw {trial})", off))
         rows.append((f"diagonal vs norm formula (draw {trial})", diag))
     return _report(rows, tol)

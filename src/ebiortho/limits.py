@@ -194,8 +194,8 @@ def pastro_norm(n, A, B, q) -> complex:
 def pastro_system(A, B, q, quad: int = 512) -> BiorthogonalSystem:
     """p_n and q_m under pastro_measure, with pastro_norm."""
     return BiorthogonalSystem(
-        lambda n, w: pastro_p(n, w, A, B, q),
-        lambda m, w: pastro_q(m, w, A, B, q),
+        lambda n: lambda w: pastro_p(n, w, A, B, q),
+        lambda m: lambda w: pastro_q(m, w, A, B, q),
         partial(pastro_measure(A, B, q).gram, quad=quad),
         lambda n: pastro_norm(n, A, B, q),
     )

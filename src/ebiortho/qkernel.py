@@ -6,6 +6,10 @@ drops below the fixed tolerance _TOL = 1e-15; a product still above it
 after _MAX_TERMS = 4000 factors raises SeriesDivergence instead of
 returning a silently inaccurate value.
 
+theta evaluates one value; theta_ladders evaluates the ladders
+theta(x q^r; p), r < m, of a whole theta series in one pass, with one
+table of nome powers for all of them and the same values bit for bit.
+
 Every circle weight of the package is a product of q-Pochhammer factors
 (c z^s; b)_infty^e, b one base or the pair (p, q), where
 (x; p, q)_infty = prod_{i,j>=0} (1 - x p^i q^j).  The elliptic gamma
@@ -49,8 +53,7 @@ __all__ = [
     "qpoch_finite",
     "qpoch_infinite",
     "theta",
-    "theta_ladder",
-    "theta_qp_prefix",
+    "theta_ladders",
     "elliptic_gamma",
     "qpoch_log_series",
     "qpoch_factors",
@@ -113,7 +116,9 @@ def theta(x: complex, p: complex) -> complex:
     the tail rule of each qpoch_infinite side, with the pair count fixed
     before the loop (at most one pair more than the rule, never one
     fewer); more than _MAX_TERMS pairs raise SeriesDivergence.  The
-    factor 1 - x stands alone, so theta(1;p) is exactly 0.
+    factor 1 - x stands alone, so theta(1;p) is exactly 0.  The nome
+    powers are formed inside the loop: for a single value that is faster
+    than any table (theta_ladders shares one table between many values).
     """
     if x == 0:
         raise DomainError("theta requires x != 0")
@@ -137,30 +142,56 @@ def theta(x: complex, p: complex) -> complex:
     return out
 
 
-def theta_ladder(x: complex, q: complex, p: complex, n: int) -> list:
-    """[theta(x q^r; p) for r = 0..n-1], the factors of theta(x;q;p)_n.
+def theta_ladders(ladders, q: complex, p: complex) -> list:
+    """[[theta(x q^r; p) for r < m] for (x, m) in ladders], in one pass.
 
-    |q| >= 1 is allowed.  Callers that share factors between theta
-    Pochhammer symbols take them from one ladder.
+    Every value is theta's, equal to it bit for bit: the same pair count,
+    and the nome powers p^k and p^2k read from one table built by theta's
+    repeated multiplication, pk *= p and pk * pk, once for all values.
+    The arguments x q^r are formed by repeated multiplication too, and
+    |q| >= 1 is allowed.  A theta Pochhammer symbol theta(x;q;p)_k is the
+    product of the first k values of the ladder (x, m), m >= k.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    ap = abs(p)
+    if ap >= 1:
+        raise DomainError("theta requires |p| < 1")
+    if ap:
+        scale, rate = _TOL * (1.0 - ap), -math.log(ap)
+    rows, most = [], 0
+    for x, m in ladders:
+        if m < 0:
+            raise DomainError("a theta ladder needs m >= 0")
+        row = []
+        xq = complex(x)
+        for _ in range(m):
+            if xq == 0:
+                raise DomainError("theta requires x != 0")
+            count = 0
+            if ap:
+                # theta's pair count, written out: a call per value costs
+                # about 5% of an rtilde evaluation
+                ax = abs(xq)
+                count = math.log((ax if ax >= 1.0 else 1.0 / ax) / scale) / rate + _COUNT_SLACK
+                if not count < _MAX_TERMS:
+                    raise SeriesDivergence("theta hit max_terms before converging")
+                count = int(count)
+                if count > most:
+                    most = count
+            row.append((xq, count))
+            xq *= q
+        rows.append(row)
+    table = [(pk, pk * pk) for pk in accumulate(repeat(p, most), mul)]
     out = []
-    xq = complex(x)
-    for _ in range(n):
-        out.append(theta(xq, p))
-        xq *= q
+    for row in rows:
+        vals = []
+        for x, count in row:
+            val = 1.0 - x
+            s = x + 1.0 / x
+            for pk, pk2 in table[:count]:
+                val *= 1.0 - pk * s + pk2
+            vals.append(val)
+        out.append(vals)
     return out
-
-
-def theta_qp_prefix(x: complex, q: complex, p: complex, n: int) -> list:
-    """[theta(x;q;p)_k for k = 0..n], the running products of theta_ladder.
-
-    theta(x;q;p)_k = prod_{r=0}^{k-1} theta(x q^r; p); |q| >= 1 is
-    allowed.  A terminating theta series needs every k up to its length,
-    at n theta evaluations in all instead of n(n+1)/2.
-    """
-    return list(accumulate(theta_ladder(x, q, p, n), mul, initial=1.0 + 0.0j))
 
 
 def elliptic_gamma(x: complex, p: complex, q: complex) -> complex:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-import ebiortho.qkernel
+import ebiortho.biortho
 from conftest import grid_weight
 from ebiortho.biortho import (
     DiscreteSpec,
@@ -20,8 +20,9 @@ from ebiortho.biortho import (
     elliptic_discrete_system,
     gram_residuals,
     norm_formula,
-    random_discrete_params,
+    random_discrete_draw,
     rtilde,
+    rtilde_family,
 )
 from ebiortho.errors import ContourError, DomainError, PoleError
 from ebiortho.qkernel import (
@@ -67,7 +68,7 @@ def test_discrete_spec_validation():
 def test_normalization_at_t0():
     rng = random.Random(0)
     for _ in range(3):
-        par = random_discrete_params(rng)
+        par, _ = random_discrete_draw(rng)
         for n in range(9):
             assert abs(rtilde(n, par.t[0], par) - 1.0) < 1e-10
 
@@ -112,7 +113,7 @@ def check_symmetries(n: int, z: complex, params: EllipticParams) -> dict[str, fl
 def test_symmetry_residuals():
     rng = random.Random(1)
     for _ in range(3):
-        par = random_discrete_params(rng)
+        par, _ = random_discrete_draw(rng)
         z = 1.1 * cmath.exp(2j * math.pi * rng.random())
         res = check_symmetries(2, z, par)
         assert set(res) == {
@@ -130,7 +131,7 @@ def test_symmetry_residuals():
 def test_t_permutation_covariance():
     # swapping t1 and t2 changes rtilde only by a z-independent factor
     rng = random.Random(2)
-    par = random_discrete_params(rng)
+    par, _ = random_discrete_draw(rng)
     t = par.t
     par2 = EllipticParams((t[0], t[2], t[1], t[3]), par.u, par.q, par.p)
     z1 = 1.07 * cmath.exp(0.53j)
@@ -145,13 +146,13 @@ def test_discrete_unity():
     rng = random.Random(3)
     spec = DiscreteSpec(5)
     for _ in range(5):
-        par = random_discrete_params(rng)
+        par, _ = random_discrete_draw(rng)
         assert abs(discrete_inner_product(ONE, ONE, par, spec) - 1.0) < 1e-10
 
 
 def test_discrete_biorthogonality_small():
     rng = random.Random(4)
-    par = random_discrete_params(rng)
+    par, _ = random_discrete_draw(rng)
     sw = par.swapped_u()
     spec = DiscreteSpec(5)
     for n in range(3):
@@ -284,7 +285,7 @@ def test_continuous_contour_guard():
 def test_discrete_continuous_consistency():
     # both normalizations hold at nearby generic parameters
     rng = random.Random(5)
-    par_d = random_discrete_params(rng, N=2, p=0.2, qmod=0.35)
+    par_d, _ = random_discrete_draw(rng, N=2, p=0.2, qmod=0.35)
     spec = DiscreteSpec(2)
     v_d = discrete_inner_product(ONE, ONE, par_d, spec)
     par_c = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
@@ -400,26 +401,75 @@ def _norm_reference(n, params):
 
 
 @pytest.fixture
-def theta_calls(monkeypatch):
-    calls = []
-    real = ebiortho.qkernel.theta
+def theta_passes(monkeypatch):
+    """The number of theta values of each theta_ladders pass of biortho."""
+    passes = []
+    real = ebiortho.biortho.theta_ladders
 
-    def counted(x, p):
-        calls.append(x)
-        return real(x, p)
+    def counted(ladders, q, p):
+        passes.append(sum(m for _, m in ladders))
+        return real(ladders, q, p)
 
-    monkeypatch.setattr(ebiortho.qkernel, "theta", counted)
-    return calls
+    monkeypatch.setattr(ebiortho.biortho, "theta_ladders", counted)
+    return passes
 
 
-def test_rtilde_makes_15n_theta_calls(theta_calls):
+def test_rtilde_makes_15n_theta_calls(theta_passes):
     # 11n z-free: the ladders theta(t0 q^j / u0; p), j <= 2n, and
     # theta(q^j; p), j <= n, and eight symbols; 4n z-dependent
-    par = random_discrete_params(random.Random(6))
+    par, _ = random_discrete_draw(random.Random(6))
     for n in range(7):
-        theta_calls.clear()
+        theta_passes.clear()
         rtilde(n, 1.1 * cmath.exp(0.4j), par)
-        assert len(theta_calls) == 15 * n
+        assert theta_passes == ([11 * n, 4 * n] if n else [])
+
+
+def test_rtilde_family_makes_11n_once_then_4n_per_point(theta_passes):
+    par, _ = random_discrete_draw(random.Random(6))
+    for n in range(1, 7):
+        theta_passes.clear()
+        family = rtilde_family(n, par)
+        assert theta_passes == [11 * n]
+        for z in (1.1 * cmath.exp(0.4j), 0.7 - 0.2j, -1.3):
+            family(z)
+        assert theta_passes == [11 * n] + [4 * n] * 3
+
+
+def test_rtilde_family_equals_rtilde():
+    rng = random.Random(12)
+    for N in (1, 4):
+        par, _ = random_discrete_draw(rng, N=N, p=rng.choice([0.05, 0.2]))
+        points = [par.t[0] * par.q**k for k in range(N + 1)] + [1.1 * cmath.exp(0.4j), -0.3 + 2j]
+        for pr in (par, par.swapped_u()):
+            for n in range(N + 1):
+                family = rtilde_family(n, pr)
+                assert [family(z) for z in points] == [rtilde(n, z, pr) for z in points]
+                with pytest.raises(DomainError):
+                    family(0)
+
+
+def test_theta_series_values_are_pinned():
+    # repr of rtilde, norm_formula and the point masses before they were
+    # built from shared theta passes; every value must stay equal to them
+    q = 0.4 * cmath.exp(1.1j)
+    t0 = 0.8 * cmath.exp(0.3j)
+    par = EllipticParams((t0, q**-2 / t0, 0.3 * cmath.exp(2j), 0.35 * cmath.exp(-1j)),
+                         (0.45 * cmath.exp(0.5j), None), q, 0.05)
+    z = 1.1 * cmath.exp(0.4j)
+    assert [repr(rtilde(n, z, par)) for n in range(3)] == [
+        "(1+0j)", "(0.8094836109001627-0.5690732380450256j)",
+        "(0.680120511225768-0.9163108178668484j)"]
+    assert [repr(rtilde(n, z, par.swapped_u())) for n in range(3)] == [
+        "(1+0j)", "(0.9725960794494253+0.05328803334701104j)",
+        "(1.8128850907499743-0.256375436853585j)"]
+    assert [repr(norm_formula(n, par)) for n in range(3)] == [
+        "(1+0j)", "(-0.26198353728784235+0.06389774177816528j)",
+        "(0.9580577244490456+0.5106760147978013j)"]
+    masses = discrete_measure(par, DiscreteSpec(2))
+    assert repr(masses.prefactors[0]) == "(-0.3634320297170952+0.26639226896958534j)"
+    assert [repr(masses.weight(0, k)) for k in range(3)] == [
+        "(1+0j)", "(-2.987503500434016+7.086820717074381j)",
+        "(0.1976183484084073-8.398789745269932j)"]
 
 
 @pytest.mark.parametrize(
@@ -438,23 +488,23 @@ def test_rtilde_at_t0_equals_u0_is_the_limit(t, q, p):
             assert abs(rtilde(n, z, at) - rtilde(n, z, near)) < 1e-8
 
 
-def test_norm_formula_makes_12n_theta_calls(theta_calls):
-    par = random_discrete_params(random.Random(6))
+def test_norm_formula_makes_12n_theta_calls(theta_passes):
+    par, _ = random_discrete_draw(random.Random(6))
     for n in range(7):
-        theta_calls.clear()
+        theta_passes.clear()
         norm_formula(n, par)
-        assert len(theta_calls) == 12 * n
+        assert theta_passes == [12 * n]
 
 
-def test_discrete_makes_20N_theta_calls(theta_calls):
+def test_discrete_makes_20N_theta_calls(theta_passes):
     # 13N for the masses, 7N for the closing factor, which shares its
     # theta(q t0 / u0;q;p)_N with the masses
     rng = random.Random(7)
     for N in range(1, 7):
-        par = random_discrete_params(rng, N=N)
-        theta_calls.clear()
+        par, _ = random_discrete_draw(rng, N=N)
+        theta_passes.clear()
         discrete_inner_product(ONE, ONE, par, DiscreteSpec(N))
-        assert len(theta_calls) == 20 * N
+        assert theta_passes == [20 * N]
 
 
 def test_running_products_equal_the_per_term_reference():
@@ -464,7 +514,7 @@ def test_running_products_equal_the_per_term_reference():
     for N in (2, 5):
         spec = DiscreteSpec(N)
         for _ in range(3):
-            par = random_discrete_params(rng, N=N)
+            par, _ = random_discrete_draw(rng, N=N)
             assert par.q.imag != 0
             sw = par.swapped_u()
             points = [par.t[0] * par.q**k for k in range(N + 1)]
@@ -492,7 +542,7 @@ def test_norm_formula_equals_the_per_term_reference():
     rng = random.Random(11)
     for N in (1, 3, 6):
         for _ in range(3):
-            par = random_discrete_params(rng, N=N, p=rng.choice([0.05, 0.2]))
+            par, _ = random_discrete_draw(rng, N=N, p=rng.choice([0.05, 0.2]))
             for pr in (par, par.swapped_u()):
                 for n in range(N + 1):
                     ref = _norm_reference(n, pr)
@@ -503,7 +553,7 @@ def test_discrete_gram_equals_per_entry_inner_products():
     rng = random.Random(10)
     for N in (1, 3, 5):
         spec = DiscreteSpec(N)
-        par = random_discrete_params(rng, N=N)
+        par, _ = random_discrete_draw(rng, N=N)
         sw = par.swapped_u()
         fs = [lambda z, n=n: rtilde(n, z, par) for n in range(min(N, 4) + 1)]
         gs = [lambda z, m=m: rtilde(m, z, sw) for m in range(min(N, 4) + 1)]
@@ -549,14 +599,15 @@ def test_mass_condition_equals_indicator_sums():
     for N in (1, 3, 5):
         spec = DiscreteSpec(N)
         for _ in range(3):
-            par = random_discrete_params(rng, N=N)
+            par, _ = random_discrete_draw(rng, N=N)
             total = discrete_inner_product(ONE, ONE, par, spec)
             gross = 0.0
             for k in range(N + 1):
                 zk = par.t[0] * par.q**k
                 ind = lambda z, zk=zk: 1.0 if abs(z - zk) < 1e-9 else 0.0
                 gross += abs(discrete_inner_product(ind, ONE, par, spec))
-            assert _mass_condition(par, N) == gross / max(abs(total), 1e-300)
+            masses = discrete_measure(par, spec)
+            assert _mass_condition(par, masses) == gross / max(abs(total), 1e-300)
 
 
 def test_vanishing_theta_factors_raise_pole_error():
@@ -604,7 +655,7 @@ def test_gram_residuals_reject_an_empty_matrix():
 def test_discrete_system_residuals_are_the_scaled_loop():
     # the loop of test_elliptic_biorthogonality_matrix_10_seeds, seed 100
     spec = DiscreteSpec(5)
-    par = random_discrete_params(random.Random(100), N=5, p=0.05, qmod=0.4)
+    par, _ = random_discrete_draw(random.Random(100), N=5, p=0.05, qmod=0.4)
     sw = par.swapped_u()
     h = [norm_formula(n, par) for n in range(5)]
     off = diag = 0.0
@@ -617,7 +668,8 @@ def test_discrete_system_residuals_are_the_scaled_loop():
                 diag = max(diag, abs(v - h[n]) / abs(h[n]))
             else:
                 off = max(off, abs(v) / abs(h[n] * h[m]) ** 0.5)
-    assert elliptic_discrete_system(par, spec).residuals(4) == (off, diag)
+    system = elliptic_discrete_system(par, discrete_measure(par, spec))
+    assert system.residuals(4) == (off, diag)
 
 
 def test_degree_bound_redraws_what_rounding_alone_would_fail():
@@ -626,15 +678,15 @@ def test_degree_bound_redraws_what_rounding_alone_would_fail():
     # cancelling by about 1.9e7 at n = 4
     rng = random.Random(58)
     for _ in range(20):
-        random_discrete_params(rng, N=5)
+        random_discrete_draw(rng, N=5)
     state = rng.getstate()
-    loose = random_discrete_params(rng, N=5)
-    assert _mass_condition(loose, 5) <= 1e4 < _mass_condition(loose, 5, 4)
+    loose, masses = random_discrete_draw(rng, N=5)
+    assert _mass_condition(loose, masses) <= 1e4 < _mass_condition(loose, masses, 4)
     rng.setstate(state)
-    par = random_discrete_params(rng, N=5, degree=4)
+    par, masses = random_discrete_draw(rng, N=5, degree=4)
     assert par != loose
-    assert _mass_condition(par, 5, 4) <= 1e4
-    off, diag = elliptic_discrete_system(par, DiscreteSpec(5)).residuals(4)
+    assert _mass_condition(par, masses, 4) <= 1e4
+    off, diag = elliptic_discrete_system(par, masses).residuals(4)
     assert max(off, diag) < 1e-11
 
 
@@ -642,11 +694,11 @@ def test_continuous_system_contour_rule_at_the_unity_parameters():
     # u0 q^-1 = 2.3 and u1 q^-1 = 1.7: only degree 0 pairs on the circle
     par = EllipticParams((0.75, 0.7, 0.65, 0.6), (0.65, None), 0.28, 0.22)
     system = elliptic_continuous_system(par, quad=512)
-    assert system.R(0, 0.3 + 0.9j) == rtilde(0, 0.3 + 0.9j, par)
+    assert system.R(0)(0.3 + 0.9j) == rtilde(0, 0.3 + 0.9j, par)
     for n in range(1, 4):
         for family in (system.R, system.S):
             with pytest.raises(ContourError):
-                family(n, 0.3 + 0.9j)
+                family(n)
     off, diag = system.residuals(0)
     assert off == 0.0 and diag < 1e-15
     with pytest.raises(ContourError):
@@ -659,10 +711,10 @@ def test_continuous_system_contour_rule_at_the_row_parameters():
     system = elliptic_continuous_system(par, quad=16)
     z = 0.6 - 0.8j
     for n in range(3):
-        assert system.R(n, z) == rtilde(n, z, par)
-        assert system.S(n, z) == rtilde(n, z, par.swapped_u())
+        assert system.R(n)(z) == rtilde(n, z, par)
+        assert system.S(n)(z) == rtilde(n, z, par.swapped_u())
     for family in (system.R, system.S):
         with pytest.raises(ContourError):
-            family(3, z)
+            family(3)
     with pytest.raises(ContourError):
         system.residuals(3)

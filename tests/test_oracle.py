@@ -13,7 +13,7 @@ import pytest
 from ebiortho.biortho import (
     EllipticParams,
     continuous_measure,
-    random_discrete_params,
+    random_discrete_draw,
     rtilde,
 )
 from conftest import grid_weight
@@ -196,7 +196,7 @@ def _mp_rtilde(n, z, par):
 def test_rtilde_against_mpmath():
     # at the point masses and off them, complex q, both u orders
     rng = random.Random(12)
-    par = random_discrete_params(rng, N=4)
+    par, _ = random_discrete_draw(rng, N=4)
     points = [par.t[0] * par.q**3, 1.1 * cmath.exp(0.7j), 0.4 - 0.9j]
     with mp.workdps(40):
         for pr in (par, par.swapped_u()):

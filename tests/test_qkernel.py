@@ -18,7 +18,7 @@ from ebiortho.qkernel import (
     qpoch_infinite,
     qpoch_log_series,
     theta,
-    theta_qp_prefix,
+    theta_ladders,
 )
 
 
@@ -116,37 +116,44 @@ def test_gamma_pole(p, q):
         elliptic_gamma(1 / q, 0.0, q)
 
 
-def test_theta_qp_prefix_matches_product():
+def _ladder_args(x, q, m):
+    """x q^r for r < m, each from the last by one multiplication."""
+    out, xq = [], complex(x)
+    for _ in range(m):
+        out.append(xq)
+        xq *= q
+    return out
+
+
+def test_theta_ladders_equal_theta_value_by_value():
+    # one nome table for all values changes no bit of any of them
     rng = random.Random(0)
     for _ in range(50):
-        x = _rand_annulus(rng)
         q = _rand_annulus(rng, 0.2, 0.6)
-        p = rng.uniform(0.05, 0.5)
-        n = rng.randint(0, 6)
-        direct = 1.0 + 0.0j
-        for r in range(n):
-            direct *= theta(x * q**r, p)
-        got = theta_qp_prefix(x, q, p, n)[n]
-        assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
+        p = rng.choice([rng.uniform(0.05, 0.5), _rand_annulus(rng, 0.05, 0.5), 0.0])
+        ladders = [(_rand_annulus(rng), rng.randint(0, 6)) for _ in range(rng.randint(0, 4))]
+        got = theta_ladders(ladders, q, p)
+        assert got == [[theta(a, p) for a in _ladder_args(x, q, m)] for x, m in ladders]
 
 
-def test_theta_qp_prefix_entries_are_the_finite_symbols():
+def test_theta_ladders_lengths_and_errors():
     rng = random.Random(1)
     for _ in range(20):
-        x = _rand_annulus(rng)
-        q = _rand_annulus(rng, 0.2, 2.5)
-        p = rng.uniform(0.05, 0.5)
-        n = rng.randint(0, 8)
-        prefix = theta_qp_prefix(x, q, p, n)
-        assert len(prefix) == n + 1
-        assert prefix == [theta_qp_prefix(x, q, p, k)[k] for k in range(n + 1)]
-    with pytest.raises(DomainError):
-        theta_qp_prefix(0.5, 0.3, 0.1, -1)
+        ladders = [(_rand_annulus(rng), rng.randint(0, 8)) for _ in range(3)]
+        rows = theta_ladders(ladders, _rand_annulus(rng, 0.2, 2.5), rng.uniform(0.05, 0.5))
+        assert [len(row) for row in rows] == [m for _, m in ladders]
+    assert theta_ladders([], 0.3, 0.1) == []
+    for bad, q, p in [((0.5, -1), 0.3, 0.1), ((0.0, 1), 0.3, 0.1), ((0.5, 1), 0.3, 1.1),
+                      ((0.0, 1), 0.3, 0.0)]:
+        with pytest.raises(DomainError):
+            theta_ladders([(0.4, 2), bad], q, p)
+    with pytest.raises(SeriesDivergence):
+        theta_ladders([(0.5, 1)], 0.3, 0.9902)
 
 
-def test_theta_qp_prefix_allows_big_q():
-    # |q| > 1 is legal for the finite ladder
-    val = theta_qp_prefix(0.5, 2.5, 0.1, 3)[3]
+def test_theta_ladders_allow_big_q():
+    # |q| > 1 is legal for a finite ladder
+    val = math.prod(theta_ladders([(0.5, 3)], 2.5, 0.1)[0])
     direct = theta(0.5, 0.1) * theta(1.25, 0.1) * theta(3.125, 0.1)
     assert abs(val - direct) < 1e-12 * abs(direct)
 
