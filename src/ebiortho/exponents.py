@@ -2,10 +2,12 @@
 
 Degeneration directions are recorded as exact rational exponent vectors
 (alpha_0..alpha_3; gamma_0, gamma_1; zeta) with the balancing condition
-sum(alpha) + sum(gamma) = 1.  All piecewise-linear valuation formulas are
-evaluated in Fraction arithmetic; indicators are strict (1{x<0} is false
-at x = 0).  Internally zeta is kept in [-1/2, 0]; tables and I/O use the
-negated value.
+sum(alpha) + sum(gamma) = 1.  Each vector carries its integer form: the
+numerators of its seven entries over their least common even denominator
+2h.  The balancing test, the polytope tests and the piecewise-linear
+valuation formulas run on those integers, and each valuation is returned
+as one Fraction over 2h; indicators are strict (1{x<0} is false at x = 0).
+Internally zeta is kept in [-1/2, 0]; tables and I/O use the negated value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from itertools import combinations
+from math import floor, lcm
 
 from .errors import DomainError
 
@@ -32,6 +35,14 @@ Q = Fraction
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _scaled(xs) -> tuple[tuple[int, ...], int]:
+    """Numerators of the rationals xs over their least common even
+    denominator 2h, and h."""
+    xs = [_frac(x) for x in xs]
+    d = lcm(2, *(x.denominator for x in xs))
+    return tuple(x.numerator * (d // x.denominator) for x in xs), d // 2
 
 
 @dataclass(frozen=True)
@@ -59,9 +70,16 @@ class ExponentVector:
     def a6(self) -> tuple[Fraction, ...]:
         return self.alpha + self.gamma
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """Numerators of as7() over its least common even denominator 2h,
+        and h; computed on first use only."""
+        return _scaled(self.as7())
+
     @property
     def balanced(self) -> bool:
-        return sum(self.a6) == 1
+        x, h = self.scaled
+        return sum(x[:6]) == 2 * h
 
     def require_balanced(self) -> None:
         if not self.balanced:
@@ -83,6 +101,14 @@ class ExponentVector:
         if len(vec) != 7:
             raise DomainError("need 7 entries")
         return cls(vec[0:4], vec[4:6], vec[6])
+
+    @classmethod
+    def _from_scaled_in_P(cls, x, h) -> "ExponentVector":
+        """The vector with integer form (x, h), 2h being the least common
+        even denominator, known to lie in P."""
+        v = cls.from7([Q(xi, 2 * h) for xi in x])
+        v.__dict__.update(scaled=(tuple(x), h), inside_P=True)
+        return v
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.as7()) + ")"
@@ -123,19 +149,11 @@ def theta_lc(alpha) -> ValLc:
     return ValLc(theta_val(a), "fractional_shift", -floor(a))
 
 
-def _neg_part(x: Fraction) -> Fraction:
-    """x * 1{x < 0}, strict at zero."""
-    return x if x < 0 else Q(0)
-
-
-def _pos_part(x: Fraction) -> Fraction:
-    """x * 1{x > 0}, strict at zero."""
-    return x if x > 0 else Q(0)
-
-
-def _require_in_P(v: ExponentVector) -> None:
+def _require_in_P(v: ExponentVector) -> tuple[tuple[int, ...], int]:
+    """The integer form of v, which must lie in P."""
     if not v.inside_P:
         raise DomainError("exponent vector is not in the polytope P")
+    return v.scaled
 
 
 def rtilde_valuation(v: ExponentVector, n: int) -> Fraction:
@@ -143,39 +161,20 @@ def rtilde_valuation(v: ExponentVector, n: int) -> Fraction:
 
     Linear in n; only defined inside the polytope P.
     """
-    _require_in_P(v)
-    a0, a1, a2, a3 = v.alpha
-    g0, g1 = v.gamma
-    z = v.zeta
-    total = (
-        _neg_part(a0 - g0)
-        - _neg_part(-z - g0)
-        - _neg_part(1 + z - g0)
-        - _neg_part(a0 + g1)
-        - sum(_neg_part(a0 + ar) for ar in (a1, a2, a3))
-    )
-    return n * total
+    (a0, a1, a2, a3, g0, g1, z), h = _require_in_P(v)
+    total = min(a0 - g0, 0) - min(-z - g0, 0) - min(2 * h + z - g0, 0)
+    total -= sum(min(a0 + y, 0) for y in (g1, a1, a2, a3))
+    return Q(n * total, 2 * h)
 
 
 def norm_valuation(v: ExponentVector, n: int) -> Fraction:
     """Valuation of the closed-form squared norm, inside P only."""
-    _require_in_P(v)
-    a0, a1, a2, a3 = v.alpha
-    g0, g1 = v.gamma
-    gs = g0 + g1
-    total = -_pos_part(gs) - 2 * _neg_part(gs)
-    rest = (a1, a2, a3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            total += _neg_part(rest[i] + rest[j])
-    for ar in rest:
-        total -= _neg_part(ar + a0)
-    for gr in (g0, g1):
-        if a0 - gr > 0:
-            total += gr - a0
-        if a0 + gr > 0:
-            total += a0 + gr
-    return n * total
+    (a0, a1, a2, a3, g0, g1, _), h = _require_in_P(v)
+    total = -max(g0 + g1, 0) - 2 * min(g0 + g1, 0)
+    total += sum(min(r + s, 0) for r, s in combinations((a1, a2, a3), 2))
+    total -= sum(min(a0 + r, 0) for r in (a1, a2, a3))
+    total += sum(min(g - a0, 0) + max(a0 + g, 0) for g in (g0, g1))
+    return Q(n * total, 2 * h)
 
 
 def valuation_deficit(v: ExponentVector) -> Fraction:
@@ -184,17 +183,8 @@ def valuation_deficit(v: ExponentVector) -> Fraction:
     Zero exactly at candidate biorthogonal-system directions; positive when
     the inner product degenerates; never negative inside P.
     """
-    _require_in_P(v)
-    a = v.alpha
-    g0, g1 = v.gamma
-    z = v.zeta
-    total = _pos_part(g0 + g1)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            total += _neg_part(a[i] + a[j])
-    for gr in (g0, g1):
-        if gr + z > 0:
-            total -= z + gr
-        if 1 + z < gr:
-            total += 1 + z - gr
-    return total
+    x, h = _require_in_P(v)
+    g0, g1, z = x[4:]
+    total = max(g0 + g1, 0) + sum(min(r + s, 0) for r, s in combinations(x[:4], 2))
+    total += sum(min(2 * h + z - g, 0) - max(z + g, 0) for g in (g0, g1))
+    return Q(total, 2 * h)

@@ -13,11 +13,14 @@ integer too.  The table holds P in the coordinates (alpha_0..alpha_5, A)
 with the fold A = |zeta + 1/2|, P^(0) as its section A = 0, and each of
 the 27 tiles.  A rational point enters as integer numerators over a
 common even denominator 2h, so that each test is the exact integer
-comparison dot(normal, nums) <= bound2 * h (strict for interiors).  The
-reduction into P runs on the same integer numerators: every lattice shift
-and the flip move them by multiples of h, so the denominator 2h of the
-input serves the whole reduction, and Fractions are built only for the
-word and the reduced vector.
+comparison dot(normal, nums) <= bound2 * h (strict for interiors).  An
+ExponentVector carries these numerators as its integer form, built once
+(see exponents), and the valuations read it too.  The reduction into P
+runs on the same integer numerators: every lattice shift and the flip
+move them by multiples of h, so the denominator 2h of the input serves
+the whole reduction, and Fractions are built only for the word and the
+reduced vector.  The tiling is face-to-face, so the smallest face holding
+a point has one dimension in every tile that holds it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from .errors import DomainError, NonTermination
-from .exponents import ExponentVector
+from .exponents import ExponentVector, _scaled
 
 __all__ = [
     "in_P",
@@ -57,14 +59,6 @@ Q = Fraction
 # Integer points and rows
 
 
-def _scaled(xs) -> tuple[tuple[int, ...], int]:
-    """Numerators of the rationals xs over their least common even
-    denominator 2h, and h."""
-    xs = [x if isinstance(x, Fraction) else Q(x) for x in xs]
-    d = lcm(2, *(x.denominator for x in xs))
-    return tuple(x.numerator * (d // x.denominator) for x in xs), d // 2
-
-
 def _point6(alpha) -> tuple[tuple[int, ...], int]:
     a, h = _scaled(alpha)
     if len(a) != 6:
@@ -79,7 +73,7 @@ def _folded(x, h) -> tuple[int, ...]:
 
 def _p_point(v: ExponentVector) -> tuple[tuple[int, ...], int]:
     """(alpha, A) of v over the denominator 2h."""
-    x, h = _scaled(v.as7())
+    x, h = v.scaled
     return _folded(x, h), h
 
 
@@ -212,24 +206,26 @@ def apply_word(word, v: ExponentVector) -> ExponentVector:
 
 
 _MAX_REDUCE_ROUNDS = 64
+_MAX_WORD = 100_000
 
 
 def reduce_to_P(v: ExponentVector):
     """Map a balanced vector into P by lattice translations and the flip.
 
     Returns (word, reduced) with apply_word(word, v) == reduced and
-    in_P(reduced).  The steps run on the numerators of v over its least
-    common even denominator 2h (see the module docstring).
+    in_P(reduced).  The steps run on the integer form of v (see the
+    module docstring).  A word longer than _MAX_WORD steps raises
+    DomainError: the input lies too far from P.
     """
     v.require_balanced()
-    x, h = _scaled(v.as7())
+    if v.inside_P:
+        return [], v
+    x, h = v.scaled
     x = list(x)
     word: list = []
     for _ in range(_MAX_REDUCE_ROUNDS):
-        if _holds(_P_ROWS, _folded(x, h), h):
-            d = 2 * h
-            return word, ExponentVector.from7([Q(xi, d) for xi in x])
-        _reduce_round(word, x, h)
+        if _reduce_round(word, x, h):
+            return word, ExponentVector._from_scaled_in_P(x, h)
     raise NonTermination("reduction into P did not terminate")
 
 
@@ -238,29 +234,33 @@ def _shift(word, x, s, h) -> None:
     apply it to x in place."""
     if not _in_lattice(s, h):
         raise NonTermination("internal shift left the translation lattice")
+    if len(word) >= _MAX_WORD:
+        raise DomainError(f"the reduction into P takes more than {_MAX_WORD} steps")
     d = 2 * h
     word.append(("translate", tuple(Q(si, d) for si in s)))
     for i, si in enumerate(s):
         x[i] += si
 
 
-def _reduce_round(word, x, h) -> None:
+def _reduce_round(word, x, h) -> bool:
     """One round of the reduction on the numerators x over d = 2h; a
-    whole step is d and a half step h."""
+    whole step is d and a half step h.  Returns whether x ends in P."""
     d = 2 * h
-    # Step 1: bring all pairwise differences within 1.
-    guard = 0
+    # Step 1: bring all pairwise differences within 1.  Each step lowers
+    # the sum of the squared numerators by at least 2d, which bounds the
+    # number of steps.
+    steps_left = sum(xi * xi for xi in x[:6]) // (2 * d)
     while True:
         lo = min(range(6), key=x.__getitem__)
         hi = max(range(6), key=x.__getitem__)
         if x[hi] - x[lo] <= d:
             break
+        if steps_left == 0:
+            raise NonTermination("difference reduction looped")
+        steps_left -= 1
         shift = [0] * 7
         shift[lo], shift[hi] = d, -d
         _shift(word, x, shift, h)
-        guard += 1
-        if guard > 10000:
-            raise NonTermination("difference reduction looped")
 
     # Step 2: integer-shift zeta into [-1, 0].
     k = -x[6] // d
@@ -282,7 +282,7 @@ def _reduce_round(word, x, h) -> None:
         _shift(word, x, shift, h)
 
     if _holds(_P_ROWS, _folded(x, h), h):
-        return
+        return True
 
     # Step 4: flip branch on the sorted coordinates.  The map
     # alpha -> c - alpha, zeta -> zeta + zshift is the flip
@@ -303,6 +303,7 @@ def _reduce_round(word, x, h) -> None:
     word.append(("flip",))
     x[:6] = [f - xi for f, xi in zip(flipped, x)]
     _shift(word, x, [c - f for c, f in zip(c6, flipped)] + [zshift], h)
+    return _holds(_P_ROWS, _folded(x, h), h)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +467,8 @@ def face_of(alpha) -> list[FaceSignature]:
             continue
         slacks = _slacks(rows, a, h)
         tight = [row for row, s in zip(rows, slacks) if s == 0]
-        dim = 6 - _rank([(1,) * 6] + [n for _, n, _ in tight])
+        if not found:  # face-to-face: one dimension for every tile
+            dim = 6 - _rank([(1,) * 6] + [n for _, n, _ in tight])
         found.append(FaceSignature(tile, tuple(lab for lab, _, _ in tight), dim))
     if not found:
         raise DomainError("tiling does not cover the point; internal error")

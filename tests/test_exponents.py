@@ -1,5 +1,6 @@
 """Exact-rational valuation bookkeeping."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_P_vector
+from ebiortho import polytope
 from ebiortho.errors import DomainError
 from ebiortho.exponents import (
     ExponentVector,
@@ -17,6 +19,8 @@ from ebiortho.exponents import (
     theta_val,
     valuation_deficit,
 )
+from ebiortho.polytope import reduce_to_P
+from ebiortho.scheme import APPENDIX_TABLES
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12
@@ -122,9 +126,117 @@ def test_P_membership_is_tested_once_per_vector(monkeypatch):
     assert calls == [v]
 
 
+def test_reduced_vector_is_not_tested_for_P_again(monkeypatch):
+    v = ExponentVector.from7(
+        [Fraction(x) for x in "5/2 -1 1/3 -2/3 0 -1/6 7/4".split()]
+    )
+    word, red = reduce_to_P(v)
+    assert word
+    monkeypatch.setattr(polytope, "in_P", lambda w: pytest.fail("P tested again"))
+    rtilde_valuation(red, 1)
+    norm_valuation(red, 1)
+    valuation_deficit(red)
+
+
 def test_known_valuations_at_midpoints():
     # top face: everything balanced at zero valuation
     v = ExponentVector((0, 0, 0, 0), (Fraction(1, 2), Fraction(1, 2)), 0)
     assert rtilde_valuation(v, 2) == 0
     assert norm_valuation(v, 2) == 0
     assert valuation_deficit(v) == 0
+
+
+# ---------------------------------------------------------------------------
+# The valuation formulas on Fractions, the reference for the integer ones
+
+
+def _neg(x):
+    """x * 1{x < 0}, strict at zero."""
+    return x if x < 0 else Fraction(0)
+
+
+def _pos(x):
+    """x * 1{x > 0}, strict at zero."""
+    return x if x > 0 else Fraction(0)
+
+
+def _ref_rtilde_valuation(v, n):
+    a0, a1, a2, a3 = v.alpha
+    g0, g1 = v.gamma
+    z = v.zeta
+    total = (
+        _neg(a0 - g0)
+        - _neg(-z - g0)
+        - _neg(1 + z - g0)
+        - _neg(a0 + g1)
+        - sum(_neg(a0 + ar) for ar in (a1, a2, a3))
+    )
+    return n * total
+
+
+def _ref_norm_valuation(v, n):
+    a0, a1, a2, a3 = v.alpha
+    g0, g1 = v.gamma
+    gs = g0 + g1
+    total = -_pos(gs) - 2 * _neg(gs)
+    for r, s in itertools.combinations((a1, a2, a3), 2):
+        total += _neg(r + s)
+    for ar in (a1, a2, a3):
+        total -= _neg(ar + a0)
+    for gr in (g0, g1):
+        if a0 - gr > 0:
+            total += gr - a0
+        if a0 + gr > 0:
+            total += a0 + gr
+    return n * total
+
+
+def _ref_valuation_deficit(v):
+    g0, g1 = v.gamma
+    z = v.zeta
+    total = _pos(g0 + g1)
+    for r, s in itertools.combinations(v.alpha, 2):
+        total += _neg(r + s)
+    for gr in (g0, g1):
+        if gr + z > 0:
+            total -= z + gr
+        if 1 + z < gr:
+            total += 1 + z - gr
+    return total
+
+
+def _appendix_vectors():
+    """The midpoints of the appendix cells; the tables list -zeta last."""
+    cells = [
+        cell
+        for _, _, rows in APPENDIX_TABLES
+        for row in rows
+        for cell in row
+        if cell is not None
+    ]
+    assert len(cells) == 99
+    return [ExponentVector(m[:4], m[4:6], -m[6]) for _, m, _ in cells]
+
+
+def test_valuations_match_fraction_reference():
+    rng = random.Random(21)
+    vecs = _appendix_vectors()
+    vecs += [random_P_vector(rng, den=rng.choice([1, 2, 3, 4, 6, 8, 12])) for _ in range(200)]
+    # reduced vectors reach P with every zeta in [-1, 0], not only the
+    # canonical one
+    for _ in range(200):
+        den = rng.choice([1, 2, 3, 4, 6, 8, 12])
+        a = [Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(5)]
+        a.append(1 - sum(a))
+        zeta = Fraction(rng.randint(-3 * den, 3 * den), den)
+        vecs.append(reduce_to_P(ExponentVector(a[:4], a[4:], zeta))[1])
+    for v in vecs:
+        for n in range(4):
+            for got, want in (
+                (rtilde_valuation(v, n), _ref_rtilde_valuation(v, n)),
+                (norm_valuation(v, n), _ref_norm_valuation(v, n)),
+            ):
+                assert type(got) is Fraction and got == want
+        got = valuation_deficit(v)
+        assert type(got) is Fraction and got == _ref_valuation_deficit(v)
+    assert len({v.zeta for v in vecs}) > 10

@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_P0_point, random_P_vector
+from ebiortho import polytope, scheme
 from ebiortho.errors import DomainError
 from ebiortho.exponents import ExponentVector
 from ebiortho.polytope import (
+    _TILE_ROWS,
     TileId,
     apply_word,
     attach_zeta,
@@ -210,6 +212,47 @@ def test_reduce_to_P_matches_fraction_reference():
         for w in words
         for s in w
     )
+
+
+def test_reduction_tests_each_point_for_P_once(monkeypatch):
+    tested = []
+    real = polytope._holds
+
+    def recorded(rows, x, h):
+        if rows is polytope._P_ROWS:
+            tested.append((tuple(x), h))
+        return real(rows, x, h)
+
+    monkeypatch.setattr(polytope, "_holds", recorded)
+    for v in _reduction_inputs(random.Random(14), 200):
+        tested.clear()
+        reduce_to_P(v)
+        assert tested and len(tested) == len(set(tested))
+
+
+def test_reduced_vector_carries_its_integer_form_and_P_membership():
+    for v in _reduction_inputs(random.Random(13), 200):
+        _, red = reduce_to_P(v)
+        fresh = ExponentVector.from7(red.as7())
+        assert red.scaled == fresh.scaled
+        assert red.inside_P is in_P(fresh) is True
+
+
+def test_long_difference_reduction_is_not_cut():
+    # each difference step moves the spread by 1: this input needs 10001
+    v = ExponentVector((10001, -10001, 0, 0), (H, H), 0)
+    word, red = reduce_to_P(v)
+    assert len(word) == 10001
+    assert apply_word(word, v) == red
+    assert in_P(red)
+
+
+def test_reduction_word_length_is_capped(monkeypatch):
+    monkeypatch.setattr(polytope, "_MAX_WORD", 100)
+    word, _ = reduce_to_P(ExponentVector((100, -100, 0, 0), (H, H), 0))
+    assert len(word) == 100
+    with pytest.raises(DomainError, match="more than 100 steps"):
+        reduce_to_P(ExponentVector((101, -101, 0, 0), (H, H), 0))
 
 
 def test_in_lattice_matches_fraction_rule():
@@ -444,3 +487,29 @@ def test_integer_table_matches_fraction_reference():
         zeta_for(outside[0])
     with pytest.raises(DomainError):
         face_of(outside[0])
+
+
+def test_tiling_is_face_to_face():
+    """Every face of every tile is a face of each other tile that holds its
+    midpoint, and face_of reports there the dimension that the tight rows
+    of that tile give: the one rank face_of computes serves every tile."""
+    faces = {tile: scheme._tile_faces(rows) for tile, rows in _TILE_ROWS.items()}
+    dims = {}
+    pairs = 0
+    for tile, tile_faces in faces.items():
+        for names in tile_faces:
+            x, k = scheme._midpoint2(names)
+            sigs = face_of(tuple(Fraction(xi, 2 * k) for xi in x))
+            assert tile in [sig.tile for sig in sigs]
+            for sig in sigs:
+                assert names in faces[sig.tile]
+                key = sig.tile, sig.tight
+                if key not in dims:
+                    rows = [(1,) * 6] + [
+                        n for label, n, _ in _TILE_ROWS[sig.tile] if label in sig.tight
+                    ]
+                    dims[key] = 6 - _ref_rank([[Fraction(c) for c in r] for r in rows])
+                assert sig.dim == dims[key]
+                pairs += sig.tile != tile
+    assert sum(map(len, faces.values())) == 2781
+    assert pairs == 7102
