@@ -14,6 +14,18 @@ weights (Sigma, Sigma2 series, finite) from one basic hypergeometric
 term, _series_term.  The `verify limit` family also lives here:
 limit_value evaluates rtilde along the p-dependent parameters of face
 1111pp or 40as, limit_target the closed-form limit it tends to.
+
+The Pastro polynomial p_n (Pastro, J. Math. Anal. Appl. 112 (1985)) is
+summed as one q-binomial polynomial in w,
+
+    p_n(w; A, B) = A^n / (AB/q;q)_n
+                   * sum_{k<=n} [n k]_q (A;q)_k (B/q;q)_(n-k) (w / q^(1/2))^k,
+
+which is its coefficient times 2phi1 rewritten term by term with
+(B/q;q)_n / (q^(2-n)/B;q)_k = (B/q;q)_(n-k) prod_{j<k} (-B q^(n-2-j)) and
+(q^-n;q)_k / (q;q)_k = (-1)^k q^(k(k-1)/2 - nk) [n k]_q.  The sum has no
+divisor that vanishes at B = q, the removable singularity of the 2phi1
+form, where it is the monomial A^n q^(-n/2) w^n.
 """
 
 from __future__ import annotations
@@ -137,23 +149,51 @@ def pastro_P(n, z, t, u, q) -> complex:
 
 
 def pastro_p(n, w, A, B, q) -> complex:
-    """p_n(w; A, B): the first Pastro family in circle variables."""
+    """p_n(w; A, B): the first Pastro family in circle variables.
+
+    One q-binomial polynomial in w, summed in a single pass:
+
+        p_n(w; A, B) = A^n / (AB/q;q)_n
+                       * sum_{k<=n} [n k]_q (A;q)_k (B/q;q)_(n-k) (w / q^(1/2))^k.
+
+    It is Pastro's coefficient times 2phi1,
+    (B/q;q)_n A^n / (AB/q;q)_n * 2phi1(A, q^-n; q^(2-n)/B; q, w q^(3/2) / B),
+    rewritten term by term with
+
+        (B/q;q)_n / (q^(2-n)/B;q)_k = (B/q;q)_(n-k) prod_{j<k} (-B q^(n-2-j)),
+        (q^-n;q)_k / (q;q)_k = (-1)^k q^(k(k-1)/2 - nk) [n k]_q,
+
+    so the sum has no divisor (q^(2-n)/B;q)_k, which is small near B = q,
+    and at B = q, where (B/q;q)_(n-k) = 0 for k < n, it is the monomial
+    A^n q^(-n/2) w^n.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
     A, B, q, w = complex(A), complex(B), complex(q), complex(w)
     if q == 0 or B == 0:
         raise DomainError("pastro_p requires q != 0 and B != 0")
-    if abs(B - q) < 1e-14:
-        # removable singularity: the series collapses to a monomial
-        return w**n * A**n * q ** (-n / 2)
-    den = qpoch_finite(A * B / q, q, n)
+    b = B / q
+    # qs[m] = q^m, lower[m] = (B/q;q)_m, den = (AB/q;q)_n
+    qs = [1.0 + 0.0j]
+    lower = [1.0 + 0.0j]
+    den = 1.0 + 0.0j
+    for m in range(n):
+        lower.append(lower[m] * (1.0 - b * qs[m]))
+        den *= 1.0 - A * b * qs[m]
+        qs.append(qs[m] * q)
     if abs(den) < 1e-14:
         raise PoleError("pastro_p coefficient pole")
-    coeff = qpoch_finite(B / q, q, n) / den * A**n
-    rq = q**0.5
-    return coeff * _phi(
-        [A, q ** (-n)], [q, q ** (2 - n) / B], q, w * q * rq / B, n + 1
-    )
+    x = w / q**0.5
+    # term = [n k]_q (A;q)_k x^k
+    term = 1.0 + 0.0j
+    out = lower[n]
+    for k in range(n):
+        step = 1.0 - qs[k + 1]
+        if abs(step) < 1e-14:
+            raise PoleError("q-binomial denominator vanishes")
+        term *= (1.0 - qs[n - k]) * (1.0 - A * qs[k]) * x / step
+        out += term * lower[n - k - 1]
+    return out * A**n / den
 
 
 def pastro_q(n, w, A, B, q) -> complex:

@@ -28,10 +28,12 @@ _CONST_TOL (_qpoch_constant).
 circle_gram is the one unit-circle quadrature of the package: the
 continuous elliptic and Pastro bilinear forms and the integral limit
 measures take their matrices from it.  Given a log weight, it sums L at
-all its midpoint nodes with grid_log_series:
-the orders up to _HEAD_ORDERS by Horner's rule at each node, every
-higher order by one discrete Fourier transform (Trefethen and Weideman,
-SIAM Rev. 56 (2014); Cooley and Tukey, Math. Comp. 19 (1965)).
+the midpoint nodes it reads (all of them, or the upper half circle of
+an inversion-symmetric weight) with grid_log_series: the orders up to
+_HEAD_ORDERS by Horner's rule at each of those nodes, every higher
+order by one discrete Fourier transform over the whole grid (Trefethen
+and Weideman, SIAM Rev. 56 (2014); Cooley and Tukey, Math. Comp. 19
+(1965)).
 """
 
 from __future__ import annotations
@@ -400,27 +402,33 @@ def _dft(a, roots) -> list:
     return out
 
 
-def grid_log_series(pos, neg, quad: int) -> list:
+def grid_log_series(pos, neg, quad: int, count: int | None = None) -> list:
     """L(z) = sum_k pos[k - 1] z^k + neg[k - 1] z^-k at the circle_gram nodes.
 
-    Returns [L(z_j) for j < quad], z_j = exp(2 pi i (j + 1/2) / quad).
-    The orders k <= _HEAD_ORDERS are summed at each node by Horner's
-    rule.  Every higher order is folded into quad bins: with
-    w = exp(2 pi i / quad), z_j^+-k = e^(+-i pi k / quad) w^(+-k j), and
-    w^(+-k j) depends on k only through +-k mod quad, so the folding is
-    exact on the grid, and one discrete Fourier transform of the bins
-    sums the folded orders at all nodes.  The rounding error of the
+    Returns [L(z_j) for j < count], z_j = exp(2 pi i (j + 1/2) / quad),
+    count = quad by default.  The orders k <= _HEAD_ORDERS are summed at
+    each of those nodes by Horner's rule.  Every higher order is folded
+    into quad bins: with w = exp(2 pi i / quad), z_j^+-k =
+    e^(+-i pi k / quad) w^(+-k j), and w^(+-k j) depends on k only
+    through +-k mod quad, so the folding is exact on the grid, and one
+    discrete Fourier transform of the bins sums the folded orders at all
+    quad nodes, of which the first count are kept.  Every value is the
+    same, bit for bit, whatever count is.  The rounding error of the
     transform is correlated across nodes; keeping the large low orders
     out of it keeps the weighted mean of L within a few units in the
     last place.
     """
     check_quad(quad)
-    nodes = _nodes(quad, quad)
+    if count is None:
+        count = quad
+    elif not 0 <= count <= quad:
+        raise DomainError("count must lie in [0, quad]")
+    nodes = _nodes(quad, count)
     inverses = [1.0 / z for z in nodes]
-    up = [0.0j] * quad
+    up = [0.0j] * count
     for c in reversed(pos[:_HEAD_ORDERS]):
         up = [(u + c) * z for u, z in zip(up, nodes)]
-    down = [0.0j] * quad
+    down = [0.0j] * count
     for c in reversed(neg[:_HEAD_ORDERS]):
         down = [(d + c) * zi for d, zi in zip(down, inverses)]
     out = [u + d for u, d in zip(up, down)]
@@ -437,7 +445,7 @@ def grid_log_series(pos, neg, quad: int) -> list:
                 tw = -tw
             bins[sign * k % quad] += coeffs[k - 1] * tw
     roots = [cmath.exp(2j * cmath.pi * k / quad) for k in range(quad)]
-    return [h + t for h, t in zip(out, _dft(bins, roots))]
+    return [h + t for h, t in zip(out, _dft(bins, roots))]  # zip stops at count
 
 
 def csum(terms) -> complex:
@@ -479,9 +487,9 @@ def circle_gram(
     F = [[f(z) for z in points] for f in fs]
     G = [[g(z) for z in points] for g in gs]
     if log_weight is not None:
-        logs = grid_log_series(*log_weight, quad)
+        logs = grid_log_series(*log_weight, quad, count)
         try:
-            exps = [cmath.exp(x) for x in logs[:count]]
+            exps = [cmath.exp(x) for x in logs]
         except OverflowError:
             raise NonFiniteValue("circle weight left the floating-point range") from None
 

@@ -169,13 +169,28 @@ def test_pastro_B_eq_q_monomial():
 
 
 def test_pastro_B_to_q_from_both_sides():
-    # pastro_p returns the monomial itself at B = q, so check the series
-    # on both sides of its removable singularity instead
+    # B = q is a removable singularity of Pastro's 2phi1 form; the
+    # q-binomial sum reaches the monomial at B = q and is smooth next to
+    # it.  At B = q + 2e-14 the exact value is itself up to 4.9e-14 from
+    # the monomial (40-digit sums), so that point gets 1e-13.
     A, q = 0.55, 0.45
     w = cmath.exp(0.7j)
     for n in range(7):
-        mean = sum(pastro_p(n, w, A, q * (1 + h), q) for h in (1e-5, -1e-5)) / 2
-        assert abs(mean - w**n * A**n * q ** (-n / 2)) < 1e-9
+        mono = w**n * A**n * q ** (-n / 2)
+        assert abs(pastro_p(n, w, A, q, q) - mono) < 1e-14
+        for h, tol in ((1e-5, 1e-9), (1e-11, 1e-14)):
+            mean = sum(pastro_p(n, w, A, q * (1 + s), q) for s in (h, -h)) / 2
+            assert abs(mean - mono) < tol
+        assert abs(pastro_p(n, w, A, q + 2e-14, q) - mono) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "A, B, q", [(0.5, 0.9, 0.45), (0.5, 0.4, -1.0)], ids=["AB=q", "q^2=1"]
+)
+def test_pastro_p_poles_are_pole_errors(A, B, q):
+    # (AB/q;q)_2 = 0, and the q-binomial divisor 1 - q^2 = 0
+    with pytest.raises(PoleError):
+        pastro_p(2, 0.5j, A, B, q)
 
 
 def test_pastro_P_normalized_at_t0():

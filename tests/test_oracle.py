@@ -17,6 +17,7 @@ from ebiortho.biortho import (
     rtilde,
 )
 from conftest import grid_weight
+from ebiortho.limits import pastro_p
 from ebiortho.qkernel import elliptic_gamma, grid_log_series, qpoch_infinite, theta
 
 mp = pytest.importorskip("mpmath")
@@ -216,3 +217,47 @@ def test_elliptic_gamma_next_to_its_pole():
         for arg, bound in ((x, 1e-14), (p * q / x, 1e-11)):
             ref = complex(_mp_elliptic_gamma(arg, p, q))
             assert abs(elliptic_gamma(arg, p, q) - ref) <= bound * abs(ref)
+
+
+def _mp_pastro_p(n, w, A, B, q):
+    """p_n(w; A, B) as the q-binomial sum at the working precision,
+    A^n / (AB/q;q)_n sum_k [n k]_q (A;q)_k (B/q;q)_(n-k) (w / q^(1/2))^k:
+    (value, sum of the moduli of the terms)."""
+    A, B, q, w = (mp.mpmathify(x) for x in (A, B, q, w))
+
+    def poch(x, m):
+        return mp.fprod(1 - x * q**j for j in range(m))
+
+    head = A**n / poch(A * B / q, n)
+    terms = [
+        head * poch(q, n) / (poch(q, k) * poch(q, n - k))
+        * poch(A, k) * poch(B / q, n - k) * (w / mp.sqrt(q)) ** k
+        for k in range(n + 1)
+    ]
+    return complex(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def test_pastro_p_against_mpmath():
+    # |A|, |B| < 0.85 q^(1/2), n <= 6, w on the unit circle.  Positive A,
+    # B as the Pastro suite and the benchmark draw them, and B = q(1 +-
+    # 1e-11) next to the removable singularity B = q, within 2e-15 of
+    # max(1, |p_n|); complex A, B, whose terms may cancel, within 2e-15 of
+    # max(1, sum of the moduli of the terms).
+    rng = random.Random(26)
+    cases = []
+    for i in range(60):
+        q = rng.uniform(0.3, 0.6)
+        A, B = (rng.uniform(0, 0.85) * math.sqrt(q) for _ in range(2))
+        cases.append((A, B, q, False))
+        if i < 4:
+            cases += [(A, q * (1 + h), q, False) for h in (1e-11, -1e-11)]
+        A, B = (rng.uniform(0, 0.85) * math.sqrt(q) * cmath.exp(2j * math.pi * rng.random())
+                for _ in range(2))
+        cases.append((A, B, q, True))
+    with mp.workdps(40):
+        for A, B, q, by_terms in cases:
+            w = cmath.exp(2j * math.pi * rng.random())
+            for n in range(7):
+                ref, gross = _mp_pastro_p(n, w, A, B, q)
+                scale = max(1.0, gross if by_terms else abs(ref))
+                assert abs(pastro_p(n, w, A, B, q) - ref) <= 2e-15 * scale, (n, A, B, q)

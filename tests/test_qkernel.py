@@ -267,6 +267,23 @@ def _sparse_coeffs(rng, count, quad):
     return coeffs
 
 
+def test_grid_log_series_first_count_nodes_bit_for_bit():
+    # circle_gram reads only the upper half circle of a symmetric weight;
+    # the first count values are the full grid's, for a series inside the
+    # Horner head (10 orders) and one that needs the transform
+    rng = random.Random(5)
+    for quad in (8, 520, 1024):
+        for length in (10, 2 * quad + 40):
+            pos, neg = _sparse_coeffs(rng, length, quad), _sparse_coeffs(rng, length, quad)
+            full = grid_log_series(pos, neg, quad)
+            assert len(full) == quad
+            for count in (0, 1, 3, quad // 2, quad - 1, quad):
+                assert grid_log_series(pos, neg, quad, count) == full[:count]
+    for count in (-1, 9):
+        with pytest.raises(DomainError):
+            grid_log_series([0.1], [0.1], 8, count)
+
+
 def test_grid_log_series_against_mpmath_at_every_node():
     # the reference sums each order at the exact node, 30 digits; the
     # rounding of the double-precision node moves order k by about
